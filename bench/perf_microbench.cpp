@@ -291,11 +291,11 @@ void BM_SimdFirstNonzeroWord(benchmark::State& state) {
 }
 BENCHMARK(BM_SimdFirstNonzeroWord)->Args({1024, 0})->Args({1024, 1});
 
-/// CSD span-occupancy probe over a mostly-free 1024-position channel
-/// array — the establish() hot path at Epiphany-V geometry.
+/// CSD priority-encoder span scan plus claim/release over a mostly-free
+/// 1024-position channel array — the establish() hot path at Epiphany-V
+/// geometry.
 void BM_CsdSpanOccupancy(benchmark::State& state) {
   const auto n = static_cast<csd::Position>(state.range(0));
-  simd::set_force_scalar(state.range(1) != 0);
   csd::DynamicCsdNetwork net(csd::CsdConfig{n, 8});
   // One established route so the scan has structure to step around.
   (void)net.establish(0, static_cast<csd::Position>(n / 2));
@@ -303,10 +303,9 @@ void BM_CsdSpanOccupancy(benchmark::State& state) {
     const auto r = net.establish(1, static_cast<csd::Position>(n - 1));
     if (r) net.release(*r);
   }
-  simd::set_force_scalar(false);
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_CsdSpanOccupancy)->Args({1024, 0})->Args({1024, 1});
+BENCHMARK(BM_CsdSpanOccupancy)->Arg(1024);
 
 void BM_ObjectSpaceChurn(benchmark::State& state) {
   ap::ObjectSpace space(64);

@@ -8,21 +8,26 @@
 
 namespace vlsip::ap {
 
-MemoryBlock::MemoryBlock(MemoryBlockConfig config)
-    : config_(config), data_(config.words, arch::make_word_u(0)) {
+MemoryBlock::MemoryBlock(MemoryBlockConfig config) : config_(config) {
   VLSIP_REQUIRE(config.words > 0, "memory block must be non-empty");
   VLSIP_REQUIRE(config.access_latency >= 1, "latency must be positive");
 }
 
+void MemoryBlock::materialise() {
+  if (data_.empty()) data_.assign(config_.words, arch::make_word_u(0));
+}
+
 arch::Word MemoryBlock::read(std::size_t address) const {
-  VLSIP_REQUIRE(address < data_.size(), "read address out of range");
+  VLSIP_REQUIRE(address < config_.words, "read address out of range");
   if (poisoned_) return poison_word();
-  return data_[address];
+  return data_.empty() ? arch::make_word_u(0) : data_[address];
 }
 
 void MemoryBlock::write(std::size_t address, arch::Word value) {
-  VLSIP_REQUIRE(address < data_.size(), "write address out of range");
+  VLSIP_REQUIRE(address < config_.words, "write address out of range");
   if (poisoned_) return;  // dead cells absorb the write
+  if (data_.empty() && value.u == 0) return;  // already reads as zero
+  materialise();
   data_[address] = value;
 }
 
@@ -34,11 +39,12 @@ arch::Word MemoryBlock::poison_word() {
 
 void MemoryBlock::fill(std::size_t base,
                        const std::vector<arch::Word>& values) {
-  VLSIP_REQUIRE(base + values.size() <= data_.size(),
+  VLSIP_REQUIRE(base + values.size() <= config_.words,
                 "fill range out of bounds");
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    data_[base + i] = values[i];
-  }
+  if (values.empty()) return;
+  materialise();
+  std::copy(values.begin(), values.end(),
+            data_.begin() + static_cast<std::ptrdiff_t>(base));
 }
 
 MemorySystem::MemorySystem(int blocks, MemoryBlockConfig config)
@@ -137,7 +143,7 @@ void ObjectLibrary::write_back(const arch::LogicalObject& object) {
 
 void MemoryBlock::save(snapshot::Writer& w) const {
   w.section("ap.memory_block");
-  w.u64(data_.size());
+  w.u64(config_.words);
   std::uint64_t nonzero = 0;
   for (const auto& word : data_) {
     if (word.u != 0) ++nonzero;
@@ -155,13 +161,17 @@ void MemoryBlock::save(snapshot::Writer& w) const {
 void MemoryBlock::restore(snapshot::Reader& r) {
   r.section("ap.memory_block");
   const std::uint64_t words = r.u64();
-  VLSIP_REQUIRE(words == data_.size(),
+  VLSIP_REQUIRE(words == config_.words,
                 "snapshot memory-block geometry mismatch");
-  std::fill(data_.begin(), data_.end(), arch::make_word_u(0));
   const std::uint64_t nonzero = r.count(16);
+  if (nonzero == 0) {
+    data_ = {};  // an all-zero block needs no storage
+  } else {
+    data_.assign(config_.words, arch::make_word_u(0));
+  }
   for (std::uint64_t i = 0; i < nonzero; ++i) {
     const std::uint64_t index = r.u64();
-    VLSIP_REQUIRE(index < data_.size(), "snapshot memory word out of range");
+    VLSIP_REQUIRE(index < config_.words, "snapshot memory word out of range");
     data_[static_cast<std::size_t>(index)] = arch::make_word_u(r.u64());
   }
   poisoned_ = r.b();

@@ -30,12 +30,16 @@ struct MemoryBlockConfig {
   int access_latency = 4;
 };
 
-/// One 64 KB SRAM memory block with word addressing.
+/// One 64 KB SRAM memory block with word addressing. The storage is
+/// allocated on the first nonzero write or fill: a fused processor
+/// brings up 16 banks per cluster and most served jobs never touch
+/// them, so a never-written block costs no host memory and reads as
+/// zero everywhere.
 class MemoryBlock {
  public:
   explicit MemoryBlock(MemoryBlockConfig config = {});
 
-  std::size_t size() const { return data_.size(); }
+  std::size_t size() const { return config_.words; }
   int access_latency() const { return config_.access_latency; }
 
   arch::Word read(std::size_t address) const;
@@ -61,8 +65,11 @@ class MemoryBlock {
   void restore(snapshot::Reader& r);
 
  private:
+  /// Allocates the zeroed storage if the block was never written.
+  void materialise();
+
   MemoryBlockConfig config_;
-  std::vector<arch::Word> data_;
+  std::vector<arch::Word> data_;  // empty until first written
   bool poisoned_ = false;
 };
 

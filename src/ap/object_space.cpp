@@ -1,7 +1,9 @@
 #include "ap/object_space.hpp"
 
+#include <algorithm>
 #include <sstream>
 
+#include "arch/serialize.hpp"
 #include "common/require.hpp"
 #include "snapshot/snapshot.hpp"
 
@@ -10,12 +12,6 @@ namespace vlsip::ap {
 ObjectSpace::ObjectSpace(int capacity) : capacity_(capacity) {
   VLSIP_REQUIRE(capacity >= 1, "capacity must be positive");
   stack_.reserve(static_cast<std::size_t>(capacity));
-}
-
-std::optional<int> ObjectSpace::find(arch::ObjectId id) const {
-  const auto it = index_.find(id);
-  if (it == index_.end()) return std::nullopt;
-  return it->second;
 }
 
 int ObjectSpace::position_of(arch::ObjectId id) const {
@@ -34,17 +30,19 @@ arch::ObjectId ObjectSpace::bottom() const {
   return stack_.back();
 }
 
-void ObjectSpace::reindex(std::size_t from) {
-  for (std::size_t i = from; i < stack_.size(); ++i) {
+void ObjectSpace::reindex(std::size_t from, std::size_t to) {
+  for (std::size_t i = from; i < to; ++i) {
     index_[stack_[i]] = static_cast<int>(i);
   }
 }
 
 void ObjectSpace::insert_top(arch::ObjectId id) {
+  VLSIP_REQUIRE(id != arch::kNoObject, "kNoObject cannot be resident");
   VLSIP_REQUIRE(!full(), "object space is full");
   VLSIP_REQUIRE(!contains(id), "object already resident");
+  if (id >= index_.size()) index_.resize(std::size_t{id} + 1, kAbsent);
   stack_.insert(stack_.begin(), id);
-  reindex(0);
+  reindex(0, stack_.size());
   ++version_;
 }
 
@@ -52,7 +50,7 @@ arch::ObjectId ObjectSpace::evict_bottom() {
   VLSIP_REQUIRE(!empty(), "stack is empty");
   const arch::ObjectId id = stack_.back();
   stack_.pop_back();
-  index_.erase(id);
+  index_[id] = kAbsent;
   ++version_;
   return id;
 }
@@ -61,8 +59,8 @@ void ObjectSpace::remove(arch::ObjectId id) {
   const auto pos = find(id);
   VLSIP_REQUIRE(pos.has_value(), "object is not resident");
   stack_.erase(stack_.begin() + *pos);
-  index_.erase(id);
-  reindex(static_cast<std::size_t>(*pos));
+  index_[id] = kAbsent;
+  reindex(static_cast<std::size_t>(*pos), stack_.size());
   ++version_;
 }
 
@@ -70,9 +68,11 @@ int ObjectSpace::promote(arch::ObjectId id) {
   const auto pos = find(id);
   VLSIP_REQUIRE(pos.has_value(), "object is not resident");
   if (*pos == 0) return 0;
-  stack_.erase(stack_.begin() + *pos);
-  stack_.insert(stack_.begin(), id);
-  reindex(0);
+  // Only positions [0, old depth] move; everything below keeps its
+  // position.
+  std::rotate(stack_.begin(), stack_.begin() + *pos,
+              stack_.begin() + *pos + 1);
+  reindex(0, static_cast<std::size_t>(*pos) + 1);
   ++version_;
   return *pos;
 }
@@ -105,13 +105,31 @@ void ObjectSpace::save(snapshot::Writer& w) const {
 
 void ObjectSpace::restore(snapshot::Reader& r) {
   r.section("ap.object_space");
-  capacity_ = r.i32();
-  stack_ = r.vec_u32();
-  version_ = r.u64();
-  index_.clear();
-  for (std::size_t i = 0; i < stack_.size(); ++i) {
-    index_[stack_[i]] = static_cast<int>(i);
+  const int capacity = r.i32();
+  std::vector<arch::ObjectId> stack = r.vec_u32();
+  const std::uint64_t version = r.u64();
+  if (capacity < 1 || stack.size() > static_cast<std::size_t>(capacity)) {
+    throw snapshot::SnapshotError("object space holds more than its capacity");
   }
+  std::vector<int> index;
+  for (std::size_t i = 0; i < stack.size(); ++i) {
+    const arch::ObjectId id = stack[i];
+    if (id >= arch::kMaxEncodedObjects) {
+      throw snapshot::SnapshotError("object space holds id " +
+                                    std::to_string(id) +
+                                    ", which no program can name");
+    }
+    if (id >= index.size()) index.resize(std::size_t{id} + 1, kAbsent);
+    if (index[id] != kAbsent) {
+      throw snapshot::SnapshotError("object space holds id " +
+                                    std::to_string(id) + " twice");
+    }
+    index[id] = static_cast<int>(i);
+  }
+  capacity_ = capacity;
+  stack_ = std::move(stack);
+  index_ = std::move(index);
+  version_ = version;
 }
 
 }  // namespace vlsip::ap

@@ -16,7 +16,6 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "arch/object.hpp"
@@ -39,7 +38,10 @@ class ObjectSpace {
   bool empty() const { return stack_.empty(); }
 
   /// 0-based stack distance of `id` (0 = top), or nullopt on miss.
-  std::optional<int> find(arch::ObjectId id) const;
+  std::optional<int> find(arch::ObjectId id) const {
+    if (id >= index_.size() || index_[id] == kAbsent) return std::nullopt;
+    return index_[id];
+  }
 
   bool contains(arch::ObjectId id) const { return find(id).has_value(); }
 
@@ -53,7 +55,7 @@ class ObjectSpace {
   arch::ObjectId bottom() const;
 
   /// Enters `id` at the top, shifting all residents down one. Requires
-  /// !full() and id not already resident.
+  /// !full(), id != kNoObject and id not already resident.
   void insert_top(arch::ObjectId id);
 
   /// Removes and returns the bottom (LRU) object. Requires !empty().
@@ -84,16 +86,27 @@ class ObjectSpace {
   std::string render() const;
 
   /// Checkpoint codec. restore() overwrites capacity (it shrinks at
-  /// runtime via reduce_capacity) and rebuilds the id index.
+  /// runtime via reduce_capacity) and rebuilds the id index. A stack no
+  /// running AP could hold (over capacity, duplicate ids, or an id no
+  /// encodable program names, see arch::kMaxEncodedObjects) throws
+  /// snapshot::SnapshotError, so a hostile checkpoint cannot size the
+  /// index.
   void save(snapshot::Writer& w) const;
   void restore(snapshot::Reader& r);
 
  private:
-  void reindex(std::size_t from);
+  static constexpr int kAbsent = -1;
+
+  /// Re-records the positions of stack_[from, to).
+  void reindex(std::size_t from, std::size_t to);
 
   int capacity_;
   std::vector<arch::ObjectId> stack_;  // [0] = top
-  std::unordered_map<arch::ObjectId, int> index_;
+  /// index_[id] = position of `id`, or kAbsent. Program ids are dense
+  /// (library index == id), so a flat vector beats hashing on the
+  /// configure path, which looks up every referenced object several
+  /// times per element.
+  std::vector<int> index_;
   std::uint64_t version_ = 0;
 };
 

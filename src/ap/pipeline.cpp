@@ -214,21 +214,20 @@ ConfigStats ConfigurationPipeline::configure(const arch::Program& program) {
     // Request stage: sink first, then sources (§2.3: necessary resources
     // are searched; misses are inserted at this stage).
     std::uint64_t req = std::max(re + 1, req_free);
-    bool placement_changed_before = !space_.contains(element.sink);
     // CFB concurrency: group the element's misses; up to cfb_entries
     // loads overlap, so charge ceil(misses / cfb) load rounds. We model
     // it by letting ensure_resident serialise and then discounting the
     // overlapped portion below.
     const std::uint64_t req_begin = req;
     int miss_count = 0;
-    for (const auto id : element.referenced()) {
-      const bool was_miss = !space_.contains(id);
-      if (was_miss) {
-        ++miss_count;
-        placement_changed_before = true;
-      }
+    // The order ConfigElement::referenced() gives, without building it.
+    const auto request = [&](arch::ObjectId id) {
+      if (id == arch::kNoObject) return;
+      if (!space_.contains(id)) ++miss_count;
       req = ensure_resident(program, id, req, stats);
-    }
+    };
+    request(element.sink);
+    for (const auto src : element.sources) request(src);
     // Overlap discount: (misses beyond the first, within one CFB round)
     // hide their load latency behind the first load.
     if (miss_count > 1) {
@@ -240,7 +239,6 @@ ConfigStats ConfigurationPipeline::configure(const arch::Program& program) {
       const std::uint64_t span = req - req_begin;
       req -= std::min(discount, span);
     }
-    (void)placement_changed_before;
     req_free = req;
 
     // Acquirement stage: add this element's chains, re-resolve routes,

@@ -177,7 +177,8 @@ constexpr std::uint64_t kNoField = 0xFFFFu;
 
 std::uint64_t pack_id(ObjectId id) {
   if (id == kNoObject) return kNoField;
-  VLSIP_REQUIRE(id < kNoField, "object id too large for stream encoding");
+  VLSIP_REQUIRE(id < kMaxEncodedObjects,
+                "object id too large for stream encoding");
   return id;
 }
 

@@ -41,7 +41,12 @@ Opcode opcode_from_name(const std::string& name);
 // 16 bits each, 0xFFFF = no object. This is what the pointer-update /
 // request-fetch pipeline stages actually read.
 
-/// Packs one element; every id must be < 0xFFFF.
+/// Object ids a packed element can name are 0 .. kMaxEncodedObjects-1
+/// (the all-ones field means "no object"), so no program that can be
+/// streamed or checkpointed holds more objects than this.
+inline constexpr ObjectId kMaxEncodedObjects = 0xFFFFu;
+
+/// Packs one element; every id must be < kMaxEncodedObjects.
 std::uint64_t encode_element(const ConfigElement& element);
 ConfigElement decode_element(std::uint64_t word);
 

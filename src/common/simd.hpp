@@ -1,6 +1,6 @@
 // Portable SIMD kernels for the cycle engine's flat data-structure
-// scans (activity bitwords, CSD segment occupancy, NoC flit-ring
-// queue lengths).
+// scans (activity bitwords, CSD per-channel claim counts, NoC
+// flit-ring queue lengths).
 //
 // Every kernel exists twice: a scalar reference in simd::scalar (always
 // compiled, the semantic ground truth) and a vector path selected at
@@ -97,14 +97,6 @@ inline std::size_t first_nonzero_byte(const std::uint8_t* bytes,
     if (bytes[i] != 0) return i;
   }
   return n;
-}
-
-/// True iff every word in [words, words+n) is zero.
-inline bool range_all_zero(const std::uint64_t* words, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    if (words[i] != 0) return false;
-  }
-  return true;
 }
 
 /// Bit i of the result = lanes[i] != 0. Requires n <= 32.
@@ -214,17 +206,6 @@ inline std::size_t first_nonzero_byte_impl(const std::uint8_t* bytes,
     }
   }
   return i + scalar::first_nonzero_byte(bytes + i, n - i);
-}
-
-inline bool range_all_zero_impl(const std::uint64_t* words, std::size_t n) {
-  std::size_t i = 0;
-  __m256i acc = _mm256_setzero_si256();
-  for (; i + 4 <= n; i += 4) {
-    acc = _mm256_or_si256(acc, _mm256_loadu_si256(
-                                   reinterpret_cast<const __m256i*>(words + i)));
-  }
-  if (!_mm256_testz_si256(acc, acc)) return false;
-  return scalar::range_all_zero(words + i, n - i);
 }
 
 inline std::uint32_t nonzero_mask_u16_impl(const std::uint16_t* lanes,
@@ -363,17 +344,6 @@ inline std::size_t first_nonzero_byte_impl(const std::uint8_t* bytes,
   return i + scalar::first_nonzero_byte(bytes + i, n - i);
 }
 
-inline bool range_all_zero_impl(const std::uint64_t* words, std::size_t n) {
-  std::size_t i = 0;
-  __m128i acc = _mm_setzero_si128();
-  for (; i + 2 <= n; i += 2) {
-    acc = _mm_or_si128(
-        acc, _mm_loadu_si128(reinterpret_cast<const __m128i*>(words + i)));
-  }
-  if (!_mm_testz_si128(acc, acc)) return false;
-  return scalar::range_all_zero(words + i, n - i);
-}
-
 inline std::uint32_t nonzero_mask_u16_impl(const std::uint16_t* lanes,
                                            std::size_t n) {
   std::uint32_t mask = 0;
@@ -471,16 +441,6 @@ inline std::size_t first_nonzero_byte_impl(const std::uint8_t* bytes,
   return i + scalar::first_nonzero_byte(bytes + i, n - i);
 }
 
-inline bool range_all_zero_impl(const std::uint64_t* words, std::size_t n) {
-  std::size_t i = 0;
-  uint64x2_t acc = vdupq_n_u64(0);
-  for (; i + 2 <= n; i += 2) {
-    acc = vorrq_u64(acc, vld1q_u64(words + i));
-  }
-  if ((vgetq_lane_u64(acc, 0) | vgetq_lane_u64(acc, 1)) != 0) return false;
-  return scalar::range_all_zero(words + i, n - i);
-}
-
 inline std::uint32_t nonzero_mask_u16_impl(const std::uint16_t* lanes,
                                            std::size_t n) {
   return scalar::nonzero_mask_u16(lanes, n);
@@ -535,10 +495,6 @@ inline std::size_t first_nonzero_word(const std::uint64_t* words,
 inline std::size_t first_nonzero_byte(const std::uint8_t* bytes,
                                       std::size_t n) {
   return VLSIP_SIMD_DISPATCH(first_nonzero_byte, bytes, n);
-}
-
-inline bool range_all_zero(const std::uint64_t* words, std::size_t n) {
-  return VLSIP_SIMD_DISPATCH(range_all_zero, words, n);
 }
 
 inline std::uint32_t nonzero_mask_u16(const std::uint16_t* lanes,

@@ -1,6 +1,7 @@
 #include "csd/dynamic_csd.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <sstream>
 
 #include "common/require.hpp"
@@ -10,65 +11,71 @@
 namespace vlsip::csd {
 
 DynamicCsdNetwork::DynamicCsdNetwork(CsdConfig config, Trace* trace)
-    : config_(config), trace_(trace) {
+    : config_(config),
+      words_per_segment_((static_cast<std::size_t>(config.channels) + 63) /
+                         64),
+      trace_(trace) {
   VLSIP_REQUIRE(config_.positions >= 2, "need at least two positions");
   VLSIP_REQUIRE(config_.channels >= 1, "need at least one channel");
-  occupancy_.assign(static_cast<std::size_t>(config_.channels) *
-                        (config_.positions - 1),
-                    kNoRoute);
-  dead_.assign(occupancy_.size(), false);
-  blocked_.assign((occupancy_.size() + 63) / 64, 0ull);
+  blocked_.assign((config_.positions - 1) * words_per_segment_, 0ull);
+  dead_.assign(blocked_.size(), 0ull);
   claimed_per_channel_.assign(config_.channels, 0);
-}
-
-std::size_t DynamicCsdNetwork::segment_index(ChannelId c, Position seg) const {
-  return static_cast<std::size_t>(c) * (config_.positions - 1) + seg;
 }
 
 bool DynamicCsdNetwork::span_free(ChannelId channel, Position lo,
                                   Position hi) const {
-  // A channel's segments are contiguous in the global index space, so a
-  // span is one contiguous bit range: a masked head word, whole middle
-  // words (tested several per compare via simd::range_all_zero — the
-  // case that matters at 1024-position arrays, where one span covers
-  // dozens of words), and a masked tail word.
-  const std::size_t b = segment_index(channel, lo);
-  const std::size_t e = segment_index(channel, hi);
-  if (b >= e) return true;
-  const std::size_t bw = b >> 6;
-  const std::size_t lw = (e - 1) >> 6;  // last word holding a span bit
-  const std::uint64_t head = ~0ull << (b & 63);
-  const std::uint64_t tail =
-      (e & 63) ? ((1ull << (e & 63)) - 1) : ~0ull;
-  if (bw == lw) return (blocked_[bw] & head & tail) == 0;
-  if (blocked_[bw] & head) return false;
-  if (!simd::range_all_zero(blocked_.data() + bw + 1, lw - bw - 1)) {
-    return false;
+  const std::uint64_t bit = bit_of(channel);
+  for (Position s = lo; s < hi; ++s) {
+    if (blocked_[word_of(s, channel)] & bit) return false;
   }
-  return (blocked_[lw] & tail) == 0;
+  return true;
 }
 
-void DynamicCsdNetwork::claim(ChannelId c, Position lo, Position hi,
-                              RouteId id) {
-  for (Position s = lo; s < hi; ++s) {
-    const std::size_t idx = segment_index(c, s);
-    occupancy_[idx] = id;
-    block_bit(idx);
+ChannelId DynamicCsdNetwork::lowest_free_channel(Position lo,
+                                                 Position hi) const {
+  // OR the span's channel masks one 64-channel word at a time; the
+  // lowest clear bit of the first word that is not all ones is the
+  // winner. Bits past the last channel start out set, so they never win.
+  for (std::size_t w = 0; w < words_per_segment_; ++w) {
+    const ChannelId base = static_cast<ChannelId>(w * 64);
+    const ChannelId in_word = config_.channels - base;
+    std::uint64_t busy = in_word < 64 ? ~0ull << in_word : 0ull;
+    for (Position s = lo; s < hi && busy != ~0ull; ++s) {
+      busy |= blocked_[word_of(s, base)];
+    }
+    if (busy != ~0ull) {
+      return base + static_cast<ChannelId>(std::countr_one(busy));
+    }
   }
+  return config_.channels;
+}
+
+void DynamicCsdNetwork::claim(ChannelId c, Position lo, Position hi) {
+  const std::uint64_t bit = bit_of(c);
+  for (Position s = lo; s < hi; ++s) blocked_[word_of(s, c)] |= bit;
   claimed_per_channel_[c] += hi - lo;
   claimed_total_ += hi - lo;
   ++version_;
 }
 
 void DynamicCsdNetwork::unclaim(ChannelId c, Position lo, Position hi) {
-  for (Position s = lo; s < hi; ++s) {
-    const std::size_t idx = segment_index(c, s);
-    occupancy_[idx] = kNoRoute;
-    if (!dead_[idx]) unblock_bit(idx);
-  }
+  // Claims never cover dead segments, so clearing the bit re-chains the
+  // segment without consulting dead_.
+  const std::uint64_t bit = bit_of(c);
+  for (Position s = lo; s < hi; ++s) blocked_[word_of(s, c)] &= ~bit;
   claimed_per_channel_[c] -= hi - lo;
   claimed_total_ -= hi - lo;
   ++version_;
+}
+
+RouteId DynamicCsdNetwork::take_slot() {
+  if (!free_slots_.empty()) {
+    const RouteId id = free_slots_.back();
+    free_slots_.pop_back();
+    return id;
+  }
+  routes_.push_back(Route{});
+  return static_cast<RouteId>(routes_.size() - 1);
 }
 
 std::optional<ChannelId> DynamicCsdNetwork::try_route(Position source,
@@ -76,16 +83,14 @@ std::optional<ChannelId> DynamicCsdNetwork::try_route(Position source,
   VLSIP_REQUIRE(source < config_.positions && sink < config_.positions,
                 "route endpoint out of range");
   VLSIP_REQUIRE(source != sink, "source and sink must differ");
-  const Position lo = std::min(source, sink);
-  const Position hi = std::max(source, sink);
   ++requests_;
   // Priority encoder at the sink: lowest-index channel whose span is
   // entirely chained (free) wins.
-  for (ChannelId c = 0; c < config_.channels; ++c) {
-    if (span_free(c, lo, hi)) {
-      ++grants_;
-      return c;
-    }
+  const ChannelId c =
+      lowest_free_channel(std::min(source, sink), std::max(source, sink));
+  if (c < config_.channels) {
+    ++grants_;
+    return c;
   }
   ++rejects_;
   return std::nullopt;
@@ -103,20 +108,13 @@ std::optional<RouteId> DynamicCsdNetwork::establish(Position source,
     return std::nullopt;
   }
 
-  RouteId id;
-  if (!free_slots_.empty()) {
-    id = free_slots_.back();
-    free_slots_.pop_back();
-  } else {
-    id = static_cast<RouteId>(routes_.size());
-    routes_.push_back(Route{});
-  }
+  const RouteId id = take_slot();
   Route& r = routes_[id];
   r.id = id;
   r.source = source;
   r.sink = sink;
   r.channel = *channel;
-  claim(*channel, r.lo(), r.hi(), id);
+  claim(*channel, r.lo(), r.hi());
   ++active_routes_;
 
   now_ += handshake_latency(source, sink);
@@ -167,49 +165,38 @@ std::optional<RouteId> DynamicCsdNetwork::establish_fanout(
   }
   VLSIP_REQUIRE(hi > lo, "fan-out must span at least one segment");
   ++requests_;
-  for (ChannelId c = 0; c < config_.channels; ++c) {
-    if (!span_free(c, lo, hi)) continue;
-    ++grants_;
-    RouteId id;
-    if (!free_slots_.empty()) {
-      id = free_slots_.back();
-      free_slots_.pop_back();
-    } else {
-      id = static_cast<RouteId>(routes_.size());
-      routes_.push_back(Route{});
-    }
-    Route& r = routes_[id];
-    r.id = id;
-    r.source = source;
-    // Record the farthest sink; the claim covers every sink in between.
-    r.sink = (hi == source) ? lo : hi;
-    r.channel = c;
-    claim(c, lo, hi, id);
-    ++active_routes_;
-    if (trace_) {
-      trace_->event(now_, obs::Layer::kCsd, "csd",
-                    static_cast<std::int64_t>(id),
-                    "fanout from " + std::to_string(source) + " over [" +
-                        std::to_string(lo) + "," + std::to_string(hi) +
-                        "] on channel " + std::to_string(c));
-    }
-    return id;
+  const ChannelId c = lowest_free_channel(lo, hi);
+  if (c == config_.channels) {
+    ++rejects_;
+    return std::nullopt;
   }
-  ++rejects_;
-  return std::nullopt;
+  ++grants_;
+  const RouteId id = take_slot();
+  Route& r = routes_[id];
+  r.id = id;
+  r.source = source;
+  // Record the farthest sink; the claim covers every sink in between.
+  r.sink = (hi == source) ? lo : hi;
+  r.channel = c;
+  claim(c, lo, hi);
+  ++active_routes_;
+  if (trace_) {
+    trace_->event(now_, obs::Layer::kCsd, "csd",
+                  static_cast<std::int64_t>(id),
+                  "fanout from " + std::to_string(source) + " over [" +
+                      std::to_string(lo) + "," + std::to_string(hi) +
+                      "] on channel " + std::to_string(c));
+  }
+  return id;
 }
 
 void DynamicCsdNetwork::shift_down_one() {
-  // Shift claims by +1 position. Work on a cleared occupancy map so a
-  // claim moving into a segment vacated by another claim is handled
-  // order-independently.
-  std::fill(occupancy_.begin(), occupancy_.end(), kNoRoute);
-  std::fill(blocked_.begin(), blocked_.end(), 0ull);
+  // Shift claims by +1 position. Work on cleared claim state (only the
+  // dead segments stay blocked) so a claim moving into a segment vacated
+  // by another claim is handled order-independently.
+  blocked_ = dead_;
   std::fill(claimed_per_channel_.begin(), claimed_per_channel_.end(), 0u);
   claimed_total_ = 0;
-  for (std::size_t i = 0; i < dead_.size(); ++i) {
-    if (dead_[i]) block_bit(i);
-  }
   ++version_;
   for (RouteId id = 0; id < routes_.size(); ++id) {
     Route& r = routes_[id];
@@ -235,13 +222,7 @@ void DynamicCsdNetwork::shift_down_one() {
     // the priority encoder — any channel with a healthy free span — and
     // drop the route if none exists.
     if (!span_free(r.channel, r.lo(), r.hi())) {
-      ChannelId fallback = config_.channels;
-      for (ChannelId c = 0; c < config_.channels; ++c) {
-        if (span_free(c, r.lo(), r.hi())) {
-          fallback = c;
-          break;
-        }
-      }
+      const ChannelId fallback = lowest_free_channel(r.lo(), r.hi());
       if (fallback == config_.channels) {
         r.id = kNoRoute;
         free_slots_.push_back(id);
@@ -256,7 +237,7 @@ void DynamicCsdNetwork::shift_down_one() {
       }
       r.channel = fallback;
     }
-    claim(r.channel, r.lo(), r.hi(), id);
+    claim(r.channel, r.lo(), r.hi());
   }
   ++now_;
   if (trace_) {
@@ -269,18 +250,29 @@ SegmentKillResult DynamicCsdNetwork::kill_segment(ChannelId channel,
   VLSIP_REQUIRE(channel < config_.channels, "channel out of range");
   VLSIP_REQUIRE(segment < config_.positions - 1, "segment out of range");
   SegmentKillResult result;
-  const std::size_t idx = segment_index(channel, segment);
-  if (dead_[idx]) return result;  // already killed
+  const std::size_t word = word_of(segment, channel);
+  const std::uint64_t bit = bit_of(channel);
+  if (dead_[word] & bit) return result;  // already killed
 
-  const RouteId victim = occupancy_[idx];
-  if (victim != kNoRoute) {
-    // Tear the route off the dead wire, then re-handshake: the fig. 2
-    // procedure naturally finds a surviving channel.
-    const Route torn = routes_[victim];
-    release(victim);
-    dead_[idx] = true;
-    block_bit(idx);
+  const auto kill = [&] {
+    dead_[word] |= bit;
+    blocked_[word] |= bit;
+    ++dead_count_;
     ++version_;
+  };
+  if (blocked_[word] & bit) {
+    // A live route claims the segment. Tear it off the dead wire, then
+    // re-handshake: the fig. 2 procedure naturally finds a surviving
+    // channel.
+    const auto victim = std::find_if(
+        routes_.begin(), routes_.end(), [&](const Route& r) {
+          return r.id != kNoRoute && r.channel == channel &&
+                 r.lo() <= segment && segment < r.hi();
+        });
+    VLSIP_INVARIANT(victim != routes_.end(), "claimed segment has no route");
+    const Route torn = *victim;
+    release(torn.id);
+    kill();
     result.affected = 1;
     if (establish(torn.source, torn.sink).has_value()) {
       ++result.rerouted;
@@ -288,9 +280,7 @@ SegmentKillResult DynamicCsdNetwork::kill_segment(ChannelId channel,
       ++result.dropped;
     }
   } else {
-    dead_[idx] = true;
-    block_bit(idx);
-    ++version_;
+    kill();
   }
   ++segments_killed_;
   kill_reroutes_ += result.rerouted;
@@ -310,12 +300,7 @@ bool DynamicCsdNetwork::segment_dead(ChannelId channel,
                                      Position segment) const {
   VLSIP_REQUIRE(channel < config_.channels, "channel out of range");
   VLSIP_REQUIRE(segment < config_.positions - 1, "segment out of range");
-  return dead_[segment_index(channel, segment)];
-}
-
-std::size_t DynamicCsdNetwork::dead_segments() const {
-  return static_cast<std::size_t>(
-      std::count(dead_.begin(), dead_.end(), true));
+  return (dead_[word_of(segment, channel)] & bit_of(channel)) != 0;
 }
 
 ChannelId DynamicCsdNetwork::used_channels() const {
@@ -328,10 +313,10 @@ std::size_t DynamicCsdNetwork::claimed_segments() const {
 }
 
 double DynamicCsdNetwork::utilisation() const {
-  return occupancy_.empty()
-             ? 0.0
-             : static_cast<double>(claimed_segments()) /
-                   static_cast<double>(occupancy_.size());
+  const std::size_t segments =
+      static_cast<std::size_t>(config_.channels) * (config_.positions - 1);
+  return static_cast<double>(claimed_segments()) /
+         static_cast<double>(segments);
 }
 
 std::size_t DynamicCsdNetwork::active_routes() const { return active_routes_; }
@@ -370,10 +355,11 @@ std::string DynamicCsdNetwork::render() const {
   const Position segs = config_.positions - 1;
   for (ChannelId c = 0; c < config_.channels; ++c) {
     out << "ch" << c << ": ";
+    const std::uint64_t bit = bit_of(c);
     for (Position s = 0; s < segs; ++s) {
-      const std::size_t idx = segment_index(c, s);
-      out << (dead_[idx] ? 'X'
-                         : (occupancy_[idx] == kNoRoute ? '.' : '#'));
+      const std::size_t word = word_of(s, c);
+      out << ((dead_[word] & bit) ? 'X'
+                                  : ((blocked_[word] & bit) ? '#' : '.'));
     }
     out << "\n";
   }
@@ -393,8 +379,15 @@ void DynamicCsdNetwork::save(snapshot::Writer& w) const {
   }
   w.vec_u32(free_slots_);
   w.u64(active_routes_);
-  std::vector<std::uint8_t> dead(dead_.size());
-  for (std::size_t i = 0; i < dead_.size(); ++i) dead[i] = dead_[i] ? 1 : 0;
+  // Channel-major byte map, one byte per hop segment.
+  const Position segs = config_.positions - 1;
+  std::vector<std::uint8_t> dead;
+  dead.reserve(static_cast<std::size_t>(config_.channels) * segs);
+  for (ChannelId c = 0; c < config_.channels; ++c) {
+    for (Position s = 0; s < segs; ++s) {
+      dead.push_back(segment_dead(c, s) ? 1 : 0);
+    }
+  }
   w.vec_u8(dead);
   w.u64(now_);
   w.u64(requests_);
@@ -426,22 +419,51 @@ void DynamicCsdNetwork::restore(snapshot::Reader& r) {
   }
   free_slots_ = r.vec_u32();
   active_routes_ = static_cast<std::size_t>(r.u64());
+  const Position segs = config_.positions - 1;
   const std::vector<std::uint8_t> dead = r.vec_u8();
-  VLSIP_REQUIRE(dead.size() == dead_.size(),
+  VLSIP_REQUIRE(dead.size() == static_cast<std::size_t>(config_.channels) *
+                                   segs,
                 "snapshot CSD segment map mismatch");
   // Rebuild all derived claim state: clear, re-mark dead segments, then
   // re-claim every live route's span exactly as establish() did.
-  std::fill(occupancy_.begin(), occupancy_.end(), kNoRoute);
-  std::fill(blocked_.begin(), blocked_.end(), 0ull);
+  std::fill(dead_.begin(), dead_.end(), 0ull);
+  dead_count_ = 0;
+  for (ChannelId c = 0; c < config_.channels; ++c) {
+    for (Position s = 0; s < segs; ++s) {
+      if (dead[static_cast<std::size_t>(c) * segs + s] == 0) continue;
+      dead_[word_of(s, c)] |= bit_of(c);
+      ++dead_count_;
+    }
+  }
+  blocked_ = dead_;
   std::fill(claimed_per_channel_.begin(), claimed_per_channel_.end(), 0u);
   claimed_total_ = 0;
-  for (std::size_t i = 0; i < dead.size(); ++i) {
-    dead_[i] = dead[i] != 0;
-    if (dead_[i]) block_bit(i);
+  const auto corrupt = [](const std::string& what) {
+    throw snapshot::SnapshotError("snapshot CSD route table: " + what);
+  };
+  std::vector<std::uint8_t> is_free(routes_.size(), 0);
+  for (const RouteId slot : free_slots_) {
+    if (slot >= routes_.size() || routes_[slot].id != kNoRoute ||
+        is_free[slot]) {
+      corrupt("free slot " + std::to_string(slot) + " is not an unused slot");
+    }
+    is_free[slot] = 1;
   }
-  for (const auto& route : routes_) {
+  std::size_t live = 0;
+  for (std::size_t i = 0; i < routes_.size(); ++i) {
+    const Route& route = routes_[i];
     if (route.id == kNoRoute) continue;
-    claim(route.channel, route.lo(), route.hi(), route.id);
+    if (route.id != i || route.source >= config_.positions ||
+        route.sink >= config_.positions || route.source == route.sink ||
+        route.channel >= config_.channels ||
+        !span_free(route.channel, route.lo(), route.hi())) {
+      corrupt("route " + std::to_string(i) + " is not establishable");
+    }
+    claim(route.channel, route.lo(), route.hi());
+    ++live;
+  }
+  if (live != active_routes_ || live + free_slots_.size() != routes_.size()) {
+    corrupt("live and free slot counts disagree");
   }
   now_ = r.u64();
   requests_ = r.u64();

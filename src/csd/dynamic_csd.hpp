@@ -124,7 +124,7 @@ class DynamicCsdNetwork {
   bool segment_dead(ChannelId channel, Position segment) const;
 
   /// Dead hop segments across all channels.
-  std::size_t dead_segments() const;
+  std::size_t dead_segments() const { return dead_count_; }
 
   /// Number of channels with at least one claimed segment — the fig. 3
   /// metric.
@@ -181,33 +181,42 @@ class DynamicCsdNetwork {
   std::string render() const;
 
   /// Checkpoint codec. Serializes routes, free slots, dead segments and
-  /// counters; occupancy/blocked bitmaps and per-channel claim counts
-  /// are *rebuilt* on restore by re-claiming every live route's span —
-  /// derived state never hits the snapshot.
+  /// counters; the claim bitwords and per-channel claim counts are
+  /// *rebuilt* on restore by re-claiming every live route's span —
+  /// derived state never hits the snapshot. A route table no network
+  /// could reach (endpoint or channel out of range, overlapping or dead
+  /// spans, free slots that are not exactly the unused ones) throws
+  /// snapshot::SnapshotError.
   void save(snapshot::Writer& w) const;
   void restore(snapshot::Reader& r);
 
  private:
-  std::size_t segment_index(ChannelId c, Position seg) const;
-  void claim(ChannelId c, Position lo, Position hi, RouteId id);
+  /// Word holding channel `c`'s bit for hop segment `seg`.
+  std::size_t word_of(Position seg, ChannelId c) const {
+    return static_cast<std::size_t>(seg) * words_per_segment_ + (c >> 6);
+  }
+  static std::uint64_t bit_of(ChannelId c) { return 1ull << (c & 63); }
+  /// The fig. 2 priority encoder: the lowest channel whose span [lo, hi)
+  /// is free, or channel_count() when every channel is blocked.
+  ChannelId lowest_free_channel(Position lo, Position hi) const;
+  void claim(ChannelId c, Position lo, Position hi);
   void unclaim(ChannelId c, Position lo, Position hi);
-  void block_bit(std::size_t idx) {
-    blocked_[idx >> 6] |= 1ull << (idx & 63);
-  }
-  void unblock_bit(std::size_t idx) {
-    blocked_[idx >> 6] &= ~(1ull << (idx & 63));
-  }
+  /// Takes a free route slot (the most recently freed one first).
+  RouteId take_slot();
 
   CsdConfig config_;
-  /// occupancy_[c * (positions-1) + s] = route occupying hop segment s of
-  /// channel c, or kNoRoute.
-  std::vector<RouteId> occupancy_;
-  /// dead_[same index] = the segment is defective and unroutable.
-  std::vector<bool> dead_;
-  /// Bitwords over the same index space: bit set = claimed or dead. The
-  /// priority encoder's span scan tests 64 segments per word instead of
-  /// one RouteId per probe.
+  /// Channel bitwords per hop segment: ceil(channels / 64).
+  std::size_t words_per_segment_;
+  /// Segment-major channel masks: bit c of word_of(s, c) is set when
+  /// hop segment s of channel c is claimed by a route or dead. A span's
+  /// masks OR together into the set of channels it is blocked on, so
+  /// the priority encoder resolves every channel in one pass over the
+  /// span.
   std::vector<std::uint64_t> blocked_;
+  /// Same layout: the segment is defective and unroutable. A claim never
+  /// covers a dead segment, so claimed = blocked_ & ~dead_.
+  std::vector<std::uint64_t> dead_;
+  std::size_t dead_count_ = 0;
   /// Claimed-segment count per channel; makes used_channels() O(channels)
   /// and claimed_segments() O(1) instead of scans over all segments.
   std::vector<std::uint32_t> claimed_per_channel_;

@@ -9,7 +9,10 @@
 #include "ap/pipeline.hpp"
 #include "ap/wsrf.hpp"
 #include "arch/datapath.hpp"
+#include "arch/serialize.hpp"
 #include "common/require.hpp"
+#include "common/rng.hpp"
+#include "snapshot/snapshot.hpp"
 
 namespace vlsip::ap {
 namespace {
@@ -39,6 +42,77 @@ TEST(MemoryBlock, FillBulk) {
   EXPECT_EQ(m.read(3).u, 2u);
   EXPECT_THROW(m.fill(7, {arch::make_word_u(0), arch::make_word_u(0)}),
                vlsip::PreconditionError);
+}
+
+// A block's storage is allocated on first write; until then it must be
+// indistinguishable from a zero-filled block.
+
+std::vector<std::uint8_t> block_bytes(const MemoryBlock& m) {
+  snapshot::Snapshot snap;
+  snapshot::Writer w(snap);
+  m.save(w);
+  return snap.bytes();
+}
+
+TEST(MemoryBlock, NeverWrittenReadsZeroEverywhere) {
+  const MemoryBlock m;
+  for (std::size_t a = 0; a < m.size(); ++a) {
+    ASSERT_EQ(m.read(a).u, 0u) << "address " << a;
+  }
+  EXPECT_THROW(m.read(m.size()), vlsip::PreconditionError);
+}
+
+TEST(MemoryBlock, NeverWrittenSnapshotEqualsZeroWritten) {
+  const MemoryBlock never;
+  MemoryBlock zeros;
+  zeros.fill(0, std::vector<arch::Word>(zeros.size(), arch::make_word_u(0)));
+  MemoryBlock cleared;
+  cleared.write(17, arch::make_word_u(9));
+  cleared.write(17, arch::make_word_u(0));
+  EXPECT_EQ(block_bytes(never), block_bytes(zeros));
+  EXPECT_EQ(block_bytes(never), block_bytes(cleared));
+}
+
+TEST(MemoryBlock, PoisonedNeverWrittenReturnsPoisonAndDropsWrites) {
+  MemoryBlock m(MemoryBlockConfig{32, 1});
+  m.poison();
+  EXPECT_EQ(m.read(0).u, MemoryBlock::poison_word().u);
+  m.write(3, arch::make_word_u(5));
+  EXPECT_EQ(m.read(3).u, MemoryBlock::poison_word().u);
+  MemoryBlock fresh(MemoryBlockConfig{32, 1});
+  fresh.poison();
+  EXPECT_EQ(block_bytes(m), block_bytes(fresh));
+}
+
+TEST(MemoryBlock, SparseSnapshotRestoresIntoNeverWrittenBlock) {
+  MemoryBlock written;
+  written.write(0, arch::make_word_u(1));
+  written.write(4000, arch::make_word_i(-7));
+  written.write(written.size() - 1, arch::make_word_u(3));
+  snapshot::Snapshot snap;
+  {
+    snapshot::Writer w(snap);
+    written.save(w);
+  }
+  MemoryBlock target;
+  snapshot::Reader r(snap);
+  target.restore(r);
+  EXPECT_EQ(target.read(0).u, 1u);
+  EXPECT_EQ(target.read(4000).i, -7);
+  EXPECT_EQ(target.read(target.size() - 1).u, 3u);
+  EXPECT_EQ(target.read(1).u, 0u);
+  EXPECT_EQ(block_bytes(target), snap.bytes());
+
+  // And an all-zero snapshot clears a written block.
+  snapshot::Snapshot empty;
+  {
+    snapshot::Writer w(empty);
+    MemoryBlock().save(w);
+  }
+  snapshot::Reader r2(empty);
+  target.restore(r2);
+  EXPECT_EQ(target.read(4000).u, 0u);
+  EXPECT_EQ(block_bytes(target), empty.bytes());
 }
 
 TEST(ObjectLibrary, StoreFetch) {
@@ -129,6 +203,138 @@ TEST(ObjectSpace, StackDistanceEqualsPosition) {
   // Most recent first: 5, 3, 7, 6, 4, 2, 1, 0.
   EXPECT_EQ(s.stack(),
             (std::vector<arch::ObjectId>{5, 3, 7, 6, 4, 2, 1, 0}));
+}
+
+TEST(ObjectSpace, InsertRejectsNoObject) {
+  ObjectSpace s(2);
+  EXPECT_THROW(s.insert_top(arch::kNoObject), vlsip::PreconditionError);
+  EXPECT_FALSE(s.contains(arch::kNoObject));
+  EXPECT_EQ(s.version(), 0u);
+}
+
+snapshot::Snapshot object_space_bytes(int capacity,
+                                      const std::vector<arch::ObjectId>& stack) {
+  snapshot::Snapshot snap;
+  snapshot::Writer w(snap);
+  w.section("ap.object_space");
+  w.i32(capacity);
+  w.vec_u32(stack);
+  w.u64(0);
+  return snap;
+}
+
+TEST(ObjectSpace, RestoreRejectsStacksNoProgramCanHold) {
+  const auto restore = [](const snapshot::Snapshot& snap) {
+    ObjectSpace s(4);
+    snapshot::Reader r(snap);
+    s.restore(r);
+    return s;
+  };
+  EXPECT_EQ(restore(object_space_bytes(4, {3, 1})).position_of(1), 1);
+  EXPECT_THROW(restore(object_space_bytes(4, {1, arch::kMaxEncodedObjects})),
+               snapshot::SnapshotError);
+  EXPECT_THROW(restore(object_space_bytes(4, {arch::kNoObject})),
+               snapshot::SnapshotError);
+  EXPECT_THROW(restore(object_space_bytes(4, {2, 2})), snapshot::SnapshotError);
+  EXPECT_THROW(restore(object_space_bytes(1, {1, 2})), snapshot::SnapshotError);
+  EXPECT_THROW(restore(object_space_bytes(0, {})), snapshot::SnapshotError);
+}
+
+// Random operation sequences against a linear-scan reference: the flat
+// id index must answer find/position_of exactly as a scan of the stack
+// would, and version() must move exactly when placement changes.
+TEST(ObjectSpace, MatchesLinearScanReference) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Xoshiro256 rng(seed);
+    int capacity = 2 + static_cast<int>(rng.uniform(14));
+    const auto pool = static_cast<arch::ObjectId>(4 + rng.uniform(60));
+    ObjectSpace s(capacity);
+    std::vector<arch::ObjectId> ref;  // [0] = top
+    std::uint64_t version = 0;
+    const auto ref_find = [&](arch::ObjectId id) -> std::optional<int> {
+      for (std::size_t i = 0; i < ref.size(); ++i) {
+        if (ref[i] == id) return static_cast<int>(i);
+      }
+      return std::nullopt;
+    };
+    const auto random_resident = [&] {
+      return ref[static_cast<std::size_t>(rng.uniform(ref.size()))];
+    };
+    for (int step = 0; step < 400; ++step) {
+      const auto op = rng.uniform(12);
+      if (op < 4) {
+        const auto id = static_cast<arch::ObjectId>(rng.uniform(pool));
+        if (ref_find(id) || static_cast<int>(ref.size()) == capacity) {
+          EXPECT_THROW(s.insert_top(id), vlsip::PreconditionError);
+        } else {
+          s.insert_top(id);
+          ref.insert(ref.begin(), id);
+          ++version;
+        }
+      } else if (op < 5) {
+        if (ref.empty()) {
+          EXPECT_THROW(s.evict_bottom(), vlsip::PreconditionError);
+        } else {
+          ASSERT_EQ(s.evict_bottom(), ref.back());
+          ref.pop_back();
+          ++version;
+        }
+      } else if (op < 8) {
+        if (ref.empty()) continue;
+        const arch::ObjectId id = random_resident();
+        const int depth = *ref_find(id);
+        ASSERT_EQ(s.promote(id), depth);
+        if (depth != 0) {
+          ref.erase(ref.begin() + depth);
+          ref.insert(ref.begin(), id);
+          ++version;
+        }
+      } else if (op < 9) {
+        if (ref.empty()) continue;
+        const arch::ObjectId id = random_resident();
+        s.remove(id);
+        ref.erase(ref.begin() + *ref_find(id));
+        ++version;
+      } else if (op < 10) {
+        if (capacity == 1) {
+          EXPECT_THROW(s.reduce_capacity(), vlsip::PreconditionError);
+          continue;
+        }
+        const bool was_full = static_cast<int>(ref.size()) == capacity;
+        const auto evicted = s.reduce_capacity();
+        --capacity;
+        ASSERT_EQ(evicted.has_value(), was_full);
+        if (was_full) {
+          ASSERT_EQ(*evicted, ref.back());
+          ref.pop_back();
+          ++version;
+        }
+      } else {
+        // Checkpoint round trip into a space of a different capacity.
+        snapshot::Snapshot snap;
+        {
+          snapshot::Writer w(snap);
+          s.save(w);
+        }
+        ObjectSpace restored(1);
+        snapshot::Reader r(snap);
+        restored.restore(r);
+        s = std::move(restored);
+      }
+      ASSERT_EQ(s.stack(), ref);
+      ASSERT_EQ(s.capacity(), capacity);
+      ASSERT_EQ(s.version(), version);
+      for (arch::ObjectId id = 0; id < pool + 2; ++id) {
+        ASSERT_EQ(s.find(id), ref_find(id)) << "seed " << seed << " id " << id;
+        if (ref_find(id)) {
+          ASSERT_EQ(s.position_of(id), *ref_find(id));
+        } else {
+          ASSERT_THROW(s.position_of(id), vlsip::PreconditionError);
+        }
+      }
+      ASSERT_FALSE(s.find(arch::kNoObject).has_value());
+    }
+  }
 }
 
 // ---- WSRF ------------------------------------------------------------------------

@@ -667,8 +667,6 @@ TEST(SimdKernels, DispatchedKernelsMatchScalarReference) {
                 simd::scalar::first_nonzero_word(words.data(), n));
       EXPECT_EQ(simd::first_nonzero_byte(bytes.data(), n),
                 simd::scalar::first_nonzero_byte(bytes.data(), n));
-      EXPECT_EQ(simd::range_all_zero(words.data(), n),
-                simd::scalar::range_all_zero(words.data(), n));
       EXPECT_EQ(simd::nonzero_mask_u16(lanes.data(), lanes.size()),
                 simd::scalar::nonzero_mask_u16(lanes.data(), lanes.size()));
       EXPECT_EQ(simd::lt_mask_u16(lanes.data(), lanes.size(), 4),

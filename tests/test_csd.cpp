@@ -7,6 +7,7 @@
 #include "csd/csd_simulator.hpp"
 #include "csd/dynamic_csd.hpp"
 #include "csd/global_network.hpp"
+#include "snapshot/snapshot.hpp"
 
 namespace vlsip::csd {
 namespace {
@@ -175,6 +176,61 @@ TEST(DynamicCsd, RenderShowsOccupancy) {
   const auto s = net.render();
   EXPECT_NE(s.find("##"), std::string::npos);
   EXPECT_NE(s.find(".."), std::string::npos);
+}
+
+// A checkpoint's route table comes from outside the program: restore
+// must reject one that no sequence of establish/release/shift calls can
+// produce, instead of claiming out of range or double-booking a slot.
+TEST(DynamicCsd, RestoreRejectsUnreachableRouteTables) {
+  struct Table {
+    std::vector<Route> routes;
+    std::vector<RouteId> free_slots;
+    std::uint64_t active;
+  };
+  const auto restore = [](const Table& t) {
+    snapshot::Snapshot snap;
+    {
+      snapshot::Writer w(snap);
+      w.section("csd.network");
+      w.u32(6);  // positions
+      w.u32(2);  // channels
+      w.u64(t.routes.size());
+      for (const auto& r : t.routes) {
+        w.u32(r.id);
+        w.u32(r.source);
+        w.u32(r.sink);
+        w.u32(r.channel);
+      }
+      w.vec_u32(t.free_slots);
+      w.u64(t.active);
+      w.vec_u8(std::vector<std::uint8_t>(2 * 5, 0));
+      for (int i = 0; i < 8; ++i) w.u64(0);  // counters and version
+    }
+    DynamicCsdNetwork net(cfg(6, 2));
+    snapshot::Reader r(snap);
+    net.restore(r);
+    return net.claimed_segments();
+  };
+  const Route dead{kNoRoute, 0, 0, 0};
+  EXPECT_EQ(restore({{{0, 0, 3, 0}, dead, {2, 5, 3, 0}}, {1}, 2}), 5u);
+  // Endpoint or channel out of range, or a route of no length.
+  EXPECT_THROW(restore({{{0, 0, 6, 0}}, {}, 1}), snapshot::SnapshotError);
+  EXPECT_THROW(restore({{{0, 0, 3, 2}}, {}, 1}), snapshot::SnapshotError);
+  EXPECT_THROW(restore({{{0, 2, 2, 0}}, {}, 1}), snapshot::SnapshotError);
+  // A slot whose id is not its index.
+  EXPECT_THROW(restore({{{1, 0, 3, 0}}, {}, 1}), snapshot::SnapshotError);
+  // Two routes on one channel sharing a segment.
+  EXPECT_THROW(restore({{{0, 0, 3, 0}, {1, 2, 5, 0}}, {}, 2}),
+               snapshot::SnapshotError);
+  // Free slots must be exactly the unused ones.
+  EXPECT_THROW(restore({{{0, 0, 3, 0}}, {0}, 1}), snapshot::SnapshotError);
+  EXPECT_THROW(restore({{{0, 0, 3, 0}}, {7}, 1}), snapshot::SnapshotError);
+  EXPECT_THROW(restore({{{0, 0, 3, 0}, dead}, {}, 1}),
+               snapshot::SnapshotError);
+  EXPECT_THROW(restore({{{0, 0, 3, 0}, dead}, {1, 1}, 1}),
+               snapshot::SnapshotError);
+  // The live count must match.
+  EXPECT_THROW(restore({{{0, 0, 3, 0}}, {}, 2}), snapshot::SnapshotError);
 }
 
 // ---- GlobalNetwork baseline ----------------------------------------------------------
