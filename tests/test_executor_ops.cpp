@@ -3,6 +3,10 @@
 // arithmetic.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+#include <type_traits>
+
 #include "ap/adaptive_processor.hpp"
 #include "arch/datapath.hpp"
 
@@ -42,12 +46,20 @@ Word run_unary(Opcode op, Word a) {
   return ap.output("r")[0];
 }
 
+// gtest names each case after a hex dump of the whole object, so a case
+// must hold no padding: the bytes after the 1-byte opcode are a zeroed
+// member, not whatever the stack held, and the names are the same in
+// every build and run.
 struct IntCase {
+  IntCase(Opcode op, std::int64_t a, std::int64_t b, std::int64_t expect)
+      : op{op}, a{a}, b{b}, expect{expect} {}
   Opcode op;
+  std::array<std::uint8_t, 7> pad{};
   std::int64_t a;
   std::int64_t b;
   std::int64_t expect;
 };
+static_assert(std::has_unique_object_representations_v<IntCase>);
 
 class IntBinaryOps : public ::testing::TestWithParam<IntCase> {};
 
@@ -80,11 +92,15 @@ INSTANTIATE_TEST_SUITE_P(
         IntCase{Opcode::kCmpEq, 5, 6, 0}));
 
 struct BitCase {
+  BitCase(Opcode op, std::uint64_t a, std::uint64_t b, std::uint64_t expect)
+      : op{op}, a{a}, b{b}, expect{expect} {}
   Opcode op;
+  std::array<std::uint8_t, 7> pad{};  // as in IntCase
   std::uint64_t a;
   std::uint64_t b;
   std::uint64_t expect;
 };
+static_assert(std::has_unique_object_representations_v<BitCase>);
 
 class BitOps : public ::testing::TestWithParam<BitCase> {};
 
@@ -109,11 +125,15 @@ INSTANTIATE_TEST_SUITE_P(
         BitCase{Opcode::kIShr, 0x8000000000000000ull, 63, 1}));
 
 struct FloatCase {
+  FloatCase(Opcode op, double a, double b, double expect)
+      : op{op}, a{a}, b{b}, expect{expect} {}
   Opcode op;
+  std::array<std::uint8_t, 7> pad{};  // as in IntCase
   double a;
   double b;
   double expect;
 };
+static_assert(sizeof(FloatCase) == 32);  // no padding left
 
 class FloatBinaryOps : public ::testing::TestWithParam<FloatCase> {};
 
