@@ -138,11 +138,10 @@ class AdaptiveProcessor {
   const ApStats& stats() const { return stats_; }
   Trace& trace() { return trace_; }
 
-  /// Publishes the AP's lifetime counters into `registry` under
-  /// "<prefix>..." names (configuration pipeline, executor, network,
-  /// memory) — the observability-spine probe for this layer.
-  void export_obs(obs::MetricRegistry& registry,
-                  const std::string& prefix = "ap.") const;
+  /// Publishes the AP's lifetime counters into `registry` under "ap."
+  /// names (configuration pipeline, executor, memory; the CSD network
+  /// under "ap.csd.") — the observability-spine probe for this layer.
+  void export_obs(obs::MetricRegistry& registry) const;
 
   /// Folds the AP's lifetime activity into `a` (energy spine,
   /// costmodel/energy.hpp): executor op mix, active/idle cycle split,

@@ -315,25 +315,44 @@ Status VlsiProcessor::restore(const snapshot::Snapshot& snap) {
   }
 }
 
+namespace {
+
+/// The chip probe's metric ids, interned once.
+struct ChipMetricIds {
+  obs::MetricId total_clusters = obs::metric_id("chip.total_clusters");
+  obs::MetricId free_clusters = obs::metric_id("chip.free_clusters");
+  obs::MetricId defective_clusters =
+      obs::metric_id("chip.defective_clusters");
+  obs::MetricId trace_events_dropped =
+      obs::metric_id("chip.trace_events_dropped");
+  obs::MetricId energy_total_fj = obs::metric_id("chip.energy.total_fj");
+  obs::MetricId energy_dynamic_fj = obs::metric_id("chip.energy.dynamic_fj");
+  obs::MetricId energy_leakage_fj = obs::metric_id("chip.energy.leakage_fj");
+  obs::MetricId energy_dvs_level = obs::metric_id("chip.energy.dvs_level");
+  obs::MetricId energy_dvs_transitions =
+      obs::metric_id("chip.energy.dvs_transitions");
+};
+
+}  // namespace
+
 void VlsiProcessor::export_obs(obs::MetricRegistry& registry) const {
+  static const ChipMetricIds id;
   noc_.export_obs(registry);
   manager_.export_obs(registry);
-  registry.gauge("chip.total_clusters") =
-      static_cast<double>(total_clusters());
-  registry.gauge("chip.free_clusters") =
-      static_cast<double>(free_clusters());
-  registry.gauge("chip.defective_clusters") =
+  registry.gauge(id.total_clusters) = static_cast<double>(total_clusters());
+  registry.gauge(id.free_clusters) = static_cast<double>(free_clusters());
+  registry.gauge(id.defective_clusters) =
       static_cast<double>(defective_clusters());
-  registry.counter("chip.trace_events_dropped") += trace_.dropped();
+  registry.counter(id.trace_events_dropped) += trace_.dropped();
   // Presence-gated: an energy-off chip emits no energy keys, keeping
   // pre-energy JSON reports byte-identical.
   if (config_.energy.enabled) {
     const cost::EnergyBreakdown b = energy_breakdown();
-    registry.counter("chip.energy.total_fj") += b.total_fj();
-    registry.counter("chip.energy.dynamic_fj") += b.dynamic_total_fj();
-    registry.counter("chip.energy.leakage_fj") += b.leakage_fj;
-    registry.gauge("chip.energy.dvs_level") = static_cast<double>(dvs_level_);
-    registry.counter("chip.energy.dvs_transitions") += dvs_transitions_;
+    registry.counter(id.energy_total_fj) += b.total_fj();
+    registry.counter(id.energy_dynamic_fj) += b.dynamic_total_fj();
+    registry.counter(id.energy_leakage_fj) += b.leakage_fj;
+    registry.gauge(id.energy_dvs_level) = static_cast<double>(dvs_level_);
+    registry.counter(id.energy_dvs_transitions) += dvs_transitions_;
   }
 }
 

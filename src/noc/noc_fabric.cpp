@@ -288,20 +288,36 @@ RunningStats NocFabric::latency_stats() const {
   return stats;
 }
 
-void NocFabric::export_obs(obs::MetricRegistry& registry,
-                           const std::string& prefix) const {
-  registry.counter(prefix + "packets_injected") += next_packet_id_ - 1;
-  registry.counter(prefix + "packets_delivered") += total_delivered_;
-  registry.counter(prefix + "flits_moved") += total_flits_moved_;
-  registry.counter(prefix + "cycles") += now_;
-  registry.gauge(prefix + "queued_flits") =
-      static_cast<double>(queued_flits_);
-  registry.gauge(prefix + "peak_link_flits") =
+namespace {
+
+/// The NoC probe's metric ids, interned once.
+struct NocMetricIds {
+  obs::MetricId packets_injected = obs::metric_id("noc.packets_injected");
+  obs::MetricId packets_delivered = obs::metric_id("noc.packets_delivered");
+  obs::MetricId flits_moved = obs::metric_id("noc.flits_moved");
+  obs::MetricId cycles = obs::metric_id("noc.cycles");
+  obs::MetricId queued_flits = obs::metric_id("noc.queued_flits");
+  obs::MetricId peak_link_flits = obs::metric_id("noc.peak_link_flits");
+  obs::MetricId flit_latency_mean = obs::metric_id("noc.flit_latency_mean");
+  obs::MetricId flit_latency_min = obs::metric_id("noc.flit_latency_min");
+  obs::MetricId flit_latency_max = obs::metric_id("noc.flit_latency_max");
+};
+
+}  // namespace
+
+void NocFabric::export_obs(obs::MetricRegistry& registry) const {
+  static const NocMetricIds id;
+  registry.counter(id.packets_injected) += next_packet_id_ - 1;
+  registry.counter(id.packets_delivered) += total_delivered_;
+  registry.counter(id.flits_moved) += total_flits_moved_;
+  registry.counter(id.cycles) += now_;
+  registry.gauge(id.queued_flits) = static_cast<double>(queued_flits_);
+  registry.gauge(id.peak_link_flits) =
       static_cast<double>(peak_link_flits());
   if (lifetime_latency_.count() > 0) {
-    registry.gauge(prefix + "flit_latency_mean") = lifetime_latency_.mean();
-    registry.gauge(prefix + "flit_latency_min") = lifetime_latency_.min();
-    registry.gauge(prefix + "flit_latency_max") = lifetime_latency_.max();
+    registry.gauge(id.flit_latency_mean) = lifetime_latency_.mean();
+    registry.gauge(id.flit_latency_min) = lifetime_latency_.min();
+    registry.gauge(id.flit_latency_max) = lifetime_latency_.max();
   }
 }
 

@@ -90,10 +90,9 @@ class NocFabric {
 
   /// Publishes fabric counters (packets, flit movement, lifetime flit
   /// latency — which survives callers taking delivered()) and
-  /// point-in-time queue depth into `registry` under "<prefix>..."
-  /// names — this layer's probe into the observability spine.
-  void export_obs(obs::MetricRegistry& registry,
-                  const std::string& prefix = "noc.") const;
+  /// point-in-time queue depth into `registry` under "noc." names —
+  /// this layer's probe into the observability spine.
+  void export_obs(obs::MetricRegistry& registry) const;
 
   /// Folds the fabric's lifetime activity into `a` (energy spine):
   /// flit-hops moved and packets ejected — both serialized counters,

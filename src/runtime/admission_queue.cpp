@@ -8,7 +8,10 @@ AdmissionQueue::AdmissionQueue(std::size_t capacity) : capacity_(capacity) {
   VLSIP_REQUIRE(capacity >= 1, "admission queue needs capacity >= 1");
 }
 
+// A push wakes a consumer only when it could pop: while paused no
+// consumer can, and set_paused(false) / close() wake them all anyway.
 bool AdmissionQueue::try_push(PendingJob&& job, std::string* reason) {
+  bool wake = false;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (closed_) {
@@ -22,29 +25,34 @@ bool AdmissionQueue::try_push(PendingJob&& job, std::string* reason) {
       return false;
     }
     queue_.push_back(std::move(job));
+    wake = !paused_;
   }
-  not_empty_.notify_one();
+  if (wake) not_empty_.notify_one();
   return true;
 }
 
 bool AdmissionQueue::push_wait(PendingJob&& job) {
+  bool wake = false;
   {
     std::unique_lock<std::mutex> lock(mutex_);
     not_full_.wait(lock,
                    [&] { return closed_ || queue_.size() < capacity_; });
     if (closed_) return false;
     queue_.push_back(std::move(job));
+    wake = !paused_;
   }
-  not_empty_.notify_one();
+  if (wake) not_empty_.notify_one();
   return true;
 }
 
 void AdmissionQueue::requeue(PendingJob&& job) {
+  bool wake = false;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     queue_.push_back(std::move(job));
+    wake = !paused_;
   }
-  not_empty_.notify_one();
+  if (wake) not_empty_.notify_one();
 }
 
 std::vector<PendingJob> AdmissionQueue::pop_batch(const BatchPolicy& policy) {

@@ -200,7 +200,12 @@ class ScalingManager {
 
   const ScalingStats& stats() const { return stats_; }
   std::size_t free_clusters() const;
-  std::vector<ProcId> live_processors() const;
+  /// Live processor ids, ascending (ids are never reused, so this is
+  /// also fuse order).
+  const std::vector<ProcId>& live_processors() const { return live_; }
+  /// Every processor slot ever fused, indexed by ProcId; a released
+  /// slot has id kNoProc and keeps its FSM counters.
+  const std::vector<ScaledProcessor>& slots() const { return procs_; }
   topology::RegionManager& regions() {
     mark_dirty();  // mutable escape hatch: assume the caller writes
     return regions_;
@@ -217,9 +222,9 @@ class ScalingManager {
   /// state-machine transition totals, and the AP-layer metrics of every
   /// processor — live ones plus the accumulated totals of simulators
   /// already torn down — into `registry`. Scaling metrics go under
-  /// "<prefix>..."; AP-layer metrics keep their own "ap." prefix.
-  void export_obs(obs::MetricRegistry& registry,
-                  const std::string& prefix = "scaling.") const;
+  /// "scaling."; AP-layer metrics keep their own "ap." prefix. Walks
+  /// live processors only: released slots were folded in at release.
+  void export_obs(obs::MetricRegistry& registry) const;
 
   /// Folds the scaling layer's lifetime activity into `a` (energy
   /// spine): worm programming and compaction from ScalingStats, every
@@ -233,7 +238,9 @@ class ScalingManager {
   /// keep their FSM counters), nested AP state for live processors,
   /// defect map, counters, wormhole timing stats and the retired-AP
   /// energy accumulator. retired_obs_ is telemetry and excluded
-  /// (documented in docs/SNAPSHOT.md).
+  /// (documented in docs/SNAPSHOT.md). restore derives the live-id
+  /// list and the released slots' FSM totals from the restored slots,
+  /// and rejects slot tables no manager can produce (SnapshotError).
   void save(snapshot::Writer& w) const;
   void restore(snapshot::Reader& r);
 
@@ -255,6 +262,14 @@ class ScalingManager {
 
   std::unique_ptr<ap::AdaptiveProcessor> make_ap(std::size_t clusters) const;
 
+  /// Retires a slot whose processor was just released (release or
+  /// fault path): folds its AP, adds its FSM counters to the released
+  /// totals, and drops it from live_.
+  void retire_slot(ScaledProcessor& p);
+
+  /// The live processor owning `region`, or kNoProc.
+  ProcId owner_of(topology::RegionId region) const;
+
   /// Folds a processor's AP-layer lifetime counters into retired_obs_
   /// before its simulator is torn down or replaced — without this, every
   /// release/upscale/fault would silently discard the AP's history.
@@ -265,7 +280,15 @@ class ScalingManager {
   topology::RegionManager regions_;
   ScalingConfig config_;
   Trace* trace_;
+  /// Every processor slot ever fused, indexed by ProcId (ids are never
+  /// reused; released slots keep their FSM counters for snapshots).
   std::vector<ScaledProcessor> procs_;
+  /// Ids of the live slots, ascending — what every per-processor walk
+  /// visits, so the cost tracks live processors, not the chip's age.
+  std::vector<ProcId> live_;
+  /// FSM transition and fault totals of released slots.
+  std::uint64_t released_transitions_ = 0;
+  std::uint64_t released_fsm_faults_ = 0;
   std::vector<bool> defective_;
   ScalingStats stats_;
   std::uint64_t now_ = 0;

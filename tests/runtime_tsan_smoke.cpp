@@ -7,11 +7,19 @@
 // metrics snapshots racing workers, shutdown with a backlog — and, in a
 // second phase, the fault-tolerance machinery under concurrency (fault
 // pump, retry requeue, chip quarantine, health snapshots racing
-// health() readers).
+// health() readers) and, in a third, the obs spine: workers publishing
+// their chips' probes while a reader renders obs_metrics() to JSON and
+// other threads intern new metric names at once.
+#include <atomic>
 #include <cstdio>
+#include <sstream>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "fault/fault_plan.hpp"
+#include "obs/json.hpp"
+#include "obs/metrics.hpp"
 #include "runtime/chip_farm.hpp"
 #include "runtime/manifest.hpp"
 
@@ -110,12 +118,75 @@ int run_chaos_phase() {
   return accounted ? 0 : 1;
 }
 
+int run_obs_phase() {
+  using namespace vlsip;
+
+  runtime::FarmConfig cfg;
+  cfg.workers = 4;
+  cfg.queue_capacity = 8;
+  cfg.block_when_full = true;
+  runtime::ChipFarm farm(cfg);
+
+  std::atomic<bool> done{false};
+  std::atomic<std::size_t> renders{0};
+  std::thread reader([&] {
+    while (!done.load()) {
+      const obs::MetricRegistry snapshot = farm.obs_metrics();
+      std::ostringstream out;
+      obs::JsonWriter w(out);
+      snapshot.write_json(w);
+      if (!out.str().empty()) ++renders;
+    }
+  });
+  // Interners race each other (shared names) and the exporters' first
+  // lookups; every id must map back to the name it was interned from.
+  std::atomic<std::size_t> mismatches{0};
+  std::vector<std::thread> interners;
+  for (int t = 0; t < 3; ++t) {
+    interners.emplace_back([t, &mismatches] {
+      for (int i = 0; i < 300; ++i) {
+        const std::string shared = "tsan.shared." + std::to_string(i);
+        const std::string own =
+            "tsan.t" + std::to_string(t) + "." + std::to_string(i);
+        for (const std::string& name : {shared, own}) {
+          if (obs::metric_name(obs::metric_id(name)) != name) ++mismatches;
+        }
+      }
+    });
+  }
+
+  runtime::SyntheticSpec spec;
+  spec.jobs = 96;
+  spec.seed = 5;
+  std::vector<std::future<scaling::JobOutcome>> futures;
+  for (auto& job : runtime::synthetic_jobs(spec)) {
+    auto admission = farm.submit(std::move(job));
+    if (admission.admitted) futures.push_back(std::move(admission.outcome));
+  }
+  for (auto& f : futures) (void)f.get();
+  farm.drain();
+  for (auto& t : interners) t.join();
+  done = true;
+  reader.join();
+  const obs::MetricRegistry final_metrics = farm.obs_metrics();
+  farm.shutdown();
+
+  const auto counters = final_metrics.counters();
+  const auto served = counters.find("farm.served");
+  const bool ok = mismatches.load() == 0 && served != counters.end() &&
+                  served->second == futures.size();
+  std::printf("obs phase: %zu renders, %zu name mismatches, %s\n",
+              renders.load(), mismatches.load(), ok ? "ok" : "MISCOUNT");
+  return ok ? 0 : 1;
+}
+
 }  // namespace
 
 int main() {
   const int plain = run_plain_phase();
   const int chaos = run_chaos_phase();
-  const bool ok = plain == 0 && chaos == 0;
+  const int obs = run_obs_phase();
+  const bool ok = plain == 0 && chaos == 0 && obs == 0;
   std::printf("%s\n", ok ? "OK" : "MISCOUNT");
   return ok ? 0 : 1;
 }
