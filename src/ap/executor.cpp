@@ -202,11 +202,18 @@ bool Executor::compute(const Node& node, const Word* args, Word& result,
     case Opcode::kISub: result = arch::make_word_i(static_cast<std::int64_t>(args[0].u - args[1].u)); return true;
     case Opcode::kIMul: result = arch::make_word_i(static_cast<std::int64_t>(args[0].u * args[1].u)); return true;
     case Opcode::kIDiv:
-      // Hardware divide-by-zero is defined as 0 in this model.
-      result = arch::make_word_i(args[1].i == 0 ? 0 : args[0].i / args[1].i);
+      // Hardware divide-by-zero is defined as 0 in this model, and
+      // INT64_MIN / -1 wraps to INT64_MIN (the host would trap).
+      // Negating in unsigned gives that wrap for a -1 divisor.
+      result = arch::make_word_i(
+          args[1].i == 0    ? 0
+          : args[1].i == -1 ? static_cast<std::int64_t>(0 - args[0].u)
+                            : args[0].i / args[1].i);
       return true;
     case Opcode::kIRem:
-      result = arch::make_word_i(args[1].i == 0 ? 0 : args[0].i % args[1].i);
+      // x % -1 is 0 for every x, INT64_MIN included (the host would trap).
+      result = arch::make_word_i(
+          args[1].i == 0 || args[1].i == -1 ? 0 : args[0].i % args[1].i);
       return true;
     case Opcode::kIShl:
       result = arch::make_word_u(args[0].u << (args[1].u & 63));

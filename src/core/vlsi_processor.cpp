@@ -3,7 +3,6 @@
 #include <unordered_map>
 
 #include "common/require.hpp"
-#include "snapshot/incremental.hpp"
 #include "snapshot/snapshot.hpp"
 
 namespace vlsip::core {
@@ -148,7 +147,7 @@ cost::ScalingRow VlsiProcessor::price_at(const cost::ProcessNode& node,
   return cost::evaluate_node(node, ap, die_area_cm2);
 }
 
-void VlsiProcessor::save_header(snapshot::Writer& w) const {
+void VlsiProcessor::save(snapshot::Writer& w) const {
   w.section("core.chip");
   w.i32(config_.width);
   w.i32(config_.height);
@@ -156,9 +155,8 @@ void VlsiProcessor::save_header(snapshot::Writer& w) const {
   w.i32(config_.cluster.physical_objects);
   w.i32(config_.cluster.memory_objects);
   w.i32(config_.cluster.system_objects);
-  // DVS meter state rides in the header run (always re-serialised by
-  // save_profiled, never spliced), gated on the chip's own config so
-  // energy-off snapshots keep their pre-energy byte layout.
+  // DVS meter state rides in the header, gated on the chip's own config
+  // so energy-off snapshots keep their pre-energy byte layout.
   if (config_.energy.enabled) {
     w.section("core.energy");
     w.u64(dvs_level_);
@@ -169,10 +167,6 @@ void VlsiProcessor::save_header(snapshot::Writer& w) const {
                                          settled_.dynamic_fj.end()));
     w.u64(settled_.leakage_fj);
   }
-}
-
-void VlsiProcessor::save(snapshot::Writer& w) const {
-  save_header(w);
   // Restore order matters: the region manager validates against the
   // fabric and the scaling manager re-instantiates APs whose nested
   // codecs assume the NoC is already in place.
@@ -230,80 +224,7 @@ Status VlsiProcessor::save(snapshot::Snapshot& snap) const {
   }
 }
 
-Status VlsiProcessor::save_profiled(SaveProfile& out) const {
-  return save_profiled(out, SaveProfile{});
-}
-
-Status VlsiProcessor::save_profiled(SaveProfile& out,
-                                    const SaveProfile& base) const {
-  try {
-    // `out` may alias `base` at the call site; serialise into a local
-    // profile and move it over at the end.
-    SaveProfile fresh;
-    snapshot::Writer w(fresh.flat);
-    w.set_section_index(&fresh.index);
-    save_header(w);
-
-    const std::array<std::uint64_t, 3> gens = {
-        fabric_.dirty_gen(), noc_.dirty_gen(), manager_.dirty_gen()};
-
-    // Splices base.flat's bytes for layer `i` (its index entries come
-    // along, shifted to the new offsets) — valid only when the layer's
-    // dirty generation proves its serialised form unchanged.
-    const auto splice = [&](std::size_t i) {
-      const std::size_t begin = base.layer_marks[i];
-      const std::size_t end =
-          i + 1 < base.layer_marks.size() ? base.layer_marks[i + 1]
-                                          : base.flat.size();
-      const std::ptrdiff_t shift =
-          static_cast<std::ptrdiff_t>(w.offset()) -
-          static_cast<std::ptrdiff_t>(begin);
-      w.append_raw(base.flat.bytes().data() + begin, end - begin);
-      for (const auto& entry : base.index.entries) {
-        if (entry.offset >= begin && entry.offset < end) {
-          fresh.index.entries.push_back(
-              {entry.tag,
-               static_cast<std::size_t>(
-                   static_cast<std::ptrdiff_t>(entry.offset) + shift)});
-        }
-      }
-    };
-    // The splice appends index entries directly, bypassing section();
-    // order stays correct because layers serialise in stream order.
-    const bool base_usable = base.valid();
-    fresh.layer_marks[0] = w.offset();
-    if (base_usable && gens[0] == base.layer_gens[0]) {
-      splice(0);
-    } else {
-      fabric_.save(w);
-    }
-    fresh.layer_marks[1] = w.offset();
-    if (base_usable && gens[1] == base.layer_gens[1]) {
-      splice(1);
-    } else {
-      noc_.save(w);
-    }
-    fresh.layer_marks[2] = w.offset();
-    if (base_usable && gens[2] == base.layer_gens[2]) {
-      splice(2);
-    } else {
-      manager_.save(w);
-    }
-    fresh.layer_gens = gens;
-    w.set_section_index(nullptr);
-    out = std::move(fresh);
-    return Status::Ok();
-  } catch (const std::logic_error& e) {
-    return Status(StatusCode::kInvalidArgument, e.what());
-  }
-}
-
 Status VlsiProcessor::restore(const snapshot::Snapshot& snap) {
-  if (snapshot::is_delta(snap)) {
-    return Status(StatusCode::kCorruptSnapshot,
-                  "snapshot is an incremental delta container; materialize "
-                  "its chain first (snapshot::materialize_chain)");
-  }
   try {
     snapshot::Reader r(snap);
     restore(r);

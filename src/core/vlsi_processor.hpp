@@ -14,7 +14,6 @@
 // chip in mm² and GOPS.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -34,25 +33,6 @@
 #include "topology/s_topology.hpp"
 
 namespace vlsip::core {
-
-/// A flat snapshot plus the side-channel the incremental checkpoint
-/// encoder needs: the recorded section index (diff re-anchor points),
-/// the byte offsets where each serialising layer's run of sections
-/// begins, and the layers' dirty generations at save time. Produced by
-/// VlsiProcessor::save_profiled; consumed as the base of the next
-/// incremental save and by snapshot::encode_delta.
-struct SaveProfile {
-  snapshot::Snapshot flat;
-  snapshot::SectionIndex index;
-  /// Byte offsets where the fabric / NoC / scaling-manager runs begin
-  /// (the header run is [0, layer_marks[0]); the manager run ends at
-  /// flat.size()).
-  std::array<std::size_t, 3> layer_marks{};
-  /// dirty_gen() of fabric / NoC / scaling manager at save time.
-  std::array<std::uint64_t, 3> layer_gens{};
-
-  bool valid() const { return !flat.empty(); }
-};
 
 struct ChipConfig {
   int width = 8;
@@ -178,25 +158,9 @@ class VlsiProcessor {
 
   /// Whole-buffer convenience forms: attach a Writer/Reader to `snap`
   /// and report failures (corrupt bytes, geometry mismatch) as Status
-  /// instead of exceptions. restore() rejects incremental delta
-  /// containers (snapshot::is_delta) with kCorruptSnapshot — apply the
-  /// chain via snapshot::materialize_chain first.
+  /// instead of exceptions.
   Status save(snapshot::Snapshot& snap) const;
   Status restore(const snapshot::Snapshot& snap);
-
-  /// save() plus the incremental side channel: records the section
-  /// index, per-layer byte spans, and per-layer dirty generations into
-  /// `out` (out.flat is byte-identical to a plain save()).
-  Status save_profiled(SaveProfile& out) const;
-
-  /// Incremental save against `base` (a SaveProfile this same chip
-  /// produced earlier): layers whose dirty generation is unchanged are
-  /// spliced byte-for-byte from base.flat instead of re-serialised —
-  /// the "layers mark themselves dirty on mutation" contract. The
-  /// result is still byte-identical to a full save_profiled (the
-  /// 100-seed sweeps pin this), so it composes with encode_delta for
-  /// the byte-level win on layers that did change.
-  Status save_profiled(SaveProfile& out, const SaveProfile& base) const;
 
   /// Prices this chip's cluster inventory with the paper's cost model at
   /// a given process node (an AP tile = one cluster here).
@@ -248,13 +212,6 @@ class VlsiProcessor {
   std::string render_layout();
 
  private:
-  /// Writes the "core.chip" section + geometry fingerprint, and (when
-  /// energy accounting is on) the "core.energy" DVS state — shared by
-  /// save() and save_profiled() so the two streams cannot drift. Both
-  /// sections live in the header run that save_profiled always
-  /// re-serialises, so incremental splices never carry stale DVS state.
-  void save_header(snapshot::Writer& w) const;
-
   ChipConfig config_;
   Trace trace_;
   topology::STopologyFabric fabric_;

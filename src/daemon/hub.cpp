@@ -147,21 +147,26 @@ void Hub::accept_loop() {
 }
 
 StatusOr<Hub::ConnPtr> Hub::handshake(net::Socket sock) {
+  // Every refusal is answered with a typed Error before the close.
+  const auto reject = [&sock](const Status& status) {
+    net::ErrorMsg err;
+    err.code = static_cast<std::int32_t>(status.code());
+    err.message = status.message();
+    (void)net::send_msg(sock, err);
+    return status;
+  };
   auto frame = net::read_frame(sock, options_.max_payload);
-  if (!frame.ok()) {
-    net::ErrorMsg err;
-    err.code = static_cast<std::int32_t>(frame.status().code());
-    err.message = frame.status().message();
-    (void)net::send_msg(sock, err);
-    return frame.status();
-  }
+  if (!frame.ok()) return reject(frame.status());
   auto hello = net::decode_payload<net::HelloMsg>(*frame);
-  if (!hello.ok()) {
-    net::ErrorMsg err;
-    err.code = static_cast<std::int32_t>(hello.status().code());
-    err.message = hello.status().message();
-    (void)net::send_msg(sock, err);
-    return hello.status();
+  if (!hello.ok()) return reject(hello.status());
+  if (hello->proto_version != net::kProtoVersion) {
+    // No codec branches on a negotiated version, so a peer at another
+    // version would have its frames parsed against the wrong layout.
+    return reject(Status(StatusCode::kVersionMismatch,
+                         "peer speaks protocol version " +
+                             std::to_string(hello->proto_version) +
+                             ", hub speaks " +
+                             std::to_string(net::kProtoVersion)));
   }
 
   auto conn = std::make_shared<Conn>();
@@ -184,8 +189,7 @@ StatusOr<Hub::ConnPtr> Hub::handshake(net::Socket sock) {
   }
 
   net::HelloAckMsg ack;
-  ack.proto_version =
-      std::min<std::uint32_t>(hello->proto_version, net::kProtoVersion);
+  ack.proto_version = net::kProtoVersion;
   ack.peer_id = conn->id;
   const Status sent = send_to(conn, ack);
   if (!sent.ok()) {
@@ -505,18 +509,12 @@ void Hub::handle_checkpoint(const ConnPtr& from, net::CheckpointMsg msg) {
       }
     }
     metrics_.counter("hub.checkpoints_received")++;
-    std::size_t state_bytes = msg.chip.bytes().size();
-    for (const auto& link : msg.chain) state_bytes += link.size();
-    metrics_.counter("hub.checkpoint_bytes") += state_bytes;
-    if (!msg.chain.empty()) {
-      metrics_.counter("hub.checkpoint_chains")++;
-      metrics_.counter("hub.checkpoint_chain_links") += msg.chain.size();
-    }
+    metrics_.counter("hub.checkpoint_bytes") += msg.chip.size();
   }
   if (peer) {
-    if (options_.corrupt_migration_chain && !msg.chain.empty()) {
-      auto& bytes = msg.chain.back().bytes();
-      if (!bytes.empty()) bytes[bytes.size() / 2] ^= 0x40;
+    if (options_.truncate_migration_snapshot) {
+      auto& bytes = msg.chip.bytes();
+      bytes.resize(bytes.size() / 2);
     }
     net::ResumeMsg resume;
     resume.checkpoint = std::move(msg);

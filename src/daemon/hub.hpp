@@ -61,11 +61,11 @@ struct HubOptions {
   /// Borrowed structured-event sink (Layer::kNet session events);
   /// null = no events. The hub serialises its own writes.
   obs::TraceSink* trace = nullptr;
-  /// Fault injection for the tests: flip one byte in the newest chain
-  /// link of every forwarded migration, so the receiving worker's
-  /// materialize fails and its requeue-as-fresh fallback must carry
+  /// Fault injection for the tests: cut every forwarded migration's
+  /// chip snapshot to half its length, so the receiving worker's
+  /// restore fails typed and its requeue-as-fresh fallback must carry
   /// the jobs. Never set outside tests.
-  bool corrupt_migration_chain = false;
+  bool truncate_migration_snapshot = false;
 };
 
 class Hub {

@@ -5,7 +5,6 @@
 
 #include "core/vlsi_processor.hpp"
 #include "runtime/replay.hpp"
-#include "snapshot/incremental.hpp"
 
 namespace vlsip::daemon {
 
@@ -176,18 +175,6 @@ bool WorkerDaemon::serve_window(std::vector<net::AssignJobMsg> window) {
 bool WorkerDaemon::handle_resume(net::CheckpointMsg checkpoint) {
   std::vector<scaling::JobOutcome> outcomes;
   try {
-    // Proto v2 peers ship the chip as an incremental chain; rebuild
-    // the flat snapshot first. A corrupt chain (bad link, wrong base,
-    // truncated delta) surfaces as kCorruptSnapshot and takes the same
-    // no-job-lost fallback as a corrupt flat blob below.
-    if (!checkpoint.chain.empty()) {
-      StatusOr<snapshot::Snapshot> materialized =
-          snapshot::materialize_chain(checkpoint.chain);
-      if (!materialized.ok()) {
-        throw snapshot::SnapshotError(materialized.status().to_string());
-      }
-      checkpoint.chip = std::move(*materialized);
-    }
     core::VlsiProcessor chip(options_.farm.chip);
     runtime::ReplayOptions replay_options;
     replay_options.default_max_cycles = options_.farm.default_max_cycles;
@@ -241,12 +228,7 @@ void WorkerDaemon::do_drain() {
     stopping_ = true;
     exit_ = Exit::kDrained;
   }
-  // Incremental farms ship the checkpoint chain (keyframe + deltas)
-  // instead of one flat snapshot; the receiver materializes it.
-  const Status saved =
-      options_.farm.incremental_checkpoints
-          ? farm_.save_chip_chain(0, checkpoint.chain)
-          : farm_.save_chip(0, checkpoint.chip);
+  const Status saved = farm_.save_chip(0, checkpoint.chip);
   if (saved.ok()) {
     std::lock_guard<std::mutex> lock(tx_);
     (void)net::send_msg(sock_, checkpoint);

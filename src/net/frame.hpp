@@ -10,7 +10,7 @@
 //
 //   offset  size  field
 //   0       4     frame magic "VFRM" (little-endian u32)
-//   4       2     protocol version (u16), currently 1
+//   4       2     protocol version (u16), currently 3
 //   6       2     message type (u16, net::MsgType)
 //   8       4     payload length N (u32)
 //   12      N     payload (snapshot byte stream)
@@ -23,9 +23,10 @@
 // additionally reject trailing garbage via Reader::bytes_remaining().
 //
 // Versioning: kProtoVersion bumps whenever the frame layout or any
-// message encoding changes. Peers negotiate down to the older side's
-// version at Hello time (net/wire.hpp); a frame from the future is
-// rejected at this layer before its payload is ever touched.
+// message encoding changes. There is no negotiation: no codec branches
+// on a peer's version, so the hub rejects a Hello at any version but
+// its own with kVersionMismatch (net/wire.hpp), and a frame from the
+// future is rejected at this layer before its payload is ever touched.
 #pragma once
 
 #include <cstdint>
@@ -39,9 +40,8 @@ namespace vlsip::net {
 /// "VFRM" — identifies a vlsipd wire frame.
 inline constexpr std::uint32_t kFrameMagic = 0x5646524Du;
 /// Current wire-protocol version. Bump on any layout change.
-/// v2: CheckpointMsg carries an incremental checkpoint chain field
-/// (keyframe + delta containers) alongside the flat chip snapshot.
-inline constexpr std::uint16_t kProtoVersion = 2;
+/// v3: CheckpointMsg carries exactly one flat chip snapshot.
+inline constexpr std::uint16_t kProtoVersion = 3;
 /// Header bytes before the payload.
 inline constexpr std::size_t kFrameHeaderSize = 12;
 /// Default payload ceiling (checkpoint transfers dominate sizing; a

@@ -90,10 +90,6 @@ void CheckpointMsg::save(snapshot::Writer& w) const {
   w.u64(checkpoint_tick);
   w.vec_u64(job_ids);
   w.vec_u8(chip.bytes());
-  // Proto v2: the checkpoint chain. Each link is its own length-
-  // prefixed snapshot buffer (keyframe first, then deltas).
-  w.u64(chain.size());
-  for (const auto& link : chain) w.vec_u8(link.bytes());
   log.save(w);
 }
 
@@ -103,21 +99,7 @@ void CheckpointMsg::restore(snapshot::Reader& r) {
   checkpoint_tick = r.u64();
   job_ids = r.vec_u64();
   chip.bytes() = r.vec_u8();
-  // Every link is at least a header (8 bytes) behind a u64 length —
-  // count() bounds a hostile chain count before any allocation.
-  const std::uint64_t links = r.count(16);
-  chain.clear();
-  chain.reserve(static_cast<std::size_t>(links));
-  for (std::uint64_t i = 0; i < links; ++i) {
-    snapshot::Snapshot link;
-    link.bytes() = r.vec_u8();
-    chain.push_back(std::move(link));
-  }
   log.restore(r);
-  if (!chip.empty() && !chain.empty()) {
-    throw snapshot::SnapshotError(
-        "checkpoint transfer carries both a flat snapshot and a chain");
-  }
   if (job_ids.size() != log.jobs.size()) {
     throw snapshot::SnapshotError(
         "checkpoint transfer id/job count mismatch: " +

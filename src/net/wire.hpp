@@ -9,9 +9,10 @@
 //
 // Session shape:
 //   * Every connection opens with Hello (role + the sender's protocol
-//     version) answered by HelloAck (negotiated version = min of the
-//     two, plus the hub-assigned peer id). Frames at a version above
-//     the receiver's are rejected at the framing layer.
+//     version) answered by HelloAck (the version plus the hub-assigned
+//     peer id). The hub accepts only its own kProtoVersion and answers
+//     any other with a typed kVersionMismatch Error. Frames at a
+//     version above the receiver's are rejected at the framing layer.
 //   * Clients send SubmitJob (seq scoped to the client) and receive
 //     JobResult keyed by that seq; the hub owns the global job id.
 //   * Workers receive AssignJob (global id), answer JobResult, and
@@ -45,7 +46,7 @@ enum class Role : std::uint8_t { kClient = 0, kWorker = 1 };
 struct HelloMsg {
   static constexpr MsgType kType = MsgType::kHello;
   Role role = Role::kClient;
-  /// The sender's newest supported protocol version.
+  /// The sender's protocol version; the hub rejects any but its own.
   std::uint32_t proto_version = kProtoVersion;
   /// Display name ("worker-a", "vlsipc"); diagnostics only.
   std::string name;
@@ -56,7 +57,7 @@ struct HelloMsg {
 
 struct HelloAckMsg {
   static constexpr MsgType kType = MsgType::kHelloAck;
-  /// min(sender's version, receiver's version) — both sides hold it.
+  /// The protocol version of the session (always kProtoVersion).
   std::uint32_t proto_version = kProtoVersion;
   /// Hub-assigned id; for workers this is the id drain/requeue
   /// reporting refers to.
@@ -124,16 +125,7 @@ struct CheckpointMsg {
   /// results back to waiting clients with these).
   std::vector<std::uint64_t> job_ids;
   /// Complete .vsnap of the drained chip (ChipFarm::save_chip output).
-  /// Empty when `chain` carries the state instead.
   snapshot::Snapshot chip;
-  /// Incremental form (proto v2): the drained chip as a checkpoint
-  /// chain — one full keyframe followed by delta containers
-  /// (ChipFarm::save_chip_chain output). When non-empty the receiver
-  /// rebuilds the flat snapshot with snapshot::materialize_chain and
-  /// `chip` is left empty; a corrupt chain on the receiving side must
-  /// fall back to re-serving the attached jobs on fresh silicon, never
-  /// drop them. Empty on v1-style full-snapshot migrations.
-  std::vector<snapshot::Snapshot> chain;
   /// The unstarted jobs, replayable via runtime::replay_from.
   runtime::ReplayLog log;
 

@@ -45,7 +45,6 @@ const Router& NocFabric::router(int x, int y) const {
 }
 
 std::uint32_t NocFabric::inject(Packet packet) {
-  mark_dirty();
   VLSIP_REQUIRE(packet.src_x < width_ && packet.src_y < height_,
                 "source out of range");
   VLSIP_REQUIRE(packet.dst_x < width_ && packet.dst_y < height_,
@@ -125,7 +124,6 @@ bool NocFabric::feed_injection(std::uint32_t node) {
 }
 
 std::size_t NocFabric::step() {
-  mark_dirty();  // now_ advances even on an idle mesh
   // Phase 0: injection into local input queues. Only nodes with pending
   // feed flits are visited; a node whose local queue is full stays in
   // the feed set for the next cycle.
@@ -392,7 +390,6 @@ void NocFabric::save(snapshot::Writer& w) const {
 }
 
 void NocFabric::restore(snapshot::Reader& r) {
-  mark_dirty();
   r.section("noc.fabric");
   const int width = r.i32();
   const int height = r.i32();

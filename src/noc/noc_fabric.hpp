@@ -67,12 +67,8 @@ class NocFabric {
   bool run_until_drained(std::uint64_t max_cycles);
 
   /// Packets fully received at their destination local ports, in
-  /// delivery order. Caller may take them (which is why handing out
-  /// this reference counts as a mutation for dirty_gen()).
-  std::vector<Packet>& delivered() {
-    mark_dirty();
-    return delivered_;
-  }
+  /// delivery order. Caller may take them.
+  std::vector<Packet>& delivered() { return delivered_; }
 
   /// Delivery callback (invoked when a packet completes, before it is
   /// appended to delivered()).
@@ -121,12 +117,6 @@ class NocFabric {
   void save(snapshot::Writer& w) const;
   void restore(snapshot::Reader& r);
 
-  /// Monotonic mutation generation (see STopologyFabric::dirty_gen):
-  /// bumped by inject/step/restore and by handing out the mutable
-  /// delivered() buffer. Unchanged generation ⇒ unchanged serialised
-  /// bytes, so incremental checkpoints can splice an idle fabric.
-  std::uint64_t dirty_gen() const { return dirty_gen_; }
-
  private:
   /// One undelivered packet: the source metadata plus the destination's
   /// reassembly state. Slots are reused through a free list; packet id
@@ -145,7 +135,6 @@ class NocFabric {
 
   Router& router_mut(int x, int y);
   std::size_t index(int x, int y) const;
-  void mark_dirty() { ++dirty_gen_; }
   /// Converts the next pending packet at node `node` into flits if the
   /// local input queue has room; returns true if flits remain pending.
   bool feed_injection(std::uint32_t node);
@@ -189,7 +178,6 @@ class NocFabric {
   RunningStats lifetime_latency_;
   /// link_flits_[(y*width + x) * kPortCount + out]
   std::vector<std::uint64_t> link_flits_;
-  std::uint64_t dirty_gen_ = 1;
 };
 
 }  // namespace vlsip::noc

@@ -74,7 +74,6 @@ void FarmMetrics::merge(const FarmMetrics& other) {
   latency_sketch.merge(other.latency_sketch);
   checkpoint_bytes.merge(other.checkpoint_bytes);
   checkpoint_micros.merge(other.checkpoint_micros);
-  checkpoint_full_bytes.merge(other.checkpoint_full_bytes);
 }
 
 std::string FarmMetrics::render(const std::string& tick_unit) const {
@@ -99,15 +98,8 @@ std::string FarmMetrics::render(const std::string& tick_unit) const {
   }
   if (checkpoints > 0) {
     out << "checkpoints: " << checkpoints << " taken ("
-        << format_sig(checkpoint_bytes.mean(), 4) << " bytes mean";
-    if (checkpoint_full_bytes.count() > 0 &&
-        checkpoint_full_bytes.mean() > checkpoint_bytes.mean()) {
-      out << ", " << format_sig(checkpoint_full_bytes.mean() /
-                                    checkpoint_bytes.mean(),
-                                3)
-          << "x incremental compression";
-    }
-    out << "), " << chip_restores << " chips restored\n";
+        << format_sig(checkpoint_bytes.mean(), 4) << " bytes mean), "
+        << chip_restores << " chips restored\n";
   }
   if (energy_fj > 0) {
     out << "energy: " << energy_fj << " fJ billed to jobs (mean "
@@ -163,8 +155,6 @@ void FarmMetrics::export_into(MetricRegistry& registry) const {
     registry.gauge("farm.checkpoint_bytes_mean") = checkpoint_bytes.mean();
     registry.gauge("farm.checkpoint_micros_mean") = checkpoint_micros.mean();
     registry.gauge("farm.checkpoint_micros_max") = checkpoint_micros.max();
-    registry.gauge("farm.checkpoint_full_bytes_mean") =
-        checkpoint_full_bytes.mean();
   }
   if (energy_fj > 0 || dvs_level_changes > 0) {
     registry.counter("farm.energy_fj") += energy_fj;

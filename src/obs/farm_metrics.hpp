@@ -97,13 +97,6 @@ struct FarmMetrics {
   /// back into deterministic outcomes).
   RunningStats checkpoint_bytes;
   RunningStats checkpoint_micros;
-  /// Size the chip's *full* flat snapshot would have been at each
-  /// checkpoint. With incremental checkpoints on, checkpoint_bytes
-  /// records the emitted delta container instead, and
-  /// checkpoint_bytes.mean() / checkpoint_full_bytes.mean() is the
-  /// compression the incremental path bought; with it off, the two
-  /// series are identical.
-  RunningStats checkpoint_full_bytes;
   /// Per-job energy bill distribution, femtojoules.
   RunningStats job_energy_fj;
 

@@ -4,7 +4,6 @@
 #include <exception>
 
 #include "common/require.hpp"
-#include "snapshot/incremental.hpp"
 
 namespace vlsip::runtime {
 
@@ -534,47 +533,6 @@ Status ChipFarm::restore_chip(std::size_t index, const snapshot::Snapshot& snap,
   return restored;
 }
 
-Status ChipFarm::save_chip_chain(std::size_t index,
-                                 std::vector<snapshot::Snapshot>& out) const {
-  if (index >= workers_.size()) {
-    return Status(StatusCode::kInvalidArgument,
-                  "no worker slot " + std::to_string(index));
-  }
-  Worker& worker = *workers_[index];
-  std::lock_guard<std::mutex> lock(metrics_mutex_);
-  out.clear();
-  if (config_.incremental_checkpoints && worker.ckpt_profile.valid() &&
-      !worker.ckpt_keyframe.empty()) {
-    // The chip may have served batches since the last cadence
-    // checkpoint; cap the chain with a fresh delta so the receiver
-    // materialises the chip as it is *now*, not as of the cadence.
-    core::SaveProfile current;
-    const Status saved =
-        worker.chip->save_profiled(current, worker.ckpt_profile);
-    if (saved.ok()) {
-      try {
-        out.push_back(worker.ckpt_keyframe);
-        out.insert(out.end(), worker.ckpt_deltas.begin(),
-                   worker.ckpt_deltas.end());
-        if (current.flat.bytes() != worker.ckpt_profile.flat.bytes()) {
-          out.push_back(snapshot::encode_delta(
-              worker.ckpt_profile.flat, worker.ckpt_profile.index,
-              current.flat, current.index));
-        }
-        return Status::Ok();
-      } catch (const std::exception&) {
-        out.clear();  // fall through to the full-snapshot fallback
-      }
-    }
-  }
-  // No chain (incremental off, pre-first-checkpoint, or a failed
-  // encode): a single full snapshot is still a valid chain.
-  snapshot::Snapshot full;
-  const Status saved = worker.chip->save(full);
-  if (saved.ok()) out.push_back(std::move(full));
-  return saved;
-}
-
 void ChipFarm::quarantine_chip(Worker& worker, const char* why) {
   // The defective chip leaves the fleet; a spare of the same shape
   // takes over its slot. Any state on the old chip is gone — jobs it
@@ -590,12 +548,6 @@ void ChipFarm::quarantine_chip(Worker& worker, const char* why) {
   worker.consecutive_faults = 0;
   worker.stall_pending = 0;
   worker.resumed_from = 0;
-  // The chain dies with the chip: a replacement instance's dirty
-  // generations are not comparable with the retired one's, so the next
-  // checkpoint must re-anchor on a fresh keyframe.
-  worker.ckpt_profile = core::SaveProfile{};
-  worker.ckpt_keyframe.clear();
-  worker.ckpt_deltas.clear();
   if (config_.checkpoint_every_batches > 0 &&
       !worker.last_checkpoint.empty()) {
     // Resume the replacement from the slot's last known-good state
@@ -709,62 +661,14 @@ void ChipFarm::maybe_checkpoint(Worker& worker) {
   }
   worker.batches_since_checkpoint = 0;
   const auto t0 = std::chrono::steady_clock::now();
-  Status saved = Status::Ok();
-  // Bytes this checkpoint actually costs: the delta container on the
-  // incremental path, the full snapshot otherwise.
-  std::size_t emitted_bytes = 0;
-  if (config_.incremental_checkpoints) {
-    // A chain needs a keyframe to anchor it, is bounded by
-    // checkpoint_keyframe_every, and breaks at quarantine (the cleared
-    // profile). checkpoint_chain_max_links additionally caps the total
-    // chain length (keyframe + deltas): extending must not push the
-    // link count past the cap. Anything else: start fresh with a
-    // keyframe.
-    const bool extend_chain =
-        worker.ckpt_profile.valid() && !worker.ckpt_keyframe.empty() &&
-        worker.ckpt_deltas.size() < config_.checkpoint_keyframe_every &&
-        (config_.checkpoint_chain_max_links == 0 ||
-         worker.ckpt_deltas.size() + 2 <= config_.checkpoint_chain_max_links);
-    try {
-      if (extend_chain) {
-        core::SaveProfile base = std::move(worker.ckpt_profile);
-        saved = worker.chip->save_profiled(worker.ckpt_profile, base);
-        if (saved.ok()) {
-          worker.ckpt_deltas.push_back(snapshot::encode_delta(
-              base.flat, base.index, worker.ckpt_profile.flat,
-              worker.ckpt_profile.index));
-          emitted_bytes = worker.ckpt_deltas.back().size();
-        }
-      } else {
-        saved = worker.chip->save_profiled(worker.ckpt_profile);
-        if (saved.ok()) {
-          worker.ckpt_keyframe = worker.ckpt_profile.flat;
-          worker.ckpt_deltas.clear();
-          emitted_bytes = worker.ckpt_keyframe.size();
-        }
-      }
-    } catch (const std::exception& e) {
-      saved = Status(StatusCode::kCorruptSnapshot, e.what());
-    }
-    // The quarantine-restore path keeps reading a flat snapshot, so a
-    // corrupted chain can never take the slot's recovery down with it.
-    if (saved.ok()) {
-      worker.last_checkpoint = worker.ckpt_profile.flat;
-    }
-  } else {
-    saved = worker.chip->save(worker.last_checkpoint);
-    emitted_bytes = worker.last_checkpoint.size();
-  }
+  const Status saved = worker.chip->save(worker.last_checkpoint);
   const auto micros = std::chrono::duration_cast<std::chrono::microseconds>(
                           std::chrono::steady_clock::now() - t0)
                           .count();
   if (!saved.ok()) {
     // A failed save must not leave a half-written checkpoint for the
-    // quarantine path to restore, nor a broken link in the chain.
+    // quarantine path to restore.
     worker.last_checkpoint.clear();
-    worker.ckpt_profile = core::SaveProfile{};
-    worker.ckpt_keyframe.clear();
-    worker.ckpt_deltas.clear();
     trace_event(obs::Layer::kRuntime,
                 static_cast<std::int64_t>(worker.index), "checkpoint",
                 "worker " + std::to_string(worker.index) +
@@ -778,15 +682,14 @@ void ChipFarm::maybe_checkpoint(Worker& worker) {
     // the virtual clock, so deterministic outcomes stay bit-identical.
     std::lock_guard<std::mutex> lock(metrics_mutex_);
     ++worker.metrics.checkpoints;
-    worker.metrics.checkpoint_bytes.add(static_cast<double>(emitted_bytes));
-    worker.metrics.checkpoint_full_bytes.add(
+    worker.metrics.checkpoint_bytes.add(
         static_cast<double>(worker.last_checkpoint.size()));
     worker.metrics.checkpoint_micros.add(static_cast<double>(micros));
   }
   trace_event(obs::Layer::kRuntime,
               static_cast<std::int64_t>(worker.index), "checkpoint",
               "worker " + std::to_string(worker.index) + " checkpointed (" +
-                  std::to_string(emitted_bytes) + " bytes)",
+                  std::to_string(worker.last_checkpoint.size()) + " bytes)",
               now());
 }
 

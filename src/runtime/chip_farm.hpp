@@ -140,26 +140,6 @@ struct FarmConfig {
   /// checkpoint instead of starting from fresh silicon, and outcomes
   /// served on the resumed chip carry resumed_from_cycle.
   std::size_t checkpoint_every_batches = 0;
-  /// Incremental checkpoints: after the first full keyframe, each
-  /// checkpoint is encoded as a compressed delta container against the
-  /// previous one (snapshot/incremental.*). Layers whose dirty
-  /// generation is unchanged are spliced instead of re-serialised, and
-  /// the delta wire format carries only the bytes that differ — the
-  /// combination that makes checkpoint_every_batches=1 viable. The
-  /// quarantine-restore path is unaffected (the slot always keeps the
-  /// latest materialised flat snapshot too); the chain feeds
-  /// save_chip_chain() for drain/migration shipping.
-  bool incremental_checkpoints = false;
-  /// With incremental_checkpoints: emit a fresh full keyframe after
-  /// this many consecutive deltas, bounding chain length (and thus
-  /// restore-side materialisation work and corruption blast radius).
-  std::size_t checkpoint_keyframe_every = 16;
-  /// Chain GC cap: with incremental_checkpoints, force a fresh
-  /// keyframe whenever extending the chain would push its total link
-  /// count (keyframe + deltas) past this bound — a hard ceiling on
-  /// restore-side materialisation work that binds even when
-  /// checkpoint_keyframe_every is large. 0 = no cap.
-  std::size_t checkpoint_chain_max_links = 0;
   /// Template for each worker's chip.
   core::ChipConfig chip;
   /// Fault injection + self-healing (off by default).
@@ -293,18 +273,6 @@ class ChipFarm {
   Status restore_chip(std::size_t index, const snapshot::Snapshot& snap,
                       std::uint64_t resumed_from_tick);
 
-  /// Incremental form of save_chip: returns worker `index`'s checkpoint
-  /// chain — a full keyframe followed by delta containers, ending with
-  /// a freshly computed delta capturing state since the last cadence
-  /// checkpoint (omitted when nothing changed). The receiver rebuilds
-  /// the flat snapshot with snapshot::materialize_chain. Falls back to
-  /// a single-element chain holding a full snapshot when incremental
-  /// checkpointing is off or no chain exists yet, so callers can always
-  /// materialize what they get. Same idle-farm precondition as
-  /// save_chip. kInvalidArgument on a bad index.
-  Status save_chip_chain(std::size_t index,
-                         std::vector<snapshot::Snapshot>& out) const;
-
  private:
   struct Worker {
     std::size_t index = 0;
@@ -329,15 +297,6 @@ class ChipFarm {
     snapshot::Snapshot last_checkpoint;
     std::uint64_t last_checkpoint_tick = 0;
     std::size_t batches_since_checkpoint = 0;
-    /// Incremental-checkpoint chain state (worker-thread private, read
-    /// under metrics_mutex_ by save_chip_chain on an idle farm): the
-    /// profile of the previous checkpoint (diff base), the chain's
-    /// keyframe, and the delta containers since it. Cleared on
-    /// quarantine — a replacement chip's dirty generations are not
-    /// comparable with the retired chip's.
-    core::SaveProfile ckpt_profile;
-    snapshot::Snapshot ckpt_keyframe;
-    std::vector<snapshot::Snapshot> ckpt_deltas;
     /// Tick of the checkpoint the current chip was restored from
     /// (0 = uninterrupted silicon); stamped onto served outcomes.
     std::uint64_t resumed_from = 0;

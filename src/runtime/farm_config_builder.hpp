@@ -123,28 +123,6 @@ class FarmConfigBuilder {
     return checkpoint_every(batches);
   }
 
-  /// Incremental checkpoints: deltas against the previous checkpoint
-  /// instead of a full snapshot each time (FarmConfig field docs).
-  FarmConfigBuilder& incremental_checkpoints(bool on) {
-    config_.incremental_checkpoints = on;
-    return *this;
-  }
-
-  /// Full keyframe after this many consecutive deltas (chain bound).
-  FarmConfigBuilder& checkpoint_keyframe_every(std::size_t deltas) {
-    config_.checkpoint_keyframe_every = deltas;
-    return *this;
-  }
-
-  /// Hard cap on total chain length (keyframe + deltas): a checkpoint
-  /// that would push the chain past `links` is forced to a fresh
-  /// keyframe instead. 0 = uncapped (keyframe cadence alone bounds the
-  /// chain).
-  FarmConfigBuilder& checkpoint_chain_max_links(std::size_t links) {
-    config_.checkpoint_chain_max_links = links;
-    return *this;
-  }
-
   /// Energy-aware scheduling: enables per-chip energy accounting (the
   /// chip template's EnergySpec is forced on) and the per-chip
   /// DvsGovernor, throttling toward `budget_fj_per_job` femtojoules
@@ -202,25 +180,6 @@ class FarmConfigBuilder {
     if (!config_.deterministic && config_.queue_capacity < 1) {
       return Status(StatusCode::kInvalidArgument,
                     "threaded mode needs a non-empty admission queue");
-    }
-    if (config_.incremental_checkpoints &&
-        config_.checkpoint_every_batches == 0) {
-      return Status(StatusCode::kInvalidArgument,
-                    "incremental_checkpoints without a checkpoint cadence "
-                    "is dead config — set checkpoint_every(N)");
-    }
-    if (config_.incremental_checkpoints &&
-        config_.checkpoint_keyframe_every < 1) {
-      return Status(StatusCode::kInvalidArgument,
-                    "checkpoint_keyframe_every must be >= 1 (every chain "
-                    "needs a keyframe)");
-    }
-    if (config_.checkpoint_chain_max_links > 0 &&
-        !config_.incremental_checkpoints) {
-      return Status(StatusCode::kInvalidArgument,
-                    "checkpoint_chain_max_links without "
-                    "incremental_checkpoints is dead config — full "
-                    "snapshots have no chain to cap");
     }
     if (config_.dvs.p99_guardrail_ticks > 0 && !config_.dvs.enabled) {
       return Status(StatusCode::kInvalidArgument,

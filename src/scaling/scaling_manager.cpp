@@ -135,7 +135,6 @@ ProcId ScalingManager::allocate(std::size_t clusters) {
 
 ProcId ScalingManager::allocate_path(
     const std::vector<topology::ClusterId>& path, bool ring) {
-  mark_dirty();  // even refused allocations can bump conflict counters
   if (!regions_.can_form(path)) return kNoProc;
   for (const auto c : path) {
     if (defective_[c]) return kNoProc;
@@ -169,7 +168,6 @@ ProcId ScalingManager::allocate_path(
 }
 
 bool ScalingManager::upscale(ProcId id, std::size_t extra) {
-  mark_dirty();
   ScaledProcessor& p = proc_mut(id);
   VLSIP_REQUIRE(p.fsm.state() == ProcState::kInactive,
                 "up-scaling requires the inactive state");
@@ -234,7 +232,6 @@ bool ScalingManager::upscale(ProcId id, std::size_t extra) {
 }
 
 void ScalingManager::downscale(ProcId id, std::size_t keep_clusters) {
-  mark_dirty();
   ScaledProcessor& p = proc_mut(id);
   VLSIP_REQUIRE(p.fsm.state() == ProcState::kInactive,
                 "down-scaling requires the inactive state");
@@ -263,7 +260,6 @@ void ScalingManager::downscale(ProcId id, std::size_t keep_clusters) {
 }
 
 void ScalingManager::release(ProcId id) {
-  mark_dirty();
   ScaledProcessor& p = proc_mut(id);
   if (p.fsm.state() == ProcState::kSleep) p.fsm.wake();
   p.fsm.release();
@@ -273,22 +269,18 @@ void ScalingManager::release(ProcId id) {
 }
 
 void ScalingManager::activate(ProcId id) {
-  mark_dirty();
   proc_mut(id).fsm.activate();
 }
 
 void ScalingManager::deactivate(ProcId id) {
-  mark_dirty();
   proc_mut(id).fsm.deactivate();
 }
 
 void ScalingManager::sleep(ProcId id, std::optional<std::uint64_t> wake_at) {
-  mark_dirty();
   proc_mut(id).fsm.sleep(wake_at);
 }
 
 void ScalingManager::notify(ProcId id) {
-  mark_dirty();
   ScaledProcessor& p = proc_mut(id);
   VLSIP_REQUIRE(p.fsm.state() == ProcState::kSleep,
                 "notify targets a sleeping processor");
@@ -298,7 +290,6 @@ void ScalingManager::notify(ProcId id) {
 }
 
 void ScalingManager::advance(std::uint64_t cycles) {
-  mark_dirty();
   now_ += cycles;
   for (const ProcId id : live_) {
     ScaledProcessor& p = procs_[id];
@@ -307,7 +298,6 @@ void ScalingManager::advance(std::uint64_t cycles) {
 }
 
 ap::AdaptiveProcessor& ScalingManager::processor(ProcId id) {
-  mark_dirty();  // mutable escape hatch: assume the caller mutates the AP
   return *proc_mut(id).processor;
 }
 
@@ -330,7 +320,6 @@ std::size_t ScalingManager::cluster_count(ProcId id) const {
 std::uint64_t ScalingManager::send(ProcId from, ProcId to,
                                    const std::vector<std::uint64_t>& words,
                                    std::size_t base_address) {
-  mark_dirty();
   const ScaledProcessor& src = proc(from);
   ScaledProcessor& dst = proc_mut(to);
   VLSIP_REQUIRE(dst.fsm.accepts_external_writes(),
@@ -371,7 +360,6 @@ std::uint64_t ScalingManager::send_and_activate(
 }
 
 ProcId ScalingManager::mark_defective(topology::ClusterId cluster) {
-  mark_dirty();
   VLSIP_REQUIRE(cluster < fabric_.cluster_count(), "cluster out of range");
   if (defective_[cluster]) return kNoProc;
   defective_[cluster] = true;
@@ -439,7 +427,6 @@ std::size_t ScalingManager::defective_clusters() const {
 
 ScalingManager::FaultRecovery ScalingManager::refuse_around(
     topology::ClusterId cluster) {
-  mark_dirty();
   VLSIP_REQUIRE(cluster < fabric_.cluster_count(), "cluster out of range");
   FaultRecovery recovery;
   if (defective_[cluster]) return recovery;  // already quarantined
@@ -517,7 +504,6 @@ std::size_t ScalingManager::largest_free_run() const {
 }
 
 std::size_t ScalingManager::compact() {
-  mark_dirty();
   const std::uint64_t sweep_start = noc_.now();
   // Order live processors by the serpentine index of their head.
   struct Item {
@@ -776,7 +762,6 @@ void ScalingManager::save(snapshot::Writer& w) const {
 }
 
 void ScalingManager::restore(snapshot::Reader& r) {
-  mark_dirty();
   r.section("scaling.manager");
   regions_.restore(r);
   procs_.clear();

@@ -206,17 +206,7 @@ class ScalingManager {
   /// Every processor slot ever fused, indexed by ProcId; a released
   /// slot has id kNoProc and keeps its FSM counters.
   const std::vector<ScaledProcessor>& slots() const { return procs_; }
-  topology::RegionManager& regions() {
-    mark_dirty();  // mutable escape hatch: assume the caller writes
-    return regions_;
-  }
-
-  /// Monotonic mutation generation (see STopologyFabric::dirty_gen).
-  /// Every scaling/state/defect/compaction mutator bumps it, as do the
-  /// mutable escape hatches processor() and regions() — handing out a
-  /// mutable AP reference must pessimistically count as a mutation, or
-  /// the incremental checkpoint splice would serialise stale state.
-  std::uint64_t dirty_gen() const { return dirty_gen_; }
+  topology::RegionManager& regions() { return regions_; }
 
   /// Publishes scaling counters, fuse/compaction wormhole durations,
   /// state-machine transition totals, and the AP-layer metrics of every
@@ -247,7 +237,6 @@ class ScalingManager {
  private:
   ScaledProcessor& proc_mut(ProcId id);
   const ScaledProcessor& proc(ProcId id) const;
-  void mark_dirty() { ++dirty_gen_; }
 
   /// Reserves the switches along `path` for a tentative region; rolls
   /// back and returns false on conflict.
@@ -303,7 +292,6 @@ class ScalingManager {
   /// survive checkpoint/resume bit-exactly, and a resumed chip cannot
   /// re-derive activity from APs that no longer exist.
   cost::EnergyActivity retired_activity_;
-  std::uint64_t dirty_gen_ = 1;
 };
 
 }  // namespace vlsip::scaling

@@ -36,32 +36,11 @@ class SnapshotError : public std::runtime_error {
 
 /// "VSNP" — identifies a vlsip snapshot byte stream.
 inline constexpr std::uint32_t kMagic = 0x56534E50u;
-/// Newest stream version this build understands. Version 1 is the flat
-/// full-state layout (unchanged since PR 5); version 2 adds the
-/// incremental delta container (snapshot/incremental.hpp). Bump on any
-/// encoding change.
-inline constexpr std::uint32_t kVersion = 2;
-/// The version flat full-state snapshots are written at. Their byte
-/// layout did not change when the delta container was introduced, so
-/// Writer keeps stamping 1 and every v1 snapshot ever written still
-/// round-trips byte-identically.
-inline constexpr std::uint32_t kVersionFlat = 1;
-
-/// Byte offsets of the tagged sections inside one flat snapshot,
-/// recorded as a side channel while a Writer serialises (see
-/// Writer::set_section_index). The incremental encoder diffs
-/// section-by-section: each section() call is a re-anchor point, so an
-/// insertion in one layer cannot smear the diff across the rest of the
-/// stream. Entries are in stream order with strictly increasing
-/// offsets; `offset` is where the section's tag string begins.
-struct SectionEntry {
-  std::string tag;
-  std::size_t offset = 0;
-};
-struct SectionIndex {
-  std::vector<SectionEntry> entries;
-  void clear() { entries.clear(); }
-};
+/// Stream version this build writes and the newest it reads: the flat
+/// full-state layout. Version 2 was a retired incremental delta
+/// container, which this build rejects as a future version, so the
+/// next layout change takes version 3. Bump on any encoding change.
+inline constexpr std::uint32_t kVersion = 1;
 
 /// Owning byte container. The header (magic + version) is written by
 /// the first Writer attached and validated by every Reader.
@@ -84,27 +63,8 @@ class Writer {
   explicit Writer(Snapshot& snap) : out_(snap.bytes()) {
     out_.clear();
     u32(kMagic);
-    u32(kVersionFlat);
+    u32(kVersion);
   }
-
-  /// Records every subsequent section() tag + byte offset into `index`
-  /// (cleared first). Null detaches. The incremental checkpoint path
-  /// uses this to learn the diffable chunk boundaries for free while
-  /// the ordinary save codecs run unmodified.
-  void set_section_index(SectionIndex* index) {
-    index_ = index;
-    if (index_) index_->clear();
-  }
-
-  /// Bytes written so far (= the offset the next write lands at).
-  std::size_t offset() const { return out_.size(); }
-
-  /// Appends pre-serialised bytes verbatim — the splice path for a
-  /// layer whose dirty generation proves it unchanged since the base
-  /// snapshot, so its bytes can be copied instead of re-serialised.
-  /// The caller is responsible for the bytes being a well-formed run of
-  /// sections (core::VlsiProcessor::save_profiled owns that contract).
-  void append_raw(const std::uint8_t* data, std::size_t n) { raw(data, n); }
 
   void u8(std::uint8_t v) { out_.push_back(v); }
   void b(bool v) { u8(v ? 1 : 0); }
@@ -122,10 +82,7 @@ class Writer {
     raw(s.data(), s.size());
   }
   /// Structural guard: a short tag the Reader must match verbatim.
-  void section(std::string_view tag) {
-    if (index_) index_->entries.push_back({std::string(tag), out_.size()});
-    str(tag);
-  }
+  void section(std::string_view tag) { str(tag); }
 
   void vec_u8(const std::vector<std::uint8_t>& v) {
     u64(v.size());
@@ -151,7 +108,6 @@ class Writer {
   }
 
   std::vector<std::uint8_t>& out_;
-  SectionIndex* index_ = nullptr;
 };
 
 /// Bounds-checked sequential reads from a Snapshot. The constructor

@@ -105,7 +105,6 @@ const LinkState* STopologyFabric::find_link(ClusterId a, ClusterId b) const {
 }
 
 void STopologyFabric::chain(ClusterId from, ClusterId to) {
-  mark_dirty();
   LinkState& l = link(from, to);
   VLSIP_REQUIRE(!l.chained, "link already chained");
   l.chained = true;
@@ -113,7 +112,6 @@ void STopologyFabric::chain(ClusterId from, ClusterId to) {
 }
 
 void STopologyFabric::unchain(ClusterId a, ClusterId b) {
-  mark_dirty();
   LinkState& l = link(a, b);
   VLSIP_REQUIRE(l.chained, "link not chained");
   l.chained = false;
@@ -135,7 +133,6 @@ std::optional<ClusterId> STopologyFabric::shift_source(ClusterId a,
 bool STopologyFabric::reserve(ClusterId a, ClusterId b, RegionId owner) {
   // Even a refused reservation may have materialised the link entry,
   // which changes the serialised link table.
-  mark_dirty();
   LinkState& l = link(a, b);
   if (l.reserved_by != kNoRegion && l.reserved_by != owner) return false;
   l.reserved_by = owner;
@@ -143,7 +140,6 @@ bool STopologyFabric::reserve(ClusterId a, ClusterId b, RegionId owner) {
 }
 
 void STopologyFabric::clear_reservation(ClusterId a, ClusterId b) {
-  mark_dirty();
   LinkState& l = link(a, b);
   l.reserved_by = kNoRegion;
 }
@@ -163,7 +159,6 @@ std::size_t STopologyFabric::chained_links() const {
 }
 
 void STopologyFabric::reset_switches() {
-  mark_dirty();
   links_.clear();
 }
 
@@ -205,7 +200,6 @@ void STopologyFabric::save(snapshot::Writer& w) const {
 }
 
 void STopologyFabric::restore(snapshot::Reader& r) {
-  mark_dirty();
   r.section("topology.fabric");
   const int width = r.i32();
   const int height = r.i32();

@@ -133,27 +133,18 @@ class STopologyFabric {
   void save(snapshot::Writer& w) const;
   void restore(snapshot::Reader& r);
 
-  /// Monotonic mutation generation: bumped by every state-changing
-  /// method (chain/unchain/reserve/clear_reservation/reset_switches/
-  /// restore). An unchanged generation proves the serialised bytes are
-  /// unchanged too, which lets the incremental checkpoint path splice
-  /// this layer from the previous snapshot instead of re-serialising.
-  std::uint64_t dirty_gen() const { return dirty_gen_; }
-
   std::string render() const;
 
  private:
   std::uint64_t link_key(ClusterId a, ClusterId b) const;
   LinkState& link(ClusterId a, ClusterId b);
   const LinkState* find_link(ClusterId a, ClusterId b) const;
-  void mark_dirty() { ++dirty_gen_; }
 
   int width_;
   int height_;
   int layers_;
   ClusterSpec spec_;
   std::map<std::uint64_t, LinkState> links_;
-  std::uint64_t dirty_gen_ = 1;
 };
 
 }  // namespace vlsip::topology

@@ -11,7 +11,7 @@
 //                             1, 100000);
 //
 // Layering (each header is also individually includable):
-//   common/    deterministic RNG, stats, tables, events
+//   common/    deterministic RNG, stats, tables, activity sets, SIMD scans
 //   obs/       observability spine: structured trace events, metric
 //              registry, snapshots, JSON + chrome-trace exporters
 //   arch/      object model, streams, builder, analyses, serialization
@@ -34,7 +34,6 @@
 //              scenario-pack traffic generator and report runner
 #pragma once
 
-#include "common/event_queue.hpp"
 #include "common/require.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
@@ -86,8 +85,6 @@
 #include "costmodel/technology.hpp"
 #include "costmodel/vlsi_model.hpp"
 
-#include "snapshot/codec.hpp"
-#include "snapshot/incremental.hpp"
 #include "snapshot/snapshot.hpp"
 
 #include "core/builder.hpp"

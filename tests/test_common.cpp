@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/activity_set.hpp"
-#include "common/event_queue.hpp"
 #include "common/simd.hpp"
 #include "common/require.hpp"
 #include "common/rng.hpp"
@@ -322,60 +321,6 @@ TEST(Format, Pow10DecadeBoundary) {
 TEST(Format, SigDigits) {
   EXPECT_EQ(format_sig(3.14159, 3), "3.14");
   EXPECT_EQ(format_sig(1234.5, 2), "1.2e+03");
-}
-
-// ---- EventQueue -------------------------------------------------------------------
-
-TEST(EventQueue, FiresInTimeOrder) {
-  EventQueue q;
-  std::vector<int> order;
-  q.schedule_at(5, [&](Cycle) { order.push_back(2); });
-  q.schedule_at(1, [&](Cycle) { order.push_back(1); });
-  q.schedule_at(9, [&](Cycle) { order.push_back(3); });
-  q.run_until(10);
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-}
-
-TEST(EventQueue, SameCycleFifo) {
-  EventQueue q;
-  std::vector<int> order;
-  for (int i = 0; i < 5; ++i) {
-    q.schedule_at(3, [&order, i](Cycle) { order.push_back(i); });
-  }
-  q.run_until(3);
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(EventQueue, RunUntilLeavesLaterEvents) {
-  EventQueue q;
-  int fired = 0;
-  q.schedule_at(2, [&](Cycle) { ++fired; });
-  q.schedule_at(7, [&](Cycle) { ++fired; });
-  q.run_until(5);
-  EXPECT_EQ(fired, 1);
-  EXPECT_EQ(q.size(), 1u);
-  EXPECT_EQ(q.next_time(), 7u);
-}
-
-TEST(EventQueue, HandlerMaySchedule) {
-  EventQueue q;
-  int chain = 0;
-  q.schedule_at(1, [&](Cycle now) {
-    ++chain;
-    q.schedule_in(now, 0, [&](Cycle) { ++chain; });
-  });
-  q.run_until(1);
-  EXPECT_EQ(chain, 2);
-}
-
-TEST(EventQueue, NullHandlerThrows) {
-  EventQueue q;
-  EXPECT_THROW(q.schedule_at(1, nullptr), PreconditionError);
-}
-
-TEST(EventQueue, NextTimeOnEmptyThrows) {
-  EventQueue q;
-  EXPECT_THROW(q.next_time(), PreconditionError);
 }
 
 // ---- Trace ----------------------------------------------------------------------

@@ -28,7 +28,6 @@
 #include "runtime/farm_config_builder.hpp"
 #include "runtime/manifest.hpp"
 #include "runtime/replay.hpp"
-#include "snapshot/incremental.hpp"
 
 namespace vlsip {
 namespace {
@@ -279,116 +278,22 @@ TEST(Daemon, DrainMigratesCheckpointByteIdentically) {
   EXPECT_EQ(drainee.exit, daemon::WorkerDaemon::Exit::kDrained);
 }
 
-TEST(Daemon, DrainMigratesIncrementalChainByteIdentically) {
-  // Same drain/migration flow as above, but the drainee runs with
-  // incremental checkpoints: the shipped CheckpointMsg must carry a
-  // keyframe+delta chain instead of one flat blob, and materializing
-  // that chain locally must replay to the peer's exact answers.
-  daemon::HubOptions hub_options;
-  hub_options.assign_window = 32;
-  daemon::Hub hub(hub_options);
-  ASSERT_TRUE(hub.start().ok());
-
-  auto drainee_options = worker_options(hub.address(), "drainee");
-  drainee_options.farm.chip_hz = 50'000.0;
-  drainee_options.farm.checkpoint_every_batches = 1;
-  drainee_options.farm.incremental_checkpoints = true;
-  WorkerThread drainee(std::move(drainee_options));
-  ASSERT_TRUE(drainee.start().ok());
-
-  const auto jobs = mixed_jobs(40, 53);
-  auto client = net::HubClient::connect({hub.address(), "test"});
-  ASSERT_TRUE(client.ok());
-  for (const auto& job : jobs) ASSERT_TRUE(client->submit(job).ok());
-  auto first = client->collect(2);
-  ASSERT_TRUE(first.ok());
-
-  WorkerThread peer(worker_options(hub.address(), "peer"));
-  ASSERT_TRUE(peer.start().ok());
-  ASSERT_TRUE(client->drain_worker(drainee.daemon.id()).ok());
-
-  auto rest = client->collect(jobs.size() - first->size());
-  ASSERT_TRUE(rest.ok()) << rest.status().message();
-  EXPECT_EQ(first->size() + rest->size(), jobs.size());
-
-  const auto blob = hub.last_migration();
-  ASSERT_FALSE(blob.empty()) << "no migration happened";
-  snapshot::Snapshot carrier;
-  carrier.bytes() = blob;
-  net::CheckpointMsg checkpoint;
-  {
-    snapshot::Reader r(carrier);
-    checkpoint.restore(r);
-    EXPECT_EQ(r.bytes_remaining(), 0u);
-  }
-  ASSERT_FALSE(checkpoint.job_ids.empty());
-
-  // The v2 payload: chain only, flat chip field empty, every link
-  // after the keyframe a delta container.
-  ASSERT_FALSE(checkpoint.chain.empty());
-  EXPECT_TRUE(checkpoint.chip.empty());
-  EXPECT_FALSE(snapshot::is_delta(checkpoint.chain.front()));
-  for (std::size_t i = 1; i < checkpoint.chain.size(); ++i) {
-    EXPECT_TRUE(snapshot::is_delta(checkpoint.chain[i])) << "link " << i;
-  }
-
-  const auto hub_metrics = hub.metrics();
-  EXPECT_GE(hub_metrics.counters().at("hub.checkpoint_chains"), 1u);
-
-  // Materialize and replay locally: byte-identical outcome encodings.
-  auto materialized = snapshot::materialize_chain(checkpoint.chain);
-  ASSERT_TRUE(materialized.ok()) << materialized.status().message();
-  core::VlsiProcessor chip{core::ChipConfig{}};
-  const auto local =
-      runtime::replay_from(chip, *materialized, checkpoint.log);
-  ASSERT_EQ(local.size(),
-            checkpoint.log.jobs.size() - checkpoint.log.next_job);
-
-  std::map<std::string, scaling::JobOutcome> wire;
-  for (const auto& r : *first) wire[r.outcome.name] = r.outcome;
-  for (const auto& r : *rest) wire[r.outcome.name] = r.outcome;
-  for (std::size_t k = 0; k < local.size(); ++k) {
-    ASSERT_TRUE(wire.count(local[k].name)) << local[k].name;
-    scaling::JobOutcome mine = local[k];
-    scaling::JobOutcome theirs = wire.at(local[k].name);
-    mine.id = 0;
-    theirs.id = 0;
-    snapshot::Snapshot a, b;
-    {
-      snapshot::Writer w(a);
-      runtime::save_outcome(w, mine);
-    }
-    {
-      snapshot::Writer w(b);
-      runtime::save_outcome(w, theirs);
-    }
-    EXPECT_EQ(a.bytes(), b.bytes()) << "outcome for " << local[k].name
-                                    << " diverged from the local replay";
-  }
-
-  ASSERT_TRUE(client->shutdown_hub().ok());
-  hub.wait();
-  hub.stop();
-  drainee.join();
-  peer.join();
-  EXPECT_EQ(drainee.exit, daemon::WorkerDaemon::Exit::kDrained);
-}
-
-TEST(Daemon, CorruptChainMigrationFallsBackWithZeroJobLoss) {
-  // The hub flips a byte in every forwarded chain (fault injection):
-  // the receiving worker's materialize must fail typed, and its
+TEST(Daemon, TruncatedSnapshotMigrationFallsBackWithZeroJobLoss) {
+  // The hub cuts every forwarded chip snapshot in half (fault
+  // injection): the receiving worker's restore must fail typed, and its
   // requeue-as-fresh fallback must still answer every migrated job —
-  // degraded determinism, zero loss.
+  // degraded determinism, zero loss. Flat snapshots carry no content
+  // hash, so truncation (not a bit flip) is the corruption that
+  // restore is guaranteed to notice.
   daemon::HubOptions hub_options;
   hub_options.assign_window = 32;
-  hub_options.corrupt_migration_chain = true;
+  hub_options.truncate_migration_snapshot = true;
   daemon::Hub hub(hub_options);
   ASSERT_TRUE(hub.start().ok());
 
   auto drainee_options = worker_options(hub.address(), "drainee");
   drainee_options.farm.chip_hz = 50'000.0;
   drainee_options.farm.checkpoint_every_batches = 1;
-  drainee_options.farm.incremental_checkpoints = true;
   WorkerThread drainee(std::move(drainee_options));
   ASSERT_TRUE(drainee.start().ok());
 
@@ -407,7 +312,7 @@ TEST(Daemon, CorruptChainMigrationFallsBackWithZeroJobLoss) {
   ASSERT_TRUE(rest.ok()) << rest.status().message();
 
   // Exactly one result per submitted seq: nothing lost, nothing
-  // duplicated, even though the chain the peer received was garbage.
+  // duplicated, even though the snapshot the peer received was cut.
   ASSERT_EQ(first->size() + rest->size(), jobs.size());
   std::vector<std::uint64_t> seqs;
   for (const auto& r : *first) seqs.push_back(r.id);
@@ -417,6 +322,22 @@ TEST(Daemon, CorruptChainMigrationFallsBackWithZeroJobLoss) {
 
   const auto metrics = hub.metrics();
   EXPECT_GE(metrics.counters().at("hub.migrations"), 1u);
+
+  // The blob the peer received fails restore with a typed status.
+  const auto blob = hub.last_migration();
+  ASSERT_FALSE(blob.empty()) << "no migration happened";
+  snapshot::Snapshot carrier;
+  carrier.bytes() = blob;
+  net::CheckpointMsg checkpoint;
+  {
+    snapshot::Reader r(carrier);
+    checkpoint.restore(r);
+  }
+  ASSERT_FALSE(checkpoint.chip.empty());
+  core::VlsiProcessor chip{core::ChipConfig{}};
+  const Status restored = chip.restore(checkpoint.chip);
+  ASSERT_FALSE(restored.ok());
+  EXPECT_EQ(restored.code(), StatusCode::kCorruptSnapshot);
 
   ASSERT_TRUE(client->shutdown_hub().ok());
   hub.wait();
@@ -523,6 +444,44 @@ TEST(Daemon, HubRejectsThenSurvivesHostileClient) {
   auto metrics = client->metrics_json();
   ASSERT_TRUE(metrics.ok());
   EXPECT_NE(metrics->find("\"schema_version\""), std::string::npos);
+  ASSERT_TRUE(client->shutdown_hub().ok());
+  hub.wait();
+  hub.stop();
+}
+
+TEST(Daemon, HubRejectsHelloAtAnotherProtoVersion) {
+  daemon::Hub hub;
+  ASSERT_TRUE(hub.start().ok());
+
+  // A v2 peer: its frame header and its Hello both say version 2. No
+  // codec branches on a negotiated version, so the hub must refuse the
+  // session with a typed error instead of acking it.
+  {
+    auto sock = net::Socket::connect(hub.address());
+    ASSERT_TRUE(sock.ok());
+    net::HelloMsg hello;
+    hello.role = net::Role::kWorker;
+    hello.proto_version = net::kProtoVersion - 1;
+    hello.name = "old-peer";
+    std::vector<std::uint8_t> frame = net::encode(hello);
+    frame[4] = static_cast<std::uint8_t>(net::kProtoVersion - 1);
+    frame[5] = 0;
+    ASSERT_TRUE(sock->send_all(frame.data(), frame.size()).ok());
+    auto reply = net::read_frame(*sock);
+    ASSERT_TRUE(reply.ok()) << reply.status().message();
+    EXPECT_EQ(reply->type, net::MsgType::kError);
+    auto err = net::decode_payload<net::ErrorMsg>(*reply);
+    ASSERT_TRUE(err.ok());
+    EXPECT_EQ(static_cast<StatusCode>(err->code),
+              StatusCode::kVersionMismatch);
+  }
+
+  // Nobody joined, and a current-version session still works.
+  auto client = net::HubClient::connect({hub.address(), "ok"});
+  ASSERT_TRUE(client.ok()) << client.status().message();
+  EXPECT_EQ(client->proto_version(), net::kProtoVersion);
+  const auto metrics = hub.metrics();
+  EXPECT_EQ(metrics.counters().count("hub.workers_joined"), 0u);
   ASSERT_TRUE(client->shutdown_hub().ok());
   hub.wait();
   hub.stop();

@@ -15,7 +15,6 @@
 #include "runtime/chip_farm.hpp"
 #include "runtime/dvs_governor.hpp"
 #include "runtime/farm_config_builder.hpp"
-#include "snapshot/incremental.hpp"
 #include "snapshot/snapshot.hpp"
 
 namespace vlsip {
@@ -423,66 +422,6 @@ TEST(EnergyFarm, FarmMetricsAggregateEnergy) {
   EXPECT_EQ(metrics.job_energy_fj.count(), 4u);
   const std::string rendered = metrics.render("cycles");
   EXPECT_NE(rendered.find("energy:"), std::string::npos);
-}
-
-// --- checkpoint chain cap -----------------------------------------------
-
-TEST(CheckpointChainCap, ForcesKeyframesAtTheConfiguredCadence) {
-  runtime::FarmConfigBuilder b;
-  b.deterministic()
-      .batch(1)
-      .keep_outcome_log(true)
-      .chip(energy_chip())
-      .checkpoint_every(1)
-      .incremental_checkpoints(true)
-      .checkpoint_keyframe_every(100)  // cadence alone would never cap
-      .checkpoint_chain_max_links(3);
-  runtime::ChipFarm farm(b.build());
-  for (int i = 0; i < 9; ++i) {
-    EXPECT_TRUE(farm.submit(tiny_job("c" + std::to_string(i))).admitted);
-  }
-  farm.drain();
-  std::vector<snapshot::Snapshot> chain;
-  ASSERT_TRUE(farm.save_chip_chain(0, chain).ok());
-  // The stored chain is keyframe + deltas, capped at 3 links;
-  // save_chip_chain appends at most one more delta for the live state.
-  EXPECT_LE(chain.size(), 4u);
-  // The capped chain still materializes to the exact current state.
-  snapshot::Snapshot full;
-  ASSERT_TRUE(farm.save_chip(0, full).ok());
-  const auto materialized = snapshot::materialize_chain(chain);
-  ASSERT_TRUE(materialized.ok());
-  EXPECT_EQ(materialized->bytes(), full.bytes());
-  const auto metrics = farm.metrics();
-  farm.shutdown();
-  EXPECT_EQ(metrics.checkpoints, 9u);
-}
-
-TEST(CheckpointChainCap, BuilderRejectsCapWithoutIncremental) {
-  runtime::FarmConfigBuilder b;
-  b.chip(energy_chip()).checkpoint_every(1).checkpoint_chain_max_links(3);
-  EXPECT_FALSE(b.try_build().ok());
-}
-
-TEST(CheckpointChainCap, UncappedChainsStillGrowToKeyframeCadence) {
-  runtime::FarmConfigBuilder b;
-  b.deterministic()
-      .batch(1)
-      .chip(energy_chip())
-      .checkpoint_every(1)
-      .incremental_checkpoints(true)
-      .checkpoint_keyframe_every(100);
-  runtime::ChipFarm farm(b.build());
-  for (int i = 0; i < 9; ++i) {
-    EXPECT_TRUE(farm.submit(tiny_job("u" + std::to_string(i))).admitted);
-  }
-  farm.drain();
-  std::vector<snapshot::Snapshot> chain;
-  ASSERT_TRUE(farm.save_chip_chain(0, chain).ok());
-  farm.shutdown();
-  // 9 checkpoints under a 100-delta cadence: 1 keyframe + 8 deltas
-  // (+ up to 1 live delta) — proof the cap test above actually bit.
-  EXPECT_GE(chain.size(), 9u);
 }
 
 // --- DVS state across farm checkpoint/resume ----------------------------

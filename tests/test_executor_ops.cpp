@@ -5,6 +5,7 @@
 
 #include <array>
 #include <cstdint>
+#include <limits>
 #include <type_traits>
 
 #include "ap/adaptive_processor.hpp"
@@ -85,6 +86,12 @@ INSTANTIATE_TEST_SUITE_P(
         IntCase{Opcode::kIDiv, 17, 0, 0},   // defined-zero divide
         IntCase{Opcode::kIRem, 17, 5, 2},
         IntCase{Opcode::kIRem, 17, 0, 0},
+        // INT64_MIN / -1 overflows; the datapath wraps instead of
+        // trapping like the host.
+        IntCase{Opcode::kIDiv, std::numeric_limits<std::int64_t>::min(), -1,
+                std::numeric_limits<std::int64_t>::min()},
+        IntCase{Opcode::kIRem, std::numeric_limits<std::int64_t>::min(), -1,
+                0},
         IntCase{Opcode::kCmpGt, 3, 2, 1},
         IntCase{Opcode::kCmpGt, 2, 3, 0},
         IntCase{Opcode::kCmpLt, 2, 3, 1},

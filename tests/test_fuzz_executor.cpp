@@ -24,15 +24,20 @@ const Opcode kFuzzOps[] = {
 };
 
 /// Host-side reference semantics (must match executor.cpp's compute()).
+/// Add/sub/mul and INT64_MIN / -1 wrap like the two's-complement
+/// datapath, so they are computed in unsigned: signed overflow is
+/// undefined on the host.
 std::int64_t reference(Opcode op, std::int64_t a, std::int64_t b) {
   const auto ua = static_cast<std::uint64_t>(a);
   const auto ub = static_cast<std::uint64_t>(b);
   switch (op) {
-    case Opcode::kIAdd: return a + b;
-    case Opcode::kISub: return a - b;
-    case Opcode::kIMul: return a * b;
-    case Opcode::kIDiv: return b == 0 ? 0 : a / b;
-    case Opcode::kIRem: return b == 0 ? 0 : a % b;
+    case Opcode::kIAdd: return static_cast<std::int64_t>(ua + ub);
+    case Opcode::kISub: return static_cast<std::int64_t>(ua - ub);
+    case Opcode::kIMul: return static_cast<std::int64_t>(ua * ub);
+    case Opcode::kIDiv:
+      if (b == 0) return 0;
+      return b == -1 ? static_cast<std::int64_t>(0 - ua) : a / b;
+    case Opcode::kIRem: return b == 0 || b == -1 ? 0 : a % b;
     case Opcode::kIShl: return static_cast<std::int64_t>(ua << (ub & 63));
     case Opcode::kIShr: return static_cast<std::int64_t>(ua >> (ub & 63));
     case Opcode::kIAnd: return static_cast<std::int64_t>(ua & ub);

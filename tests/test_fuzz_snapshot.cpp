@@ -1,429 +1,114 @@
-// Fuzz wall for the incremental-checkpoint decoders, driven by a fixed
-// seed corpus (tests/corpus/snapshot_deltas.txt, path compiled in as
-// VLSIP_SNAPSHOT_CORPUS — same pattern as test_fuzz_protocol).
+// Fuzz wall for the chip snapshot decoder. A chip snapshot arrives off
+// the wire (ResumeMsg.chip on a drain migration), so
+// VlsiProcessor::restore must treat it as hostile input: seeded bit
+// flips and truncations of a real served farm's save_chip bytes either
+// restore or fail with a typed Status — never an exception, never a
+// crash.
 //
-// Three surfaces are attacked:
-//   * the varint codec (snapshot/codec.hpp): hostile byte strings must
-//     decode or throw SnapshotError — truncation mid-varint and
-//     overlong encodings included;
-//   * apply_delta: seeded mutations (truncation, bit flips, extension,
-//     header rewrites, varint splices) of a well-formed delta
-//     container must produce Status(kCorruptSnapshot) or — when the
-//     mutation happens to be a semantic no-op — the *exact* original
-//     bytes. Silent acceptance of different bytes is the failure mode
-//     the container hashes exist to prevent;
-//   * materialize_chain: dropped links (a delta referencing a missing
-//     base), reordered links, mutated mid-chain links.
-//
-// Everything derives from the corpus line, so a failure reproduces
-// from the line alone. Runs under ASan/UBSan in CI (the sanitize job's
-// Fuzz* filter picks these tests up by name).
+// Everything derives from the seed list below, so a failure reproduces
+// from its seed and trial alone. Runs under ASan/UBSan in CI (the
+// sanitize job's Fuzz filter picks these tests up by name).
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <fstream>
-#include <sstream>
-#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "core/vlsi_processor.hpp"
-#include "snapshot/codec.hpp"
-#include "snapshot/incremental.hpp"
+#include "fault/fault_plan.hpp"
+#include "runtime/chip_farm.hpp"
+#include "runtime/farm_config_builder.hpp"
+#include "runtime/manifest.hpp"
 #include "snapshot/snapshot.hpp"
-
-#ifndef VLSIP_SNAPSHOT_CORPUS
-#error "VLSIP_SNAPSHOT_CORPUS must point at the seed corpus file"
-#endif
 
 namespace vlsip {
 namespace {
 
-using snapshot::Snapshot;
-
-struct CorpusEntry {
-  int line = 0;
-  std::uint64_t seed = 0;
-  std::size_t mutations = 0;
-  std::size_t max_len = 0;
-};
-
-std::vector<CorpusEntry> load_corpus() {
-  std::ifstream in(VLSIP_SNAPSHOT_CORPUS);
-  EXPECT_TRUE(in.good()) << "cannot open " << VLSIP_SNAPSHOT_CORPUS;
-  std::vector<CorpusEntry> entries;
-  std::string text;
-  int line = 0;
-  while (std::getline(in, text)) {
-    ++line;
-    if (text.empty() || text.front() == '#') continue;
-    std::istringstream fields(text);
-    CorpusEntry entry;
-    entry.line = line;
-    fields >> entry.seed >> entry.mutations >> entry.max_len;
-    entries.push_back(entry);
-  }
-  return entries;
-}
-
-/// A synthetic flat snapshot whose section contents/sizes vary with
-/// `salt`: alpha is salt-independent (ref mode), beta shares a long
-/// prefix across salts (delta mode), gamma changes shape entirely
-/// (literal mode) — all three container modes exercised per pair.
-Snapshot make_flat(std::uint64_t salt, snapshot::SectionIndex& index) {
-  Snapshot snap;
-  snapshot::Writer w(snap);
-  w.set_section_index(&index);
-  w.section("fuzz.alpha");
-  for (std::uint64_t i = 0; i < 32; ++i) w.u64(0x5157u * 31 + i);
-  w.section("fuzz.beta");
-  for (std::uint64_t i = 0; i < 64; ++i) w.u64(i);
-  w.u64(salt);
-  w.str("tail-" + std::to_string(salt % 5));
-  w.section("fuzz.gamma");
-  std::vector<std::uint64_t> words;
-  for (std::uint64_t i = 0; i <= salt % 9; ++i) words.push_back(salt ^ i);
-  w.vec_u64(words);
-  w.set_section_index(nullptr);
+/// The chip snapshot a drained worker ships: a deterministic farm that
+/// served a synthetic mix, with a cluster fault healed along the way so
+/// the defect map and retired-processor state are non-trivial.
+snapshot::Snapshot served_chip_snapshot() {
+  runtime::SyntheticSpec spec;
+  spec.jobs = 24;
+  spec.seed = 11;
+  fault::FaultPlan plan;
+  plan.events = {{5, fault::FaultKind::kCluster, 3, 0}};
+  runtime::ChipFarm farm(runtime::FarmConfigBuilder()
+                             .deterministic()
+                             .batch(4)
+                             .fault_tolerance(plan)
+                             .build());
+  for (const auto& job : runtime::synthetic_jobs(spec)) farm.submit(job);
+  farm.drain();
+  snapshot::Snapshot snap;
+  EXPECT_TRUE(farm.save_chip(0, snap).ok());
+  farm.shutdown();
   return snap;
 }
 
-/// A real chip snapshot pair: base after one fuse, next after another
-/// fuse + release — the tags and nesting the production encoder sees.
-void make_chip_pair(core::SaveProfile& base, core::SaveProfile& next) {
-  core::ChipConfig config;
-  config.width = 4;
-  config.height = 4;
-  core::VlsiProcessor chip(config);
-  const auto p = chip.fuse(2);
-  ASSERT_TRUE(chip.save_profiled(base).ok());
-  const auto q = chip.fuse(3);
-  chip.release(p);
-  (void)q;
-  ASSERT_TRUE(chip.save_profiled(next, base).ok());
-}
-
-/// Applies one seeded mutation in place.
-void mutate(std::vector<std::uint8_t>& bytes, Xoshiro256& rng,
-            std::size_t max_len) {
-  switch (rng.uniform(6)) {
-    case 0:  // truncate (mid-varint included — any boundary)
-      if (!bytes.empty()) {
-        bytes.resize(static_cast<std::size_t>(rng.uniform(bytes.size())));
-      }
-      break;
-    case 1:  // extend with noise (trailing-bytes rejection)
-      for (std::size_t n = rng.uniform(16) + 1;
-           n > 0 && bytes.size() < max_len; --n) {
-        bytes.push_back(static_cast<std::uint8_t>(rng.next()));
-      }
-      break;
-    case 2:  // flip a bit anywhere
-      if (!bytes.empty()) {
-        const auto at = static_cast<std::size_t>(rng.uniform(bytes.size()));
-        bytes[at] ^= static_cast<std::uint8_t>(1u << rng.uniform(8));
-      }
-      break;
-    case 3:  // rewrite a header byte (magic / version / kind / hashes)
-      if (bytes.size() >= 25) {
-        const auto at = static_cast<std::size_t>(rng.uniform(25));
-        bytes[at] = static_cast<std::uint8_t>(rng.next());
-      }
-      break;
-    case 4:  // saturate a byte — varint counts/lengths overflow path
-      if (bytes.size() > 25) {
-        const auto at =
-            25 + static_cast<std::size_t>(rng.uniform(bytes.size() - 25));
-        bytes[at] = 0xFF;
-      }
-      break;
-    case 5:  // splice a run of random bytes
-      if (!bytes.empty()) {
-        const auto at = static_cast<std::size_t>(rng.uniform(bytes.size()));
-        const std::size_t run =
-            std::min<std::size_t>(rng.uniform(8) + 1, bytes.size() - at);
-        for (std::size_t i = 0; i < run; ++i) {
-          bytes[at + i] = static_cast<std::uint8_t>(rng.next());
-        }
-      }
-      break;
-  }
-}
-
-/// The invariant under attack: a mutated delta either fails with
-/// kCorruptSnapshot or reconstructs the *exact* original bytes (the
-/// mutation was a semantic no-op). Anything else is a wall breach.
-void check_apply(const Snapshot& base, const Snapshot& mutated,
-                 const Snapshot& pristine_next, int line) {
-  const auto applied = snapshot::apply_delta(base, mutated);
-  if (applied.ok()) {
-    EXPECT_EQ(applied->bytes(), pristine_next.bytes())
-        << "corpus line " << line
-        << ": mutated delta silently accepted with different bytes";
+/// Applies one seeded mutation in place: a bit flip anywhere, or a cut
+/// at any length (mid-header and mid-count included).
+void mutate(std::vector<std::uint8_t>& bytes, Xoshiro256& rng) {
+  if (bytes.empty()) return;
+  if (rng.uniform(3) == 0) {
+    bytes.resize(static_cast<std::size_t>(rng.uniform(bytes.size())));
   } else {
-    EXPECT_EQ(applied.status().code(), StatusCode::kCorruptSnapshot)
-        << "corpus line " << line << ": untyped failure "
-        << status_code_name(applied.status().code()) << ": "
-        << applied.status().message();
+    const auto at = static_cast<std::size_t>(rng.uniform(bytes.size()));
+    bytes[at] ^= static_cast<std::uint8_t>(1u << rng.uniform(8));
   }
 }
 
-TEST(FuzzSnapshot, VarintHostileBytesDecodeOrThrowTyped) {
-  const auto corpus = load_corpus();
-  ASSERT_FALSE(corpus.empty());
-  for (const auto& entry : corpus) {
-    Xoshiro256 rng(entry.seed);
-    for (std::size_t round = 0; round < entry.mutations; ++round) {
-      std::vector<std::uint8_t> bytes(rng.uniform(12));
-      for (auto& b : bytes) b = static_cast<std::uint8_t>(rng.next());
-      std::size_t pos = 0;
-      try {
-        const std::uint64_t v =
-            snapshot::get_varint(bytes.data(), bytes.size(), pos);
-        // A decode must consume at least one byte and stay in bounds.
-        EXPECT_GT(pos, 0u);
-        EXPECT_LE(pos, bytes.size());
-        // Round-trip: re-encoding the value must reproduce a canonical
-        // prefix that decodes to the same value.
-        std::vector<std::uint8_t> rt;
-        snapshot::put_varint(rt, v);
-        std::size_t rt_pos = 0;
-        EXPECT_EQ(snapshot::get_varint(rt.data(), rt.size(), rt_pos), v);
-      } catch (const snapshot::SnapshotError&) {
-        // Typed rejection — the only exception allowed out.
+TEST(FuzzSnapshot, MutatedChipSnapshotsRestoreOrFailTyped) {
+  const snapshot::Snapshot pristine = served_chip_snapshot();
+  ASSERT_FALSE(pristine.empty());
+  {
+    core::VlsiProcessor chip{core::ChipConfig{}};
+    ASSERT_TRUE(chip.restore(pristine).ok());
+  }
+
+  constexpr std::uint64_t kSeeds[] = {1, 2, 3, 5, 8, 13, 21, 34, 55, 89};
+  constexpr int kTrialsPerSeed = 300;
+  std::size_t ok = 0;
+  std::size_t typed = 0;
+  for (const std::uint64_t seed : kSeeds) {
+    Xoshiro256 rng(seed);
+    for (int trial = 0; trial < kTrialsPerSeed; ++trial) {
+      snapshot::Snapshot attacked = pristine;
+      for (std::uint64_t m = rng.uniform(3) + 1; m > 0; --m) {
+        mutate(attacked.bytes(), rng);
       }
-    }
-  }
-}
-
-TEST(FuzzSnapshot, VarintRoundTripsArbitraryValues) {
-  Xoshiro256 rng(0xC0DEC);
-  for (int i = 0; i < 5000; ++i) {
-    // Bias toward boundary magnitudes: all widths 0..63 bits.
-    const std::uint64_t v = rng.next() >> rng.uniform(64);
-    std::vector<std::uint8_t> buf;
-    snapshot::put_varint(buf, v);
-    std::size_t pos = 0;
-    EXPECT_EQ(snapshot::get_varint(buf.data(), buf.size(), pos), v);
-    EXPECT_EQ(pos, buf.size());
-    // Signed round-trip through zigzag.
-    const auto s = static_cast<std::int64_t>(rng.next());
-    buf.clear();
-    snapshot::put_svarint(buf, s);
-    pos = 0;
-    EXPECT_EQ(snapshot::get_svarint(buf.data(), buf.size(), pos), s);
-  }
-}
-
-TEST(FuzzSnapshot, VarintTruncationMidEncodingThrows) {
-  std::vector<std::uint8_t> buf;
-  snapshot::put_varint(buf, 0xFFFFFFFFFFFFFFFFull);  // 10-byte encoding
-  for (std::size_t cut = 0; cut < buf.size(); ++cut) {
-    std::size_t pos = 0;
-    EXPECT_THROW(snapshot::get_varint(buf.data(), cut, pos),
-                 snapshot::SnapshotError)
-        << "prefix of " << cut << " bytes decoded";
-  }
-}
-
-TEST(FuzzSnapshot, CleanDeltasRoundTrip) {
-  for (std::uint64_t salt = 0; salt < 8; ++salt) {
-    snapshot::SectionIndex bi, ni;
-    const Snapshot base = make_flat(salt, bi);
-    const Snapshot next = make_flat(salt + 1, ni);
-    const Snapshot delta = snapshot::encode_delta(base, bi, next, ni);
-    ASSERT_TRUE(snapshot::is_delta(delta));
-    ASSERT_FALSE(snapshot::is_delta(base));
-    const auto applied = snapshot::apply_delta(base, delta);
-    ASSERT_TRUE(applied.ok()) << applied.status().message();
-    EXPECT_EQ(applied->bytes(), next.bytes());
-  }
-  core::SaveProfile base, next;
-  make_chip_pair(base, next);
-  const Snapshot delta =
-      snapshot::encode_delta(base.flat, base.index, next.flat, next.index);
-  EXPECT_LT(delta.size(), next.flat.size());
-  const auto applied = snapshot::apply_delta(base.flat, delta);
-  ASSERT_TRUE(applied.ok()) << applied.status().message();
-  EXPECT_EQ(applied->bytes(), next.flat.bytes());
-}
-
-TEST(FuzzSnapshot, TruncationSweepFailsTyped) {
-  // Every proper prefix of a real container must fail typed — this is
-  // the deterministic truncation wall (mid-varint cuts included, since
-  // the sweep hits every byte boundary).
-  snapshot::SectionIndex bi, ni;
-  const Snapshot base = make_flat(2, bi);
-  const Snapshot next = make_flat(3, ni);
-  const Snapshot delta = snapshot::encode_delta(base, bi, next, ni);
-  for (std::size_t cut = 0; cut < delta.size(); ++cut) {
-    Snapshot truncated;
-    truncated.bytes().assign(delta.bytes().begin(),
-                             delta.bytes().begin() +
-                                 static_cast<std::ptrdiff_t>(cut));
-    const auto applied = snapshot::apply_delta(base, truncated);
-    ASSERT_FALSE(applied.ok()) << "prefix of " << cut << " bytes accepted";
-    EXPECT_EQ(applied.status().code(), StatusCode::kCorruptSnapshot);
-  }
-}
-
-TEST(FuzzSnapshot, DeltaAgainstWrongBaseIsRejected) {
-  // "Delta referencing a missing base": the container's base hash
-  // catches both a different base and no plausible base at all.
-  snapshot::SectionIndex bi, ni, oi;
-  const Snapshot base = make_flat(1, bi);
-  const Snapshot next = make_flat(2, ni);
-  const Snapshot other = make_flat(5, oi);
-  const Snapshot delta = snapshot::encode_delta(base, bi, next, ni);
-  const auto wrong = snapshot::apply_delta(other, delta);
-  ASSERT_FALSE(wrong.ok());
-  EXPECT_EQ(wrong.status().code(), StatusCode::kCorruptSnapshot);
-  const auto empty = snapshot::apply_delta(Snapshot{}, delta);
-  ASSERT_FALSE(empty.ok());
-  EXPECT_EQ(empty.status().code(), StatusCode::kCorruptSnapshot);
-  // A flat snapshot where a delta belongs is equally typed.
-  const auto not_delta = snapshot::apply_delta(base, next);
-  ASSERT_FALSE(not_delta.ok());
-  EXPECT_EQ(not_delta.status().code(), StatusCode::kCorruptSnapshot);
-}
-
-TEST(FuzzSnapshot, MutatedDeltasFailTypedOrExact) {
-  const auto corpus = load_corpus();
-  ASSERT_FALSE(corpus.empty());
-  // Substrates: synthetic pairs plus one real chip pair.
-  struct Pair {
-    Snapshot base, next, delta;
-  };
-  std::vector<Pair> pairs;
-  for (std::uint64_t salt = 0; salt < 3; ++salt) {
-    snapshot::SectionIndex bi, ni;
-    Pair p;
-    p.base = make_flat(salt, bi);
-    p.next = make_flat(salt + 1, ni);
-    p.delta = snapshot::encode_delta(p.base, bi, p.next, ni);
-    pairs.push_back(std::move(p));
-  }
-  {
-    core::SaveProfile base, next;
-    make_chip_pair(base, next);
-    Pair p;
-    p.delta =
-        snapshot::encode_delta(base.flat, base.index, next.flat, next.index);
-    p.base = std::move(base.flat);
-    p.next = std::move(next.flat);
-    pairs.push_back(std::move(p));
-  }
-  for (const auto& entry : corpus) {
-    Xoshiro256 rng(entry.seed);
-    for (const auto& pair : pairs) {
-      auto bytes = pair.delta.bytes();
-      if (bytes.size() > entry.max_len) bytes.resize(entry.max_len);
-      for (std::size_t m = 0; m < entry.mutations; ++m) {
-        mutate(bytes, rng, entry.max_len);
-        Snapshot mutated;
-        mutated.bytes() = bytes;
-        check_apply(pair.base, mutated, pair.next, entry.line);
+      core::VlsiProcessor chip{core::ChipConfig{}};
+      Status restored = Status::Ok();
+      ASSERT_NO_THROW(restored = chip.restore(attacked))
+          << "seed " << seed << ", trial " << trial;
+      if (restored.ok()) {
+        ++ok;
+        continue;
       }
+      ++typed;
+      const auto code = restored.code();
+      EXPECT_TRUE(code == StatusCode::kCorruptSnapshot ||
+                  code == StatusCode::kInvalidArgument)
+          << "seed " << seed << ", trial " << trial << ": untyped failure "
+          << status_code_name(code) << ": " << restored.message();
     }
   }
-}
-
-TEST(FuzzSnapshot, MutatedChainsFailTypedOrExact) {
-  const auto corpus = load_corpus();
-  ASSERT_FALSE(corpus.empty());
-  // A 4-link chain over the synthetic substrate.
-  std::vector<Snapshot> chain;
-  std::vector<Snapshot> flats;
-  snapshot::SectionIndex prev_index;
-  flats.push_back(make_flat(0, prev_index));
-  chain.push_back(flats.back());
-  for (std::uint64_t salt = 1; salt <= 3; ++salt) {
-    snapshot::SectionIndex index;
-    flats.push_back(make_flat(salt, index));
-    chain.push_back(snapshot::encode_delta(flats[salt - 1], prev_index,
-                                           flats[salt], index));
-    prev_index = std::move(index);
-  }
-  const auto clean = snapshot::materialize_chain(chain);
-  ASSERT_TRUE(clean.ok()) << clean.status().message();
-  ASSERT_EQ(clean->bytes(), flats.back().bytes());
-
-  // Structural attacks: a dropped link makes the next delta reference
-  // a missing base; a swapped pair breaks both hashes; an empty chain
-  // and a delta-first chain are invalid arguments.
-  for (std::size_t drop = 1; drop < chain.size(); ++drop) {
-    auto broken = chain;
-    broken.erase(broken.begin() + static_cast<std::ptrdiff_t>(drop));
-    const auto result = snapshot::materialize_chain(broken);
-    if (drop == chain.size() - 1) {
-      // Dropping the tail shortens the chain but leaves it coherent —
-      // it must materialize the *previous* state exactly, never the
-      // dropped tail's.
-      ASSERT_TRUE(result.ok());
-      EXPECT_EQ(result->bytes(), flats[flats.size() - 2].bytes());
-    } else {
-      ASSERT_FALSE(result.ok()) << "dropped link " << drop << " accepted";
-      EXPECT_EQ(result.status().code(), StatusCode::kCorruptSnapshot);
-    }
-  }
-  {
-    auto swapped = chain;
-    std::swap(swapped[1], swapped[2]);
-    const auto result = snapshot::materialize_chain(swapped);
-    ASSERT_FALSE(result.ok());
-    EXPECT_EQ(result.status().code(), StatusCode::kCorruptSnapshot);
-  }
-  {
-    const auto result = snapshot::materialize_chain({});
-    ASSERT_FALSE(result.ok());
-    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
-  }
-  {
-    auto delta_first = chain;
-    delta_first.erase(delta_first.begin());
-    const auto result = snapshot::materialize_chain(delta_first);
-    ASSERT_FALSE(result.ok());
-    EXPECT_EQ(result.status().code(), StatusCode::kCorruptSnapshot);
-  }
-
-  // Seeded byte-level attacks on every link.
-  for (const auto& entry : corpus) {
-    Xoshiro256 rng(entry.seed);
-    for (std::size_t link = 0; link < chain.size(); ++link) {
-      auto bytes = chain[link].bytes();
-      for (std::size_t m = 0; m < entry.mutations; ++m) {
-        mutate(bytes, rng, entry.max_len);
-        auto attacked = chain;
-        attacked[link].bytes() = bytes;
-        const auto result = snapshot::materialize_chain(attacked);
-        if (result.ok()) {
-          EXPECT_EQ(result->bytes(), flats.back().bytes())
-              << "corpus line " << entry.line << ", link " << link
-              << ": mutated chain silently accepted with different bytes";
-        } else {
-          const auto code = result.status().code();
-          EXPECT_TRUE(code == StatusCode::kCorruptSnapshot ||
-                      code == StatusCode::kInvalidArgument)
-              << "corpus line " << entry.line << ", link " << link
-              << ": untyped failure " << status_code_name(code);
-        }
-      }
-    }
-  }
+  // Both outcomes must actually occur, or the mutations miss the
+  // decoder (all OK) or never get past the header (all typed).
+  EXPECT_GT(ok, 0u);
+  EXPECT_GT(typed, 0u);
 }
 
 TEST(FuzzSnapshot, RestoreRejectsDeltaContainers) {
-  // The chip-level guard: a delta container handed to restore() (e.g.
-  // a chain link mistaken for a flat checkpoint) is a typed reject.
-  core::SaveProfile base, next;
-  make_chip_pair(base, next);
-  const Snapshot delta =
-      snapshot::encode_delta(base.flat, base.index, next.flat, next.index);
-  core::ChipConfig config;
-  config.width = 4;
-  config.height = 4;
-  core::VlsiProcessor chip(config);
-  const Status restored = chip.restore(delta);
+  // Version 2 was the retired incremental delta container. A buffer
+  // stamped with it (e.g. from an older peer) is a typed reject, never
+  // parsed as a flat snapshot.
+  core::VlsiProcessor source{core::ChipConfig{}};
+  snapshot::Snapshot snap;
+  ASSERT_TRUE(source.save(snap).ok());
+  snap.bytes()[4] = 2;
+  core::VlsiProcessor chip{core::ChipConfig{}};
+  const Status restored = chip.restore(snap);
   ASSERT_FALSE(restored.ok());
   EXPECT_EQ(restored.code(), StatusCode::kCorruptSnapshot);
 }

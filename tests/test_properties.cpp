@@ -18,7 +18,6 @@
 #include "costmodel/energy.hpp"
 #include "csd/csd_simulator.hpp"
 #include "fault/fault_plan.hpp"
-#include "snapshot/incremental.hpp"
 #include "noc/noc_fabric.hpp"
 #include "runtime/chip_farm.hpp"
 #include "runtime/manifest.hpp"
@@ -679,17 +678,14 @@ TEST_P(CheckpointEquivalence, RestoredRunIsBitIdentical) {
 INSTANTIATE_TEST_SUITE_P(Sweep100, CheckpointEquivalence,
                          ::testing::Range(0, 10));
 
-// ---- Property: incremental checkpoint chains are invisible --------------------
+// ---- Property: whole-chip checkpoints are invisible ---------------------------
 //
-// The incremental encoder (save_profiled + encode_delta) must never be
-// observable: at every boundary of a seeded mutation run, the chain
-// materialized from keyframe+deltas is byte-identical to a full
-// snapshot of the same state, a fresh chip restored from that chain
-// continues exactly like the uninterrupted one, and plain flat (v1)
-// snapshots still round-trip untouched. 100 seeds in 10 shards; seed
-// % 3 == 0 runs fault-active (cluster quarantines through heal()),
-// odd seeds run a starved 2x2 chip where fuses fail and the dirty
-// generations sit still between boundaries.
+// At every boundary of a seeded mutation run, a fresh chip restored
+// from save(chip) re-saves to the same bytes, and a chip restored from
+// the last boundary continues exactly like the uninterrupted one under
+// the same fuse/release/heal stream. 100 seeds in 10 shards; seed % 3
+// == 0 runs fault-active (cluster quarantines through heal()), odd
+// seeds run a starved 2x2 chip where fuses fail.
 
 core::ChipConfig sweep_chip_config(std::uint64_t seed) {
   core::ChipConfig cfg;
@@ -733,54 +729,42 @@ void sweep_mutate(core::VlsiProcessor& chip, Xoshiro256& rng,
   }
 }
 
-class IncrementalChainProperty : public ::testing::TestWithParam<int> {};
+class ChipCheckpointProperty : public ::testing::TestWithParam<int> {};
 
-TEST_P(IncrementalChainProperty, ChainMaterializesToFullAtEveryBoundary) {
+TEST_P(ChipCheckpointProperty, RestoreResavesAndContinuesIdentically) {
   const int shard = GetParam();
   for (int s = 0; s < 10; ++s) {
     const std::uint64_t seed = static_cast<std::uint64_t>(shard) * 10 + s + 1;
-    SCOPED_TRACE("chain seed " + std::to_string(seed));
+    SCOPED_TRACE("checkpoint seed " + std::to_string(seed));
     const bool fault_active = (seed % 3 == 0);
     const auto cfg = sweep_chip_config(seed);
 
     core::VlsiProcessor chip(cfg);
     std::vector<scaling::ProcId> live;
     Xoshiro256 rng(seed * 0x9E3779B97F4A7C15ull + 17);
-
-    core::SaveProfile profile;
-    ASSERT_TRUE(chip.save_profiled(profile).ok());
-    std::vector<snapshot::Snapshot> chain{profile.flat};
+    snapshot::Snapshot full;
 
     for (int round = 0; round < 6; ++round) {
       sweep_mutate(chip, rng, live, fault_active);
 
-      core::SaveProfile base = std::move(profile);
-      ASSERT_TRUE(chip.save_profiled(profile, base).ok());
-      chain.push_back(snapshot::encode_delta(base.flat, base.index,
-                                             profile.flat, profile.index));
-
-      // Invariant 1: the incremental save and the chain are both
-      // byte-identical to a full snapshot taken right now.
-      snapshot::Snapshot full;
+      // Invariant 1: restore(save(chip)) re-saves to the same bytes.
       ASSERT_TRUE(chip.save(full).ok());
-      ASSERT_EQ(profile.flat.bytes(), full.bytes()) << "round " << round;
-      const auto materialized = snapshot::materialize_chain(chain);
-      ASSERT_TRUE(materialized.ok())
-          << "round " << round << ": " << materialized.status().message();
-      ASSERT_EQ(materialized->bytes(), full.bytes()) << "round " << round;
+      core::VlsiProcessor restored(cfg);
+      ASSERT_TRUE(restored.restore(full).ok()) << "round " << round;
+      snapshot::Snapshot resaved;
+      ASSERT_TRUE(restored.save(resaved).ok());
+      ASSERT_EQ(resaved.bytes(), full.bytes()) << "round " << round;
 
-      // Invariant 3: the flat container still reads as version 1.
+      // Invariant 2: the container reads as the current version.
       snapshot::Reader r(full);
-      ASSERT_EQ(r.version(), snapshot::kVersionFlat);
+      ASSERT_EQ(r.version(), snapshot::kVersion);
     }
 
-    // Invariant 2: a chip restored from the materialized chain and the
+    // Invariant 3: a chip restored from the last boundary and the
     // uninterrupted chip stay byte-identical under three more rounds of
     // the same mutation stream.
-    const auto materialized = snapshot::materialize_chain(chain);
-    ASSERT_TRUE(materialized.ok());
     core::VlsiProcessor resumed(cfg);
-    ASSERT_TRUE(resumed.restore(*materialized).ok());
+    ASSERT_TRUE(resumed.restore(full).ok());
     std::vector<scaling::ProcId> resumed_live = live;
     Xoshiro256 rng_a = rng;
     Xoshiro256 rng_b = rng;
@@ -796,7 +780,7 @@ TEST_P(IncrementalChainProperty, ChainMaterializesToFullAtEveryBoundary) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Sweep100, IncrementalChainProperty,
+INSTANTIATE_TEST_SUITE_P(Sweep100, ChipCheckpointProperty,
                          ::testing::Range(0, 10));
 
 }  // namespace

@@ -25,7 +25,6 @@
 #include "runtime/farm_config_builder.hpp"
 #include "runtime/manifest.hpp"
 #include "runtime/replay.hpp"
-#include "snapshot/incremental.hpp"
 #include "snapshot/snapshot.hpp"
 
 namespace vlsip {
@@ -49,7 +48,7 @@ TEST(SnapshotFormat, PrimitivesRoundTrip) {
   w.vec_bool({true, false, true});
 
   snapshot::Reader r(snap);
-  EXPECT_EQ(r.version(), snapshot::kVersionFlat);
+  EXPECT_EQ(r.version(), snapshot::kVersion);
   EXPECT_EQ(r.u8(), 0xAB);
   EXPECT_TRUE(r.b());
   EXPECT_EQ(r.u32(), 0xDEADBEEFu);
@@ -128,7 +127,7 @@ TEST(SnapshotFormat, AcceptsCurrentVersion) {
   snapshot::Writer w(snap);
   w.str("payload");
   snapshot::Reader r(snap);
-  EXPECT_EQ(r.version(), snapshot::kVersionFlat);
+  EXPECT_EQ(r.version(), snapshot::kVersion);
   EXPECT_EQ(r.str(), "payload");
 }
 
@@ -428,144 +427,10 @@ TEST(FarmCheckpoint, QuarantineRestoresReplacementFromLastCheckpoint) {
   EXPECT_GE(resumed, 1u) << "no outcome recorded the restore point";
 }
 
-// --- incremental checkpoints ----------------------------------------------
-
-TEST(IncrementalCheckpoint, FlatSnapshotsStillStampVersionOne) {
-  // Backward compatibility hinges on the flat layout being untouched:
-  // the Writer stamps kVersionFlat, so every v1 snapshot ever written
-  // (and every new flat one) reads identically on both sides of the
-  // version bump.
-  core::VlsiProcessor chip(small_chip());
-  snapshot::Snapshot snap;
-  ASSERT_TRUE(chip.save(snap).ok());
-  snapshot::Reader r(snap);
-  EXPECT_EQ(r.version(), snapshot::kVersionFlat);
-  EXPECT_FALSE(snapshot::is_delta(snap));
-}
-
-TEST(IncrementalCheckpoint, SaveProfiledIsByteIdenticalToPlainSave) {
-  core::VlsiProcessor chip(small_chip());
-  const auto proc = chip.fuse(2);
-  ASSERT_NE(proc, scaling::kNoProc);
-
-  snapshot::Snapshot plain;
-  ASSERT_TRUE(chip.save(plain).ok());
-  core::SaveProfile profile;
-  ASSERT_TRUE(chip.save_profiled(profile).ok());
-  EXPECT_EQ(profile.flat.bytes(), plain.bytes());
-  EXPECT_FALSE(profile.index.entries.empty());
-
-  // Incremental against a base — with and without mutations in
-  // between — must still produce the exact full-save bytes; the splice
-  // optimisation is never allowed to be observable in the output.
-  core::SaveProfile unchanged;
-  ASSERT_TRUE(chip.save_profiled(unchanged, profile).ok());
-  EXPECT_EQ(unchanged.flat.bytes(), plain.bytes());
-
-  chip.release(proc);
-  const auto proc2 = chip.fuse(3);
-  ASSERT_NE(proc2, scaling::kNoProc);
-  core::SaveProfile after;
-  ASSERT_TRUE(chip.save_profiled(after, unchanged).ok());
-  snapshot::Snapshot plain_after;
-  ASSERT_TRUE(chip.save(plain_after).ok());
-  EXPECT_EQ(after.flat.bytes(), plain_after.bytes());
-}
-
-TEST(IncrementalCheckpoint, DirtyGenerationsTrackMutation) {
-  core::VlsiProcessor chip(small_chip());
-  const auto fabric_gen = chip.fabric().dirty_gen();
-  const auto noc_gen = chip.noc().dirty_gen();
-  const auto mgr_gen = chip.manager().dirty_gen();
-
-  // A pure read leaves every generation alone.
-  (void)chip.total_clusters();
-  (void)chip.render_layout();
-  EXPECT_EQ(chip.noc().dirty_gen(), noc_gen);
-
-  // Fusing programs switches (fabric), sends the config worm (noc) and
-  // allocates (manager): all three layers must notice.
-  const auto proc = chip.fuse(2);
-  ASSERT_NE(proc, scaling::kNoProc);
-  EXPECT_GT(chip.fabric().dirty_gen(), fabric_gen);
-  EXPECT_GT(chip.noc().dirty_gen(), noc_gen);
-  EXPECT_GT(chip.manager().dirty_gen(), mgr_gen);
-}
-
-TEST(IncrementalCheckpoint, DeltaChainBeatsFullSnapshotsOnBytes) {
-  // The headline claim: checkpointing every batch, the emitted bytes
-  // of the incremental path must be well under the full-snapshot cost.
-  // Full-size chip: a fuse touches a couple of clusters out of 64, so
-  // the delta must stay a small fraction of the flat snapshot.
-  core::VlsiProcessor chip;
-  core::SaveProfile profile;
-  ASSERT_TRUE(chip.save_profiled(profile).ok());
-
-  std::size_t delta_bytes = 0;
-  std::size_t full_bytes = 0;
-  for (int round = 0; round < 6; ++round) {
-    const auto proc = chip.fuse(1 + (round % 2));
-    ASSERT_NE(proc, scaling::kNoProc);
-    core::SaveProfile base = std::move(profile);
-    ASSERT_TRUE(chip.save_profiled(profile, base).ok());
-    const snapshot::Snapshot delta = snapshot::encode_delta(
-        base.flat, base.index, profile.flat, profile.index);
-    delta_bytes += delta.size();
-    full_bytes += profile.flat.size();
-    const auto applied = snapshot::apply_delta(base.flat, delta);
-    ASSERT_TRUE(applied.ok()) << applied.status().message();
-    ASSERT_EQ(applied->bytes(), profile.flat.bytes());
-    chip.release(proc);
-  }
-  // Acceptance floor is <= 30% on the steady-state bench; unit scale
-  // is rougher, but even here deltas must clearly win.
-  EXPECT_LT(delta_bytes * 2, full_bytes)
-      << delta_bytes << " delta bytes vs " << full_bytes << " full bytes";
-}
-
-TEST(FarmCheckpoint, IncrementalChainMaterializesToCurrentChip) {
-  runtime::SyntheticSpec spec;
-  spec.jobs = 12;
-  spec.seed = 7;
-  const auto jobs = runtime::synthetic_jobs(spec);
-
-  runtime::FarmConfig cfg = runtime::FarmConfigBuilder()
-                                .deterministic()
-                                .batch(3)
-                                .checkpoint_every(1)
-                                .incremental_checkpoints(true)
-                                .build();
-  runtime::ChipFarm farm(cfg);
-  for (const auto& job : jobs) {
-    EXPECT_TRUE(farm.submit(job).admitted);
-  }
-  farm.drain();
-
-  // The chain, materialized, must be byte-identical to a full snapshot
-  // of the same idle chip.
-  snapshot::Snapshot full;
-  ASSERT_TRUE(farm.save_chip(0, full).ok());
-  std::vector<snapshot::Snapshot> chain;
-  ASSERT_TRUE(farm.save_chip_chain(0, chain).ok());
-  ASSERT_FALSE(chain.empty());
-  EXPECT_FALSE(snapshot::is_delta(chain.front()));
-  const auto materialized = snapshot::materialize_chain(chain);
-  ASSERT_TRUE(materialized.ok()) << materialized.status().message();
-  EXPECT_EQ(materialized->bytes(), full.bytes());
-
-  const auto metrics = farm.metrics();
-  farm.shutdown();
-  ASSERT_GE(metrics.checkpoints, 3u);
-  // After the first keyframe every cadence checkpoint emitted a delta:
-  // the emitted-bytes series must undercut the full-bytes series.
-  EXPECT_LT(metrics.checkpoint_bytes.mean(),
-            metrics.checkpoint_full_bytes.mean());
-}
-
-TEST(FarmCheckpoint, IncrementalEveryBatchChaosLosesNothing) {
-  // The acceptance gate: checkpoint_every_batches=1 with incremental
-  // encoding, a crash and a chip fault mid-run — every admitted job
-  // still resolves, the replacement chip restores from checkpoint.
+TEST(FarmCheckpoint, EveryBatchChaosLosesNothing) {
+  // checkpoint_every_batches=1 with a crash and a chip fault mid-run:
+  // every admitted job still resolves, and the replacement chip
+  // restores from the last flat checkpoint.
   runtime::SyntheticSpec spec;
   spec.jobs = 16;
   spec.seed = 3;
@@ -579,7 +444,6 @@ TEST(FarmCheckpoint, IncrementalEveryBatchChaosLosesNothing) {
                                 .batch(4)
                                 .fault_tolerance(plan)
                                 .checkpoint_every(1)
-                                .incremental_checkpoints(true)
                                 .build();
 
   runtime::ChipFarm farm(cfg);
@@ -603,35 +467,6 @@ TEST(FarmCheckpoint, IncrementalEveryBatchChaosLosesNothing) {
     if (o.resumed_from_cycle > 0) ++resumed;
   }
   EXPECT_GE(resumed, 1u) << "no outcome recorded the restore point";
-}
-
-TEST(FarmCheckpoint, KeyframeCadenceBoundsTheChain) {
-  runtime::SyntheticSpec spec;
-  spec.jobs = 20;
-  spec.seed = 5;
-  const auto jobs = runtime::synthetic_jobs(spec);
-
-  runtime::FarmConfig cfg = runtime::FarmConfigBuilder()
-                                .deterministic()
-                                .batch(2)
-                                .checkpoint_every(1)
-                                .incremental_checkpoints(true)
-                                .checkpoint_keyframe_every(2)
-                                .build();
-  runtime::ChipFarm farm(cfg);
-  for (const auto& job : jobs) farm.submit(job);
-  farm.drain();
-
-  std::vector<snapshot::Snapshot> chain;
-  ASSERT_TRUE(farm.save_chip_chain(0, chain).ok());
-  farm.shutdown();
-  // keyframe + at most 2 cadence deltas + at most 1 drain-time delta.
-  EXPECT_LE(chain.size(), 4u);
-  ASSERT_FALSE(chain.empty());
-  EXPECT_FALSE(snapshot::is_delta(chain.front()));
-  for (std::size_t i = 1; i < chain.size(); ++i) {
-    EXPECT_TRUE(snapshot::is_delta(chain[i])) << "link " << i;
-  }
 }
 
 TEST(FarmCheckpoint, CheckpointingOffByDefaultAndInvisible) {

@@ -21,9 +21,13 @@
 //       one that was never interrupted.
 //   vlsipc serve <jobs.txt|pack-ref> [--pack] [--workers N] [--queue D]
 //              [--batch B] [--reject] [--deterministic] [--json]
+//              [--checkpoint-every-batches N]
 //              [--dvs] [--energy-budget FJ] [--p99-guardrail TICKS]
 //       Run a job manifest through the multi-chip farm; prints a
-//       per-job table plus throughput and latency percentiles. --dvs
+//       per-job table plus throughput and latency percentiles.
+//       --checkpoint-every-batches saves each chip as one flat .vsnap
+//       every N batches; a quarantined chip's replacement restores from
+//       it (docs/SNAPSHOT.md). --dvs
 //       turns on per-chip energy metering and the DVS governor;
 //       --energy-budget throttles chips toward that many femtojoules
 //       per served job (docs/ENERGY.md). With --pack the positional is
@@ -822,7 +826,6 @@ int cmd_serve(int argc, char** argv) {
   runtime::FarmConfig cfg;
   cfg.block_when_full = true;  // batch manifests throttle by default
   bool json = false;
-  bool verify_chain = false;
   bool reject = false;
   bool pack_mode = false;
   std::uint64_t energy_budget = 0;
@@ -832,8 +835,7 @@ int cmd_serve(int argc, char** argv) {
       "serve",
       "usage: vlsipc serve <jobs.txt|pack-ref> [--pack] [--workers N] "
       "[--queue D] [--batch B] [--reject] [--deterministic] "
-      "[--checkpoint-every-batches N] [--incremental-checkpoints] "
-      "[--keyframe-every N] [--chain-max-links N] [--verify-chain] "
+      "[--checkpoint-every-batches N] "
       "[--dvs] [--energy-budget FJ] [--p99-guardrail TICKS] "
       "[--json] [--obs out.json] [--chrome-trace out.trace]");
   opts.value("--workers", &cfg.workers)
@@ -842,13 +844,9 @@ int cmd_serve(int argc, char** argv) {
       .flag("--reject", &reject)
       .flag("--deterministic", &cfg.deterministic)
       .value("--checkpoint-every-batches", &cfg.checkpoint_every_batches)
-      .flag("--incremental-checkpoints", &cfg.incremental_checkpoints)
-      .value("--keyframe-every", &cfg.checkpoint_keyframe_every)
-      .value("--chain-max-links", &cfg.checkpoint_chain_max_links)
       .flag("--dvs", &cfg.dvs.enabled)
       .value("--energy-budget", &energy_budget)
       .value("--p99-guardrail", &cfg.dvs.p99_guardrail_ticks)
-      .flag("--verify-chain", &verify_chain)
       .flag("--pack", &pack_mode)
       .flag("--json", &json)
       .value("--obs", &obs_path)
@@ -906,35 +904,6 @@ int cmd_serve(int argc, char** argv) {
     if (!admission.admitted) ++rejected;
   }
   farm.drain();
-  if (verify_chain) {
-    // End-to-end proof for the CI smoke: every worker's incremental
-    // checkpoint chain, materialized, must be byte-identical to a full
-    // snapshot of the same chip taken right now.
-    for (std::size_t i = 0; i < farm.workers(); ++i) {
-      snapshot::Snapshot full;
-      std::vector<snapshot::Snapshot> chain;
-      const Status s_full = farm.save_chip(i, full);
-      const Status s_chain = farm.save_chip_chain(i, chain);
-      if (!s_full.ok() || !s_chain.ok()) {
-        std::fprintf(stderr, "error: --verify-chain save failed: %s\n",
-                     (!s_full.ok() ? s_full : s_chain).to_string().c_str());
-        return 1;
-      }
-      const auto materialized = snapshot::materialize_chain(chain);
-      if (!materialized.ok()) {
-        std::fprintf(stderr, "error: --verify-chain materialize failed: %s\n",
-                     materialized.status().to_string().c_str());
-        return 1;
-      }
-      if (materialized->bytes() != full.bytes()) {
-        std::fprintf(stderr,
-                     "error: worker %zu chain/full snapshot mismatch "
-                     "(%zu vs %zu bytes)\n",
-                     i, materialized->size(), full.size());
-        return 1;
-      }
-    }
-  }
   const double wall_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
@@ -1264,18 +1233,14 @@ int cmd_worker(int argc, char** argv) {
   std::size_t batch_jobs = 8;
   std::size_t queue_capacity = 64;
   std::size_t ckpt_batches = kUnset;
-  std::size_t keyframe_every = kUnset;
-  std::size_t chain_max_links = kUnset;
   std::uint64_t energy_budget = 0;
   std::uint64_t p99_guardrail = 0;
   bool dvs = false;
-  bool incremental = false;
   OptionParser opts(
       "worker",
       "usage: vlsipc worker --hub ADDR [--name S] [--workers N] "
       "[--batch B] [--queue D] [--checkpoint-every-batches N] "
-      "[--incremental-checkpoints] [--keyframe-every N] "
-      "[--chain-max-links N] [--dvs] [--energy-budget FJ] "
+      "[--dvs] [--energy-budget FJ] "
       "[--p99-guardrail TICKS] [--heartbeat MS] [--crash-after N]");
   opts.value("--hub", &worker_opts.hub)
       .value("--name", &worker_opts.name)
@@ -1283,9 +1248,6 @@ int cmd_worker(int argc, char** argv) {
       .value("--batch", &batch_jobs)
       .value("--queue", &queue_capacity)
       .value("--checkpoint-every-batches", &ckpt_batches)
-      .flag("--incremental-checkpoints", &incremental)
-      .value("--keyframe-every", &keyframe_every)
-      .value("--chain-max-links", &chain_max_links)
       .flag("--dvs", &dvs)
       .value("--energy-budget", &energy_budget)
       .value("--p99-guardrail", &p99_guardrail)
@@ -1296,11 +1258,6 @@ int cmd_worker(int argc, char** argv) {
   if (worker_opts.hub.empty()) return opts.error("worker needs --hub ADDR");
   if (workers != kUnset) farm.workers(workers);
   if (ckpt_batches != kUnset) farm.checkpoint_every_batches(ckpt_batches);
-  if (incremental) farm.incremental_checkpoints(true);
-  if (keyframe_every != kUnset) farm.checkpoint_keyframe_every(keyframe_every);
-  if (chain_max_links != kUnset) {
-    farm.checkpoint_chain_max_links(chain_max_links);
-  }
   if (dvs) farm.raw().dvs.enabled = true;
   if (energy_budget > 0) farm.energy_budget(energy_budget);
   if (p99_guardrail > 0) farm.p99_guardrail(p99_guardrail);
