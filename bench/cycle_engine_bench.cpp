@@ -47,6 +47,11 @@
 //                           kernels, bursty arrivals, churn, deadline
 //                           pressure) served on a deterministic farm;
 //                           jobs per million executed cycles.
+//   jobs_per_kilo_handshake, jobs_per_kilo_config_cycle
+//                         — deterministic counts of the configure path
+//                           from serving the same pack: jobs per
+//                           thousand CSD handshakes (ap.csd.requests)
+//                           and per thousand configuration cycles.
 //
 // Usage: cycle_engine_bench                 human-readable table
 //        cycle_engine_bench --json          JSON to stdout (baseline)
@@ -261,14 +266,21 @@ double energy_fj_per_job_round(std::uint64_t budget_fj,
   return static_cast<double>(m.energy_fj) / static_cast<double>(m.served());
 }
 
+/// What serving the kernel pack once costs, in deterministic counts.
+struct PackCounts {
+  double served = 0.0;
+  double exec_cycles = 0.0;
+  double config_cycles = 0.0;
+  double handshakes = 0.0;  // ap.csd.requests
+};
+
 /// Serves a fixed-seed mixed kernel pack — compiled workload kernels,
 /// bursty arrivals, fuse/split churn, deadline pressure — on a
-/// deterministic single-worker farm and returns jobs served per
-/// million executed cycles. Every input is seeded and the farm runs on
-/// the virtual cycle clock, so the quotient is exact: a change means
-/// the kernel lowering, the scheduler, or the engine changed, never
-/// the host.
-double kernel_jobs_per_mcycle() {
+/// deterministic single-worker farm. Every input is seeded and the farm
+/// runs on the virtual cycle clock, so the counts are exact: a change
+/// means the kernel lowering, the scheduler, the configuration pipeline
+/// or the engine changed, never the host.
+PackCounts serve_kernel_pack() {
   const workload::JobStream stream =
       workload::JobStreamBuilder()
           .pack(workload::ScenarioPackBuilder()
@@ -292,9 +304,15 @@ double kernel_jobs_per_mcycle() {
   }
   farm.drain();
   const auto m = farm.metrics();
+  const auto counters = farm.obs_metrics().counters();
   farm.shutdown();
-  return 1.0e6 * static_cast<double>(m.served()) /
-         static_cast<double>(m.exec_cycles);
+  const auto handshakes = counters.find("ap.csd.requests");
+  return {static_cast<double>(m.served()),
+          static_cast<double>(m.exec_cycles),
+          static_cast<double>(m.config_cycles),
+          handshakes == counters.end()
+              ? 0.0
+              : static_cast<double>(handshakes->second)};
 }
 
 struct Metric {
@@ -314,7 +332,8 @@ const char* const kAllMetricNames[] = {
     "chip_sparse_speedup_1024",     "simd_scan_speedup",
     "farm_throughput_speedup",      "chaos_throughput_speedup",
     "energy_per_job",               "dvs_savings",
-    "kernel_throughput",
+    "kernel_throughput",            "jobs_per_kilo_handshake",
+    "jobs_per_kilo_config_cycle",
 };
 
 std::vector<Metric> run_all(const std::string& filter) {
@@ -442,15 +461,23 @@ std::vector<Metric> run_all(const std::string& filter) {
                          floored_fj, nominal_fj});
     }
   }
-  if (matches("kernel_throughput")) {
-    // Deterministic, so the same number every run on every host; the
-    // floor only has to absorb intentional re-costing of the kernels
-    // (wider mixes, scheduler changes), not measurement noise.
-    Metric m{"kernel_throughput", 50000.0};
-    m.value = kernel_jobs_per_mcycle();
-    m.event_rate = m.value;
-    m.dense_rate = m.value;
-    metrics.push_back(m);
+  if (matches("kernel_throughput") || matches("jobs_per_kilo_handshake") ||
+      matches("jobs_per_kilo_config_cycle")) {
+    // Deterministic, so the same numbers every run on every host; the
+    // floors only have to absorb intentional re-costing of the kernels
+    // or the configure path, not measurement noise. The two configure
+    // counts are the served-job path's CI gate: re-handshaking routes a
+    // stack shift only moved, or adding configuration cycles, drops them.
+    const PackCounts pack = serve_kernel_pack();
+    const auto quotient = [&](const char* name, double floor, double value) {
+      if (matches(name)) metrics.push_back({name, floor, value, value, value});
+    };
+    quotient("kernel_throughput", 50000.0,
+             1.0e6 * pack.served / pack.exec_cycles);
+    quotient("jobs_per_kilo_handshake", 17.0,
+             1.0e3 * pack.served / pack.handshakes);
+    quotient("jobs_per_kilo_config_cycle", 6.0,
+             1.0e3 * pack.served / pack.config_cycles);
   }
   return metrics;
 }

@@ -10,7 +10,8 @@
 //
 // Physical position on the linear array == stack depth (top = 0). A hit
 // promotes the object back to the top, re-sorting the span above it — the
-// dynamic CSD network re-resolves chains after such shifts (§2.6.2).
+// dynamic CSD network shifts that span's claims with it and re-resolves
+// only the chains of the moved object (§2.6.2, ChainSet::shift_prefix).
 #pragma once
 
 #include <cstdint>

@@ -17,10 +17,9 @@ void ChainSet::add(arch::ObjectId source, arch::ObjectId sink, int operand) {
 }
 
 void ChainSet::remove_for(arch::ObjectId id) {
-  for (auto& c : chains_) {
-    if ((c.source == id || c.sink == id) && c.routed()) {
+  for (const auto& c : chains_) {
+    if ((c.source == id || c.sink == id) && holds_live_route(c)) {
       network_.release(c.route);
-      c.route = csd::kNoRoute;
     }
   }
   std::erase_if(chains_,
@@ -29,11 +28,20 @@ void ChainSet::remove_for(arch::ObjectId id) {
 }
 
 void ChainSet::clear() {
-  for (auto& c : chains_) {
-    if (c.routed()) network_.release(c.route);
+  for (const auto& c : chains_) {
+    if (holds_live_route(c)) network_.release(c.route);
   }
   chains_.clear();
   chains_dirty_ = true;
+}
+
+void ChainSet::shift_prefix(int k) {
+  const auto torn = network_.shift_prefix(static_cast<csd::Position>(k));
+  for (const csd::RouteId id : torn) {
+    for (auto& c : chains_) {
+      if (c.route == id) c.route = csd::kNoRoute;
+    }
+  }
 }
 
 std::size_t ChainSet::refresh() {
@@ -46,9 +54,14 @@ std::size_t ChainSet::refresh() {
   }
   ++rebuilds_;
   // Pass 1: release routes that are stale (endpoint moved or swapped
-  // out) so their channels are available for pass 2.
+  // out) so their channels are available for pass 2, and forget routes
+  // the network already dropped.
   for (auto& c : chains_) {
     if (!c.routed()) continue;
+    if (!holds_live_route(c)) {
+      c.route = csd::kNoRoute;
+      continue;
+    }
     const auto src_pos = space_.find(c.source);
     const auto dst_pos = space_.find(c.sink);
     const auto& route = network_.routes()[c.route];
@@ -131,10 +144,14 @@ std::uint64_t ConfigurationPipeline::ensure_resident(
       now += static_cast<std::uint64_t>(config_.array_search_penalty);
       wsrf_.insert(id);
     }
-    // LRU re-sort: the hit object returns to the top of the stack.
-    if (config_.promote_on_hit && space_.promote(id) != 0) {
-      ++stats.promotes;
-      now += 1;  // parallel stack shift of the span above it
+    // LRU re-sort: the hit object returns to the top of the stack, and
+    // the claims of the span above it shift down with their objects.
+    if (config_.promote_on_hit) {
+      if (const int depth = space_.promote(id); depth != 0) {
+        chains_.shift_prefix(depth);
+        ++stats.promotes;
+        now += 1;  // parallel stack shift of the span above it
+      }
     }
     if (trace_) {
       trace_->record(now, "pipeline",
@@ -181,6 +198,7 @@ std::uint64_t ConfigurationPipeline::ensure_resident(
                      "evicted object " + std::to_string(victim));
     }
   }
+  chains_.shift_prefix(space_.size());
   space_.insert_top(id);
   ++stats.stack_inserts;
   t += 1;  // the stack shift entering the loaded object

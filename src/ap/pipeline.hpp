@@ -50,9 +50,13 @@ struct Chain {
 };
 
 /// Owns the set of configured chains and keeps the dynamic CSD network's
-/// claims consistent with current object placement. Stack shifts reorder
-/// positions, so after any placement change the chains are re-resolved —
-/// the re-request behaviour §2.6.2 attributes to the dynamic CSD network.
+/// claims consistent with current object placement. A stack shift moves
+/// the claims with their objects (shift_prefix, §2.6.2): claims inside
+/// the shifted block ride it on their channel, claims straddling its edge
+/// shrink and stay valid, and only chains touching the promoted or
+/// evicted object go stale. refresh() releases the stale routes and
+/// re-handshakes them — the re-request behaviour §2.6.2 attributes to
+/// the dynamic CSD network.
 class ChainSet {
  public:
   ChainSet(csd::DynamicCsdNetwork& network, const ObjectSpace& space);
@@ -64,11 +68,18 @@ class ChainSet {
 
   void clear();
 
-  /// Re-resolves chains against current placement: chains whose endpoint
-  /// positions moved are released and re-established; dormant chains (an
-  /// endpoint swapped out) hold no route. Returns the number of resident
-  /// chains that could not be routed (channel exhaustion — the
-  /// routability trade-off of §2.6.2).
+  /// Mirrors ObjectSpace's stack shift of positions [0, k) to [1, k] on
+  /// the network. A route the shift tears (its moved claim landed on a
+  /// dead segment) leaves its chain unrouted, so refresh() re-handshakes
+  /// it.
+  void shift_prefix(int k);
+
+  /// Re-resolves chains against current placement: chains whose route
+  /// no longer joins their endpoints' positions are released and
+  /// re-established, as are chains whose route the network dropped (a
+  /// killed segment); dormant chains (an endpoint swapped out) hold no
+  /// route. Returns the number of resident chains that could not be
+  /// routed (channel exhaustion — the routability trade-off of §2.6.2).
   ///
   /// Incremental: when neither the object placement, the network claim
   /// state, nor the chain list changed since the previous refresh, the
@@ -90,6 +101,13 @@ class ChainSet {
   void restore(snapshot::Reader& r);
 
  private:
+  /// True if the chain holds a route the network still has live (a
+  /// killed segment can drop a route behind the chain's back).
+  bool holds_live_route(const Chain& c) const {
+    return c.route < network_.routes().size() &&
+           network_.routes()[c.route].id == c.route;
+  }
+
   csd::DynamicCsdNetwork& network_;
   const ObjectSpace& space_;
   std::vector<Chain> chains_;

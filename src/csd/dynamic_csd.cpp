@@ -59,10 +59,13 @@ void DynamicCsdNetwork::claim(ChannelId c, Position lo, Position hi) {
 }
 
 void DynamicCsdNetwork::unclaim(ChannelId c, Position lo, Position hi) {
-  // Claims never cover dead segments, so clearing the bit re-chains the
-  // segment without consulting dead_.
+  // A route torn by a stack shift has claim bits on dead wire; the dead
+  // bit stays set there.
   const std::uint64_t bit = bit_of(c);
-  for (Position s = lo; s < hi; ++s) blocked_[word_of(s, c)] &= ~bit;
+  for (Position s = lo; s < hi; ++s) {
+    const std::size_t w = word_of(s, c);
+    blocked_[w] &= ~bit | dead_[w];
+  }
   claimed_per_channel_[c] -= hi - lo;
   claimed_total_ -= hi - lo;
   ++version_;
@@ -78,28 +81,45 @@ RouteId DynamicCsdNetwork::take_slot() {
   return static_cast<RouteId>(routes_.size() - 1);
 }
 
+ChannelId DynamicCsdNetwork::request(Position lo, Position hi) {
+  ++requests_;
+  const ChannelId c = lowest_free_channel(lo, hi);
+  if (c < config_.channels) {
+    ++grants_;
+  } else {
+    ++rejects_;
+  }
+  return c;
+}
+
 std::optional<ChannelId> DynamicCsdNetwork::try_route(Position source,
                                                       Position sink) {
   VLSIP_REQUIRE(source < config_.positions && sink < config_.positions,
                 "route endpoint out of range");
   VLSIP_REQUIRE(source != sink, "source and sink must differ");
-  ++requests_;
   // Priority encoder at the sink: lowest-index channel whose span is
   // entirely chained (free) wins.
-  const ChannelId c =
-      lowest_free_channel(std::min(source, sink), std::max(source, sink));
-  if (c < config_.channels) {
-    ++grants_;
-    return c;
-  }
-  ++rejects_;
+  const ChannelId c = request(std::min(source, sink), std::max(source, sink));
+  if (c < config_.channels) return c;
   return std::nullopt;
 }
 
-std::optional<RouteId> DynamicCsdNetwork::establish(Position source,
-                                                    Position sink) {
-  const auto channel = try_route(source, sink);
-  if (!channel) {
+std::optional<RouteId> DynamicCsdNetwork::grant(Position source, Position sink,
+                                                Position lo, Position hi) {
+  const ChannelId c = request(lo, hi);
+  if (c == config_.channels) return std::nullopt;
+  const RouteId id = take_slot();
+  routes_[id] = Route{id, source, sink, lo, hi, c};
+  claim(c, lo, hi);
+  ++active_routes_;
+  return id;
+}
+
+std::optional<RouteId> DynamicCsdNetwork::handshake(Position source,
+                                                    Position sink, Position lo,
+                                                    Position hi) {
+  const auto id = grant(source, sink, lo, hi);
+  if (!id) {
     if (trace_) {
       trace_->event(now_, obs::Layer::kCsd, "csd", -1,
                     "route " + std::to_string(source) + "->" +
@@ -107,36 +127,40 @@ std::optional<RouteId> DynamicCsdNetwork::establish(Position source,
     }
     return std::nullopt;
   }
-
-  const RouteId id = take_slot();
-  Route& r = routes_[id];
-  r.id = id;
-  r.source = source;
-  r.sink = sink;
-  r.channel = *channel;
-  claim(*channel, r.lo(), r.hi());
-  ++active_routes_;
-
-  now_ += handshake_latency(source, sink);
+  const std::uint64_t latency = handshake_latency(lo, hi);
+  now_ += latency;
   if (trace_) {
     trace_->event(now_, obs::Layer::kCsd, "csd",
-                  static_cast<std::int64_t>(id),
+                  static_cast<std::int64_t>(*id),
                   "route " + std::to_string(source) + "->" +
                       std::to_string(sink) + " granted channel " +
-                      std::to_string(*channel),
-                  handshake_latency(source, sink));
+                      std::to_string(routes_[*id].channel),
+                  latency);
   }
   return id;
+}
+
+std::optional<RouteId> DynamicCsdNetwork::establish(Position source,
+                                                    Position sink) {
+  VLSIP_REQUIRE(source < config_.positions && sink < config_.positions,
+                "route endpoint out of range");
+  VLSIP_REQUIRE(source != sink, "source and sink must differ");
+  return handshake(source, sink, std::min(source, sink),
+                   std::max(source, sink));
+}
+
+void DynamicCsdNetwork::drop(RouteId id) {
+  Route& r = routes_[id];
+  unclaim(r.channel, r.lo, r.hi);
+  r.id = kNoRoute;
+  free_slots_.push_back(id);
+  --active_routes_;
 }
 
 void DynamicCsdNetwork::release(RouteId id) {
   VLSIP_REQUIRE(id < routes_.size() && routes_[id].id != kNoRoute,
                 "release of unknown route");
-  Route& r = routes_[id];
-  unclaim(r.channel, r.lo(), r.hi());
-  r.id = kNoRoute;
-  free_slots_.push_back(id);
-  --active_routes_;
+  drop(id);
   if (trace_) {
     trace_->event(now_, obs::Layer::kCsd, "csd",
                   static_cast<std::int64_t>(id),
@@ -156,6 +180,7 @@ void DynamicCsdNetwork::release_at(Position p) {
 std::optional<RouteId> DynamicCsdNetwork::establish_fanout(
     Position source, const std::vector<Position>& sinks) {
   VLSIP_REQUIRE(!sinks.empty(), "fan-out needs at least one sink");
+  VLSIP_REQUIRE(source < config_.positions, "fan-out source out of range");
   Position lo = source;
   Position hi = source;
   for (Position s : sinks) {
@@ -164,85 +189,77 @@ std::optional<RouteId> DynamicCsdNetwork::establish_fanout(
     hi = std::max(hi, s);
   }
   VLSIP_REQUIRE(hi > lo, "fan-out must span at least one segment");
-  ++requests_;
-  const ChannelId c = lowest_free_channel(lo, hi);
-  if (c == config_.channels) {
-    ++rejects_;
-    return std::nullopt;
-  }
-  ++grants_;
-  const RouteId id = take_slot();
-  Route& r = routes_[id];
-  r.id = id;
-  r.source = source;
-  // Record the farthest sink; the claim covers every sink in between.
-  r.sink = (hi == source) ? lo : hi;
-  r.channel = c;
-  claim(c, lo, hi);
-  ++active_routes_;
-  if (trace_) {
+  // The farthest sink stands for the fan-out; the claim covers them all.
+  const auto id = grant(source, hi == source ? lo : hi, lo, hi);
+  if (id && trace_) {
     trace_->event(now_, obs::Layer::kCsd, "csd",
-                  static_cast<std::int64_t>(id),
+                  static_cast<std::int64_t>(*id),
                   "fanout from " + std::to_string(source) + " over [" +
                       std::to_string(lo) + "," + std::to_string(hi) +
-                      "] on channel " + std::to_string(c));
+                      "] on channel " + std::to_string(routes_[*id].channel));
   }
   return id;
 }
 
-void DynamicCsdNetwork::shift_down_one() {
-  // Shift claims by +1 position. Work on cleared claim state (only the
-  // dead segments stay blocked) so a claim moving into a segment vacated
-  // by another claim is handled order-independently.
-  blocked_ = dead_;
-  std::fill(claimed_per_channel_.begin(), claimed_per_channel_.end(), 0u);
-  claimed_total_ = 0;
+std::vector<RouteId> DynamicCsdNetwork::shift_prefix(Position k) {
+  VLSIP_REQUIRE(k < config_.positions, "stack shift past the bottom");
+  std::vector<RouteId> torn;
+  ++now_;  // every segment latch of the block moves in the same cycle
+  if (k == 0) return torn;
+  const std::size_t words = words_per_segment_;
+  // Segment k-1 joined positions k-1 and k, which the shift separates:
+  // its claims are overwritten.
+  const std::size_t edge = static_cast<std::size_t>(k - 1) * words;
+  for (std::size_t w = 0; w < words; ++w) {
+    std::uint64_t lost = blocked_[edge + w] & ~dead_[edge + w];
+    claimed_total_ -= static_cast<std::size_t>(std::popcount(lost));
+    for (; lost != 0; lost &= lost - 1) {
+      --claimed_per_channel_[w * 64 + std::countr_zero(lost)];
+    }
+  }
+  // Segments [0, k-1) move up one segment, top word last (a masked
+  // copy_backward). Dead wire stays where it is; a claim moved onto it
+  // is torn below.
+  std::uint64_t on_dead = 0;
+  for (std::size_t i = edge; i-- > 0;) {
+    const std::uint64_t moved = blocked_[i] & ~dead_[i];
+    on_dead |= moved & dead_[i + words];
+    blocked_[i + words] = moved | dead_[i + words];
+  }
+  // Segment 0 now leads to the entering object, which holds no claims.
+  std::copy_n(dead_.begin(), words, blocked_.begin());
+  for (Route& r : routes_) {
+    r.source += static_cast<Position>(r.source < k);
+    r.sink += static_cast<Position>(r.sink < k);
+    r.lo += static_cast<Position>(r.lo < k);
+    r.hi += static_cast<Position>(r.hi < k);
+  }
   ++version_;
-  for (RouteId id = 0; id < routes_.size(); ++id) {
-    Route& r = routes_[id];
-    if (r.id == kNoRoute) continue;
-    if (r.hi() + 1 >= config_.positions) {
-      // The route's deepest endpoint passed the bottom of the stack
-      // (top = position 0): the evicted object's chains are torn down.
-      r.id = kNoRoute;
-      free_slots_.push_back(id);
-      --active_routes_;
+  if (on_dead != 0) {
+    for (RouteId id = 0; id < routes_.size(); ++id) {
+      const Route& r = routes_[id];
+      if (r.id == kNoRoute) continue;
+      const std::uint64_t bit = bit_of(r.channel);
+      bool dead = false;
+      for (Position s = r.lo; s < r.hi && !dead; ++s) {
+        dead = (dead_[word_of(s, r.channel)] & bit) != 0;
+      }
+      if (!dead) continue;
+      drop(id);
+      torn.push_back(id);
       if (trace_) {
         trace_->event(now_, obs::Layer::kCsd, "csd",
                       static_cast<std::int64_t>(id),
                       "route " + std::to_string(id) +
-                          " dropped by stack shift (evicted)");
+                          " torn by stack shift (dead segment)");
       }
-      continue;
     }
-    ++r.source;
-    ++r.sink;
-    // The shifted span may now cover a dead segment (dead segments are
-    // wire positions: they do not move with the stack). Fall back to
-    // the priority encoder — any channel with a healthy free span — and
-    // drop the route if none exists.
-    if (!span_free(r.channel, r.lo(), r.hi())) {
-      const ChannelId fallback = lowest_free_channel(r.lo(), r.hi());
-      if (fallback == config_.channels) {
-        r.id = kNoRoute;
-        free_slots_.push_back(id);
-        --active_routes_;
-        if (trace_) {
-          trace_->event(now_, obs::Layer::kCsd, "csd",
-                        static_cast<std::int64_t>(id),
-                        "route " + std::to_string(id) +
-                            " dropped by stack shift (dead segment)");
-        }
-        continue;
-      }
-      r.channel = fallback;
-    }
-    claim(r.channel, r.lo(), r.hi());
   }
-  ++now_;
   if (trace_) {
-    trace_->event(now_, obs::Layer::kCsd, "csd", -1, "stack shift down");
+    trace_->event(now_, obs::Layer::kCsd, "csd", -1,
+                  "stack shift of positions [0," + std::to_string(k) + ")");
   }
+  return torn;
 }
 
 SegmentKillResult DynamicCsdNetwork::kill_segment(ChannelId channel,
@@ -267,14 +284,14 @@ SegmentKillResult DynamicCsdNetwork::kill_segment(ChannelId channel,
     const auto victim = std::find_if(
         routes_.begin(), routes_.end(), [&](const Route& r) {
           return r.id != kNoRoute && r.channel == channel &&
-                 r.lo() <= segment && segment < r.hi();
+                 r.lo <= segment && segment < r.hi;
         });
     VLSIP_INVARIANT(victim != routes_.end(), "claimed segment has no route");
     const Route torn = *victim;
     release(torn.id);
     kill();
     result.affected = 1;
-    if (establish(torn.source, torn.sink).has_value()) {
+    if (handshake(torn.source, torn.sink, torn.lo, torn.hi).has_value()) {
       ++result.rerouted;
     } else {
       ++result.dropped;
@@ -391,6 +408,8 @@ void DynamicCsdNetwork::save(snapshot::Writer& w) const {
     w.u32(r.id);
     w.u32(r.source);
     w.u32(r.sink);
+    w.u32(r.lo);
+    w.u32(r.hi);
     w.u32(r.channel);
   }
   w.vec_u32(free_slots_);
@@ -423,13 +442,15 @@ void DynamicCsdNetwork::restore(snapshot::Reader& r) {
                     channels == config_.channels,
                 "snapshot CSD geometry mismatch");
   routes_.clear();
-  const std::uint64_t n_routes = r.count(16);
+  const std::uint64_t n_routes = r.count(24);
   routes_.reserve(static_cast<std::size_t>(n_routes));
   for (std::uint64_t i = 0; i < n_routes; ++i) {
     Route route;
     route.id = r.u32();
     route.source = r.u32();
     route.sink = r.u32();
+    route.lo = r.u32();
+    route.hi = r.u32();
     route.channel = r.u32();
     routes_.push_back(route);
   }
@@ -469,13 +490,16 @@ void DynamicCsdNetwork::restore(snapshot::Reader& r) {
   for (std::size_t i = 0; i < routes_.size(); ++i) {
     const Route& route = routes_[i];
     if (route.id == kNoRoute) continue;
-    if (route.id != i || route.source >= config_.positions ||
-        route.sink >= config_.positions || route.source == route.sink ||
+    const auto inside = [&route](Position p) {
+      return route.lo <= p && p <= route.hi;
+    };
+    if (route.id != i || route.hi >= config_.positions ||
+        !inside(route.source) || !inside(route.sink) ||
         route.channel >= config_.channels ||
-        !span_free(route.channel, route.lo(), route.hi())) {
+        !span_free(route.channel, route.lo, route.hi)) {
       corrupt("route " + std::to_string(i) + " is not establishable");
     }
-    claim(route.channel, route.lo(), route.hi());
+    claim(route.channel, route.lo, route.hi);
     ++live;
   }
   if (live != active_routes_ || live + free_slots_.size() != routes_.size()) {

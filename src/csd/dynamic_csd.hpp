@@ -40,18 +40,25 @@ using RouteId = std::uint32_t;
 inline constexpr RouteId kNoRoute = 0xFFFFFFFFu;
 
 /// An established communication: source object position -> sink object
-/// position on one channel, claiming the segment span between them.
+/// position on one channel, claiming the hop segments [lo, hi). A
+/// unicast route's span runs between its endpoints; a fan-out's covers
+/// every sink, on either side of the source. Every endpoint lies in
+/// [lo, hi].
 struct Route {
   RouteId id = kNoRoute;
+  // The four positions are adjacent so a stack shift maps them as one
+  // vector.
   Position source = 0;
+  /// The sink, or a fan-out's farthest sink.
   Position sink = 0;
+  Position lo = 0;
+  Position hi = 0;
   ChannelId channel = 0;
 
-  Position lo() const { return source < sink ? source : sink; }
-  Position hi() const { return source < sink ? sink : source; }
-  /// Number of hop segments the route claims (>= 1; adjacent objects
-  /// still claim the single segment between them).
-  Position span() const { return hi() - lo(); }
+  /// Number of hop segments the route claims (adjacent objects claim
+  /// the single segment between them; 0 once a stack shift has merged
+  /// both ends onto one position).
+  Position span() const { return hi - lo; }
 };
 
 struct CsdConfig {
@@ -99,16 +106,24 @@ class DynamicCsdNetwork {
   /// p is evicted/replaced).
   void release_at(Position p);
 
-  /// Fan-out (broadcast) claim: one channel spanning [lo(source,last
-  /// sink) .. hi], reaching every sink in `sinks` (§2.6.2: remaining
-  /// channels can be allocated to the fan-out).
+  /// Fan-out (broadcast) claim: one channel spanning [min, max] of the
+  /// source and every sink in `sinks` (§2.6.2: remaining channels can be
+  /// allocated to the fan-out).
   std::optional<RouteId> establish_fanout(Position source,
                                           const std::vector<Position>& sinks);
 
-  /// Stack shift by one position toward the bottom (top-of-stack insert):
-  /// every route endpoint moves +1; routes pushed past the bottom edge
-  /// are dropped (their objects were evicted).
-  void shift_down_one();
+  /// Stack shift of the top block (§2.6.2: "capable of stack-shifting
+  /// from the top to the bottom"): positions [0, k) move to [1, k] in
+  /// one cycle. Claims move with their objects on their own channel, so
+  /// every route endpoint, lo and hi maps through p -> p + (p < k).
+  /// Claims on segment k-1 are overwritten, so a claim straddling the
+  /// block edge shrinks by that segment and one joining k-1 to k
+  /// collapses to zero span; the object at k is the one a promote moved
+  /// to the top or an eviction removed, so such routes are stale for
+  /// their owner. Dead segments are wire and stay put: a route whose
+  /// moved claim lands on one is torn, and its id is returned so the
+  /// owner can re-handshake it. O(k · channel words + route slots).
+  std::vector<RouteId> shift_prefix(Position k);
 
   // --- fault injection (§1's defect tolerance at wire granularity) -----
 
@@ -149,8 +164,8 @@ class DynamicCsdNetwork {
   bool span_free(ChannelId channel, Position lo, Position hi) const;
 
   /// Claim-state generation: bumped by every mutation of segment state
-  /// (establish/release/shift/kill). ChainSet::refresh uses it together
-  /// with ObjectSpace::version to skip no-op re-resolutions.
+  /// (establish/release/shift_prefix/kill). ChainSet::refresh uses it
+  /// together with ObjectSpace::version to skip no-op re-resolutions.
   std::uint64_t version() const { return version_; }
 
   // --- observability ----------------------------------------------------
@@ -170,9 +185,9 @@ class DynamicCsdNetwork {
 
   /// Folds this network's lifetime activity into `a` (energy spine):
   /// handshake cycles (now_ accumulates 2·span+2 per established route,
-  /// so it is hop-proportional) and priority-encoder resolutions. Both
-  /// sources are serialized counters — energy derived from them
-  /// survives checkpoint/resume bit-exactly.
+  /// so it is hop-proportional, and 1 per stack shift) and
+  /// priority-encoder resolutions. Both sources are serialized counters
+  /// — energy derived from them survives checkpoint/resume bit-exactly.
   void fold_energy(cost::EnergyActivity& a) const {
     a.units[cost::kEnergyCsdHandshake] += now_;
     a.units[cost::kEnergyCsdRequest] += requests_;
@@ -180,13 +195,13 @@ class DynamicCsdNetwork {
 
   std::string render() const;
 
-  /// Checkpoint codec. Serializes routes, free slots, dead segments and
-  /// counters; the claim bitwords and per-channel claim counts are
-  /// *rebuilt* on restore by re-claiming every live route's span —
-  /// derived state never hits the snapshot. A route table no network
-  /// could reach (endpoint or channel out of range, overlapping or dead
-  /// spans, free slots that are not exactly the unused ones) throws
-  /// snapshot::SnapshotError.
+  /// Checkpoint codec. Serializes routes (with their [lo, hi] spans),
+  /// free slots, dead segments and counters; the claim bitwords and
+  /// per-channel claim counts are *rebuilt* on restore by re-claiming
+  /// every live route's span — derived state never hits the snapshot. A
+  /// route table no network could reach (span or channel out of range,
+  /// an endpoint outside its span, overlapping or dead spans, free slots
+  /// that are not exactly the unused ones) throws snapshot::SnapshotError.
   void save(snapshot::Writer& w) const;
   void restore(snapshot::Reader& r);
 
@@ -199,8 +214,21 @@ class DynamicCsdNetwork {
   /// The fig. 2 priority encoder: the lowest channel whose span [lo, hi)
   /// is free, or channel_count() when every channel is blocked.
   ChannelId lowest_free_channel(Position lo, Position hi) const;
+  /// One priority-encoder resolution, counted as a grant or a reject:
+  /// the chosen channel, or channel_count() when none is free.
+  ChannelId request(Position lo, Position hi);
   void claim(ChannelId c, Position lo, Position hi);
+  /// Clears a route's claim; dead segments in [lo, hi) stay blocked.
   void unclaim(ChannelId c, Position lo, Position hi);
+  /// The fig. 2 request/grant over [lo, hi): counts the request and, on
+  /// a grant, claims the span in a fresh route slot.
+  std::optional<RouteId> grant(Position source, Position sink, Position lo,
+                               Position hi);
+  /// establish() over a known span: grant, then charge the handshake.
+  std::optional<RouteId> handshake(Position source, Position sink,
+                                   Position lo, Position hi);
+  /// Unclaims a live route and frees its slot.
+  void drop(RouteId id);
   /// Takes a free route slot (the most recently freed one first).
   RouteId take_slot();
 

@@ -41,7 +41,8 @@ namespace vlsip::net {
 inline constexpr std::uint32_t kFrameMagic = 0x5646524Du;
 /// Current wire-protocol version. Bump on any layout change.
 /// v3: CheckpointMsg carries exactly one flat chip snapshot.
-inline constexpr std::uint16_t kProtoVersion = 3;
+/// v4: payloads are snapshot::kVersion 3 streams.
+inline constexpr std::uint16_t kProtoVersion = 4;
 /// Header bytes before the payload.
 inline constexpr std::size_t kFrameHeaderSize = 12;
 /// Default payload ceiling (checkpoint transfers dominate sizing; a

@@ -8,8 +8,9 @@
 // instead of silently misinterpreting bytes.
 //
 // Versioning rule: kVersion bumps whenever the byte layout changes.
-// A reader accepts snapshots at or below its own version and rejects
-// ones from the future with SnapshotError — never a partial restore.
+// A reader accepts only its own version and rejects any other with
+// SnapshotError — never a partial restore. There is no migration: no
+// codec branches on a stream's version.
 //
 // Determinism: the encoding has no timestamps, pointers, or hash
 // ordering; saving the same machine state twice yields byte-identical
@@ -26,7 +27,7 @@
 
 namespace vlsip::snapshot {
 
-/// Raised on any malformed snapshot: bad magic, future version,
+/// Raised on any malformed snapshot: bad magic, another version,
 /// truncation, section-tag mismatch, or file I/O failure.
 class SnapshotError : public std::runtime_error {
  public:
@@ -36,11 +37,12 @@ class SnapshotError : public std::runtime_error {
 
 /// "VSNP" — identifies a vlsip snapshot byte stream.
 inline constexpr std::uint32_t kMagic = 0x56534E50u;
-/// Stream version this build writes and the newest it reads: the flat
-/// full-state layout. Version 2 was a retired incremental delta
-/// container, which this build rejects as a future version, so the
-/// next layout change takes version 3. Bump on any encoding change.
-inline constexpr std::uint32_t kVersion = 1;
+/// Stream version this build writes and the only one it reads. Bump on
+/// any encoding change.
+///   1: the flat full-state layout.
+///   2: a retired incremental delta container (never reused).
+///   3: CSD routes carry their claimed [lo, hi] span.
+inline constexpr std::uint32_t kVersion = 3;
 
 /// Owning byte container. The header (magic + version) is written by
 /// the first Writer attached and validated by every Reader.
@@ -111,16 +113,17 @@ class Writer {
 };
 
 /// Bounds-checked sequential reads from a Snapshot. The constructor
-/// validates the header: wrong magic and future versions both throw.
+/// validates the header: wrong magic and any version but kVersion throw.
 class Reader {
  public:
   explicit Reader(const Snapshot& snap) : in_(snap.bytes()) {
     if (in_.size() < 8) throw SnapshotError("snapshot truncated: no header");
     if (u32() != kMagic) throw SnapshotError("snapshot has wrong magic");
     version_ = u32();
-    if (version_ > kVersion) {
+    if (version_ != kVersion) {
       throw SnapshotError("snapshot version " + std::to_string(version_) +
-                          " is newer than supported version " +
+                          (version_ > kVersion ? " is newer" : " is older") +
+                          " than this build's version " +
                           std::to_string(kVersion));
     }
   }

@@ -76,8 +76,8 @@ TEST(DynamicCsd, DirectionDoesNotMatterForSpan) {
   ASSERT_TRUE(net.establish(5, 2));  // sink below source
   EXPECT_FALSE(net.try_route(3, 4));
   const auto& r = net.routes()[0];
-  EXPECT_EQ(r.lo(), 2u);
-  EXPECT_EQ(r.hi(), 5u);
+  EXPECT_EQ(r.lo, 2u);
+  EXPECT_EQ(r.hi, 5u);
   EXPECT_EQ(r.span(), 3u);
 }
 
@@ -112,10 +112,43 @@ TEST(DynamicCsd, FanoutSpansAllSinks) {
   EXPECT_EQ(net.claimed_segments(), 7u);
 }
 
+TEST(DynamicCsd, TwoSidedFanoutReleasesItsWholeSpan) {
+  DynamicCsdNetwork net(cfg(16, 2));
+  const auto r = net.establish_fanout(4, {2, 9, 6});
+  ASSERT_TRUE(r);
+  EXPECT_EQ(net.routes()[*r].lo, 2u);
+  EXPECT_EQ(net.routes()[*r].hi, 9u);
+  net.release(*r);
+  EXPECT_EQ(net.claimed_segments(), 0u);
+  EXPECT_EQ(net.used_channels(), 0u);
+  EXPECT_TRUE(net.span_free(0, 0, 15));
+}
+
+TEST(DynamicCsd, TwoSidedFanoutSurvivesACheckpoint) {
+  DynamicCsdNetwork net(cfg(16, 2));
+  const auto r = net.establish_fanout(4, {2, 9, 6});
+  ASSERT_TRUE(r);
+  snapshot::Snapshot snap;
+  {
+    snapshot::Writer w(snap);
+    net.save(w);
+  }
+  DynamicCsdNetwork restored(cfg(16, 2));
+  snapshot::Reader reader(snap);
+  restored.restore(reader);
+  EXPECT_EQ(restored.claimed_segments(), 7u);
+  EXPECT_FALSE(restored.span_free(0, 2, 3));  // the side below the source
+  EXPECT_EQ(restored.routes()[*r].lo, 2u);
+  EXPECT_EQ(restored.routes()[*r].hi, 9u);
+  restored.release(*r);
+  EXPECT_EQ(restored.claimed_segments(), 0u);
+}
+
 TEST(DynamicCsd, FanoutValidation) {
   DynamicCsdNetwork net(cfg(8, 1));
   EXPECT_THROW(net.establish_fanout(1, {}), vlsip::PreconditionError);
   EXPECT_THROW(net.establish_fanout(1, {1}), vlsip::PreconditionError);
+  EXPECT_THROW(net.establish_fanout(8, {1}), vlsip::PreconditionError);
 }
 
 // ---- Handshake latency (fig. 2) ---------------------------------------------------
@@ -133,32 +166,97 @@ TEST(DynamicCsd, HandshakeLatencyIsTwoSpansPlusTwo) {
 TEST(DynamicCsd, ShiftMovesClaims) {
   DynamicCsdNetwork net(cfg(8, 2));
   ASSERT_TRUE(net.establish(0, 2));
-  net.shift_down_one();
+  EXPECT_TRUE(net.shift_prefix(3).empty());  // [0, 3) -> [1, 3]
   const auto& r = net.routes()[0];
   EXPECT_EQ(r.source, 1u);
   EXPECT_EQ(r.sink, 3u);
-  // Old span start is free again.
+  EXPECT_EQ(r.lo, 1u);
+  EXPECT_EQ(r.hi, 3u);
+  EXPECT_EQ(r.channel, 0u);  // rides the shift on its own channel
+  // Old span start is free again; the moved span is claimed.
   EXPECT_TRUE(net.span_free(0, 0, 1));
+  EXPECT_FALSE(net.span_free(0, 1, 3));
+  EXPECT_EQ(net.claimed_segments(), 2u);
+  EXPECT_EQ(net.route_requests(), 1u);  // no re-handshake
+}
+
+TEST(DynamicCsd, ShiftShrinksClaimsStraddlingTheBlockEdge) {
+  DynamicCsdNetwork net(cfg(8, 1));
+  ASSERT_TRUE(net.establish(5, 1));
+  ASSERT_TRUE(net.establish(6, 7));  // below the block: untouched
+  net.shift_prefix(3);
+  const auto& straddler = net.routes()[0];
+  EXPECT_EQ(straddler.source, 5u);
+  EXPECT_EQ(straddler.sink, 2u);
+  EXPECT_EQ(straddler.lo, 2u);
+  EXPECT_EQ(straddler.hi, 5u);
+  EXPECT_EQ(net.routes()[1].lo, 6u);
+  EXPECT_EQ(net.routes()[1].hi, 7u);
+  EXPECT_EQ(net.claimed_segments(), 4u);
+  EXPECT_TRUE(net.span_free(0, 0, 2));
+  EXPECT_FALSE(net.span_free(0, 2, 3));
 }
 
 TEST(DynamicCsd, ShiftDropsRoutesFallingOffTheBottom) {
   DynamicCsdNetwork net(cfg(4, 2));
-  ASSERT_TRUE(net.establish(2, 3));  // hi = 3 = last position
+  ASSERT_TRUE(net.establish(2, 3));  // joins the block's bottom to 3
   ASSERT_TRUE(net.establish(0, 1));
-  net.shift_down_one();
-  EXPECT_EQ(net.active_routes(), 1u);  // 2->3 evicted
+  net.shift_prefix(3);
+  // Position 3's object is the evicted (or promoted) one: the claim
+  // joining it to the block is overwritten, leaving a zero-span route
+  // for its owner to release.
+  const auto& fallen = net.routes()[0];
+  EXPECT_EQ(fallen.source, 3u);
+  EXPECT_EQ(fallen.sink, 3u);
+  EXPECT_EQ(fallen.span(), 0u);
   const auto& survivor = net.routes()[1];
   EXPECT_EQ(survivor.source, 1u);
   EXPECT_EQ(survivor.sink, 2u);
+  EXPECT_EQ(net.claimed_segments(), 1u);
+  net.release(0);
+  EXPECT_EQ(net.active_routes(), 1u);
+  EXPECT_EQ(net.claimed_segments(), 1u);
 }
 
 TEST(DynamicCsd, RepeatedShiftsEmptyTheNetwork) {
   DynamicCsdNetwork net(cfg(6, 3));
   ASSERT_TRUE(net.establish(0, 2));
   ASSERT_TRUE(net.establish(1, 4));
-  for (int i = 0; i < 6; ++i) net.shift_down_one();
-  EXPECT_EQ(net.active_routes(), 0u);
+  for (int i = 0; i < 6; ++i) net.shift_prefix(5);
   EXPECT_EQ(net.claimed_segments(), 0u);
+  EXPECT_EQ(net.used_channels(), 0u);
+  EXPECT_TRUE(net.span_free(0, 0, 5));
+  net.release(0);
+  net.release(1);
+  EXPECT_EQ(net.active_routes(), 0u);
+}
+
+TEST(DynamicCsd, ShiftTearsRoutesMovedOntoDeadWire) {
+  DynamicCsdNetwork net(cfg(8, 2));
+  net.kill_segment(0, 3);
+  const auto moved = net.establish(0, 3);  // channel 0, segments 0-2
+  const auto below = net.establish(4, 6);  // channel 0, outside the block
+  ASSERT_TRUE(moved && below);
+  const auto torn = net.shift_prefix(4);  // segment 2 moves onto dead 3
+  ASSERT_EQ(torn.size(), 1u);
+  EXPECT_EQ(torn[0], *moved);
+  EXPECT_EQ(net.routes()[*moved].id, kNoRoute);
+  EXPECT_EQ(net.active_routes(), 1u);
+  EXPECT_EQ(net.claimed_segments(), 2u);
+  EXPECT_EQ(net.dead_segments(), 1u);
+  EXPECT_TRUE(net.segment_dead(0, 3));
+  EXPECT_TRUE(net.span_free(0, 0, 3));
+}
+
+TEST(DynamicCsd, ShiftOfAnEmptyBlockMovesNothing) {
+  DynamicCsdNetwork net(cfg(6, 1));
+  ASSERT_TRUE(net.establish(0, 3));
+  const auto version = net.version();
+  EXPECT_TRUE(net.shift_prefix(0).empty());
+  EXPECT_EQ(net.version(), version);
+  EXPECT_EQ(net.routes()[0].lo, 0u);
+  EXPECT_EQ(net.claimed_segments(), 3u);
+  EXPECT_THROW(net.shift_prefix(6), vlsip::PreconditionError);
 }
 
 // ---- Utilisation metrics ------------------------------------------------------------
@@ -199,6 +297,8 @@ TEST(DynamicCsd, RestoreRejectsUnreachableRouteTables) {
         w.u32(r.id);
         w.u32(r.source);
         w.u32(r.sink);
+        w.u32(r.lo);
+        w.u32(r.hi);
         w.u32(r.channel);
       }
       w.vec_u32(t.free_slots);
@@ -211,26 +311,41 @@ TEST(DynamicCsd, RestoreRejectsUnreachableRouteTables) {
     net.restore(r);
     return net.claimed_segments();
   };
-  const Route dead{kNoRoute, 0, 0, 0};
-  EXPECT_EQ(restore({{{0, 0, 3, 0}, dead, {2, 5, 3, 0}}, {1}, 2}), 5u);
-  // Endpoint or channel out of range, or a route of no length.
-  EXPECT_THROW(restore({{{0, 0, 6, 0}}, {}, 1}), snapshot::SnapshotError);
-  EXPECT_THROW(restore({{{0, 0, 3, 2}}, {}, 1}), snapshot::SnapshotError);
-  EXPECT_THROW(restore({{{0, 2, 2, 0}}, {}, 1}), snapshot::SnapshotError);
+  const Route dead{kNoRoute, 0, 0, 0, 0, 0};
+  EXPECT_EQ(restore({{{0, 0, 3, 0, 3, 0}, dead, {2, 5, 3, 3, 5, 0}}, {1}, 2}),
+            5u);
+  // A two-sided fan-out claims past its source; a stack shift can leave
+  // a route of no length.
+  EXPECT_EQ(restore({{{0, 2, 4, 1, 4, 0}}, {}, 1}), 3u);
+  EXPECT_EQ(restore({{{0, 2, 2, 2, 2, 0}}, {}, 1}), 0u);
+  // Span or channel out of range.
+  EXPECT_THROW(restore({{{0, 0, 6, 0, 6, 0}}, {}, 1}),
+               snapshot::SnapshotError);
+  EXPECT_THROW(restore({{{0, 0, 3, 0, 3, 2}}, {}, 1}),
+               snapshot::SnapshotError);
+  // An endpoint outside the span, or a span turned inside out.
+  EXPECT_THROW(restore({{{0, 1, 3, 2, 3, 0}}, {}, 1}),
+               snapshot::SnapshotError);
+  EXPECT_THROW(restore({{{0, 2, 2, 3, 2, 0}}, {}, 1}),
+               snapshot::SnapshotError);
   // A slot whose id is not its index.
-  EXPECT_THROW(restore({{{1, 0, 3, 0}}, {}, 1}), snapshot::SnapshotError);
+  EXPECT_THROW(restore({{{1, 0, 3, 0, 3, 0}}, {}, 1}),
+               snapshot::SnapshotError);
   // Two routes on one channel sharing a segment.
-  EXPECT_THROW(restore({{{0, 0, 3, 0}, {1, 2, 5, 0}}, {}, 2}),
+  EXPECT_THROW(restore({{{0, 0, 3, 0, 3, 0}, {1, 2, 5, 2, 5, 0}}, {}, 2}),
                snapshot::SnapshotError);
   // Free slots must be exactly the unused ones.
-  EXPECT_THROW(restore({{{0, 0, 3, 0}}, {0}, 1}), snapshot::SnapshotError);
-  EXPECT_THROW(restore({{{0, 0, 3, 0}}, {7}, 1}), snapshot::SnapshotError);
-  EXPECT_THROW(restore({{{0, 0, 3, 0}, dead}, {}, 1}),
+  EXPECT_THROW(restore({{{0, 0, 3, 0, 3, 0}}, {0}, 1}),
                snapshot::SnapshotError);
-  EXPECT_THROW(restore({{{0, 0, 3, 0}, dead}, {1, 1}, 1}),
+  EXPECT_THROW(restore({{{0, 0, 3, 0, 3, 0}}, {7}, 1}),
+               snapshot::SnapshotError);
+  EXPECT_THROW(restore({{{0, 0, 3, 0, 3, 0}, dead}, {}, 1}),
+               snapshot::SnapshotError);
+  EXPECT_THROW(restore({{{0, 0, 3, 0, 3, 0}, dead}, {1, 1}, 1}),
                snapshot::SnapshotError);
   // The live count must match.
-  EXPECT_THROW(restore({{{0, 0, 3, 0}}, {}, 2}), snapshot::SnapshotError);
+  EXPECT_THROW(restore({{{0, 0, 3, 0, 3, 0}}, {}, 2}),
+               snapshot::SnapshotError);
 }
 
 // ---- GlobalNetwork baseline ----------------------------------------------------------

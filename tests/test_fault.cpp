@@ -5,6 +5,8 @@
 // memory-bank poisoning.
 #include <gtest/gtest.h>
 
+#include "ap/adaptive_processor.hpp"
+#include "arch/datapath.hpp"
 #include "common/require.hpp"
 #include "core/vlsi_processor.hpp"
 #include "fault/fault_injector.hpp"
@@ -304,8 +306,8 @@ TEST(CsdKill, RerouteOntoSurvivingChannel) {
   for (const auto& r : net.routes()) {
     if (r.id == csd::kNoRoute) continue;
     EXPECT_NE(r.channel, before);
-    EXPECT_EQ(r.lo(), 0u);
-    EXPECT_EQ(r.hi(), 4u);
+    EXPECT_EQ(r.lo, 0u);
+    EXPECT_EQ(r.hi, 4u);
     found = true;
   }
   EXPECT_TRUE(found);
@@ -343,6 +345,54 @@ TEST(CsdKill, KillingDeadSegmentIsANoOp) {
   const auto again = net.kill_segment(0, 3);
   EXPECT_EQ(again.affected, 0u);
   EXPECT_EQ(net.dead_segments(), 1u);
+}
+
+TEST(CsdKill, DroppedRoutesLeaveChainsReroutable) {
+  // A kill drops a route the configured datapath's chain still names,
+  // and later stack shifts move claims onto the dead wire. The processor
+  // keeps faulting objects in, releasing and reconfiguring without ever
+  // touching a freed route slot.
+  ap::ApConfig config;
+  config.capacity = 6;
+  config.memory_blocks = 2;
+  config.csd_channels = 1;
+  ap::AdaptiveProcessor ap(config);
+  const auto program = arch::linear_pipeline_program(4);  // 10 objects
+  ap.configure(program);
+  auto& net = ap.network_mut();
+  std::vector<csd::Position> claimed;
+  for (const auto& r : net.routes()) {
+    if (r.id != csd::kNoRoute && r.span() > 0) claimed.push_back(r.lo);
+  }
+  ASSERT_FALSE(claimed.empty());
+  std::size_t dropped = 0;
+  for (const auto segment : claimed) {
+    dropped += net.kill_segment(0, segment).dropped;
+  }
+  ASSERT_GT(dropped, 0u);  // one channel: every affected route drops
+
+  for (int round = 0; round < 4; ++round) {
+    ap.feed("in", arch::make_word_i(5));
+    const auto exec = ap.run(1, 100000);
+    ASSERT_TRUE(exec.completed) << "round " << round;
+    EXPECT_EQ(ap.output("out").back().i, 30);
+    EXPECT_GT(exec.faults, 0u);  // object faults shift the stack
+    ap.release_datapath();
+    ap.configure(program);
+    const csd::Position segment =
+        static_cast<csd::Position>(round) % (net.positions() - 1);
+    if (!net.segment_dead(0, segment)) net.kill_segment(0, segment);
+  }
+  // Every chain that names a route names a live one joining its objects.
+  for (const auto& c : ap.chains().chains()) {
+    if (!c.routed()) continue;
+    const auto& r = net.routes()[c.route];
+    EXPECT_EQ(r.id, c.route);
+    EXPECT_EQ(r.source, static_cast<csd::Position>(
+                            ap.object_space().position_of(c.source)));
+    EXPECT_EQ(r.sink, static_cast<csd::Position>(
+                          ap.object_space().position_of(c.sink)));
+  }
 }
 
 // --- memory poisoning ---------------------------------------------------

@@ -1,9 +1,9 @@
 // Randomized stress of the dynamic CSD network against a shadow model:
-// establish/fan-out/release/shift/kill sequences, with a checkpoint
-// round trip in the middle, must keep the claim state exactly
-// consistent with the set of active routes, and every grant must be the
-// fig. 2 priority encoder's choice (the lowest channel whose span is
-// free).
+// establish/two-sided fan-out/release/stack-shift/kill sequences, with
+// checkpoint round trips in the middle, must keep the claim state
+// exactly consistent with the set of active routes, and every grant must
+// be the fig. 2 priority encoder's choice (the lowest channel whose span
+// is free).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -41,30 +41,24 @@ struct Shadow {
     return static_cast<std::size_t>(std::count(dead.begin(), dead.end(), 1));
   }
   /// True if channel `c` has no dead segment in [lo, hi) and no route
-  /// of `in` overlaps it.
-  bool span_free_in(const ShadowRoutes& in, ChannelId c, Position lo,
-                    Position hi) const {
+  /// overlaps it (a zero-span route claims nothing).
+  bool span_free(ChannelId c, Position lo, Position hi) const {
     for (Position s = lo; s < hi; ++s) {
       if (is_dead(c, s)) return false;
     }
-    for (const auto& [id, r] : in) {
-      if (r.channel == c && !(r.hi <= lo || hi <= r.lo)) return false;
+    for (const auto& [id, r] : routes) {
+      if (r.channel == c && r.lo < r.hi && !(r.hi <= lo || hi <= r.lo)) {
+        return false;
+      }
     }
     return true;
   }
-  bool span_free(ChannelId c, Position lo, Position hi) const {
-    return span_free_in(routes, c, lo, hi);
-  }
-  /// Lowest channel free over [lo, hi) in `in`, or `channels` if none.
-  ChannelId lowest_free_in(const ShadowRoutes& in, Position lo,
-                           Position hi) const {
+  /// Lowest channel free over [lo, hi), or `channels` if none.
+  ChannelId lowest_free(Position lo, Position hi) const {
     for (ChannelId c = 0; c < channels; ++c) {
-      if (span_free_in(in, c, lo, hi)) return c;
+      if (span_free(c, lo, hi)) return c;
     }
     return channels;
-  }
-  ChannelId lowest_free(Position lo, Position hi) const {
-    return lowest_free_in(routes, lo, hi);
   }
 };
 
@@ -88,10 +82,24 @@ TEST_P(CsdFuzz, ClaimsAlwaysMatchActiveRoutes) {
   auto check_consistency = [&] {
     // 1. Active route count matches.
     ASSERT_EQ(net.active_routes(), shadow.routes.size());
-    // 2. Total claimed segments = sum of shadow spans.
+    // 2. Every route records the shadow's span and channel; claimed
+    //    segments and used channels equal a recount of the spans.
     std::size_t expect_segments = 0;
-    for (const auto& [id, r] : shadow.routes) expect_segments += r.hi - r.lo;
+    std::vector<std::uint8_t> used(channels, 0);
+    for (const auto& [id, r] : shadow.routes) {
+      const Route& got = net.routes()[id];
+      ASSERT_EQ(got.id, id);
+      ASSERT_EQ(got.lo, r.lo) << "route " << id;
+      ASSERT_EQ(got.hi, r.hi) << "route " << id;
+      ASSERT_EQ(got.channel, r.channel) << "route " << id;
+      ASSERT_TRUE(got.lo <= got.source && got.source <= got.hi);
+      ASSERT_TRUE(got.lo <= got.sink && got.sink <= got.hi);
+      expect_segments += r.hi - r.lo;
+      if (r.hi > r.lo) used[r.channel] = 1;
+    }
     ASSERT_EQ(net.claimed_segments(), expect_segments);
+    ASSERT_EQ(net.used_channels(),
+              static_cast<ChannelId>(std::count(used.begin(), used.end(), 1)));
     // 3. No two shadow routes on one channel overlap, and none covers a
     //    dead segment.
     for (auto a = shadow.routes.begin(); a != shadow.routes.end(); ++a) {
@@ -102,7 +110,9 @@ TEST_P(CsdFuzz, ClaimsAlwaysMatchActiveRoutes) {
       for (auto b = std::next(a); b != shadow.routes.end(); ++b) {
         if (a->second.channel != b->second.channel) continue;
         const bool disjoint = a->second.hi <= b->second.lo ||
-                              b->second.hi <= a->second.lo;
+                              b->second.hi <= a->second.lo ||
+                              a->second.lo == a->second.hi ||
+                              b->second.lo == b->second.hi;
         ASSERT_TRUE(disjoint) << "overlap on channel " << a->second.channel;
       }
     }
@@ -115,7 +125,9 @@ TEST_P(CsdFuzz, ClaimsAlwaysMatchActiveRoutes) {
       ASSERT_EQ(net.span_free(c, lo, hi), shadow.span_free(c, lo, hi))
           << "probe ch" << c << " [" << lo << "," << hi << ")";
     }
-    // 5. Dead-segment accounting and the rendered claim matrix.
+    // 5. Dead-segment accounting and the rendered claim matrix: every
+    //    live route's bits are exactly its span on its channel, with no
+    //    stray bits anywhere else.
     ASSERT_EQ(net.dead_segments(), shadow.dead_count());
     const std::size_t segs = positions - 1;
     std::string cells(shadow.dead.size(), '.');
@@ -163,26 +175,22 @@ TEST_P(CsdFuzz, ClaimsAlwaysMatchActiveRoutes) {
       const ChannelId expect = shadow.lowest_free(lo, hi);
       record_grant(net.establish(a, b), lo, hi, expect);
     } else if (action < establish_end + 1) {
-      // Fan-out from a source to a few sinks on one side of it (a Route
-      // records only the farthest sink, so a two-sided fan-out's span
-      // is not recoverable from it).
+      // Fan-out from a source to a few sinks anywhere on the array, so
+      // the span often reaches both sides of the source.
       const auto source = static_cast<Position>(rng.uniform(positions));
-      const bool down = rng.uniform(2) == 0;
-      if (down ? source + 1 == positions : source == 0) continue;
       std::vector<Position> sinks;
       Position lo = source;
       Position hi = source;
       const auto n = 1 + rng.uniform(3);
       for (std::uint64_t i = 0; i < n; ++i) {
-        sinks.push_back(static_cast<Position>(
-            down ? source + 1 + rng.uniform(positions - 1 - source)
-                 : rng.uniform(source)));
+        sinks.push_back(static_cast<Position>(rng.uniform(positions)));
         lo = std::min(lo, sinks.back());
         hi = std::max(hi, sinks.back());
       }
+      if (lo == hi) continue;
       const ChannelId expect = shadow.lowest_free(lo, hi);
       record_grant(net.establish_fanout(source, sinks), lo, hi, expect);
-    } else if (action < 16) {
+    } else if (action < 15) {
       // release a random active route
       if (!shadow.routes.empty()) {
         auto it = shadow.routes.begin();
@@ -192,26 +200,29 @@ TEST_P(CsdFuzz, ClaimsAlwaysMatchActiveRoutes) {
         shadow.routes.erase(it);
       }
     } else if (action < 17) {
-      // Stack shift: routes move +1 in id order; one pushed off the
-      // bottom is dropped, and one whose shifted span now covers a dead
-      // segment (or a channel a re-homed route already took) falls back
-      // to the lowest free channel or is dropped.
-      net.shift_down_one();
-      ShadowRoutes moved;
-      for (auto [id, r] : shadow.routes) {
-        if (r.hi + 1 >= positions) continue;
-        ++r.lo;
-        ++r.hi;
-        if (!shadow.span_free_in(moved, r.channel, r.lo, r.hi)) {
-          r.channel = shadow.lowest_free_in(moved, r.lo, r.hi);
-          if (r.channel == channels) continue;
+      // Stack shift of a random top block [0, k) to [1, k]: every span
+      // maps through p -> p + (p < k) on its own channel, and exactly the
+      // routes whose mapped span covers dead wire are torn.
+      const auto k = static_cast<Position>(rng.uniform(positions));
+      const std::vector<RouteId> torn = net.shift_prefix(k);
+      std::vector<RouteId> expect_torn;
+      for (auto it = shadow.routes.begin(); it != shadow.routes.end();) {
+        ShadowRoute& r = it->second;
+        r.lo += static_cast<Position>(r.lo < k);
+        r.hi += static_cast<Position>(r.hi < k);
+        bool on_dead = false;
+        for (Position s = r.lo; s < r.hi; ++s) {
+          on_dead = on_dead || shadow.is_dead(r.channel, s);
         }
-        moved[id] = r;
+        if (on_dead) {
+          expect_torn.push_back(it->first);
+          it = shadow.routes.erase(it);
+        } else {
+          ++it;
+        }
       }
-      shadow.routes = std::move(moved);
-      for (const auto& [id, r] : shadow.routes) {
-        ASSERT_EQ(net.routes()[id].channel, r.channel) << "route " << id;
-      }
+      ASSERT_EQ(torn, expect_torn);
+      for (const RouteId id : torn) ASSERT_EQ(net.routes()[id].id, kNoRoute);
     } else if (action < 19) {
       // Kill one hop segment; a route on it re-handshakes in its old
       // slot (the free list is LIFO) or is dropped.

@@ -122,6 +122,24 @@ TEST(SnapshotFormat, RejectsFutureVersion) {
   }
 }
 
+TEST(SnapshotFormat, RejectsVersionOneNamingBothVersions) {
+  // Version 1 predates the CSD route span; there is no migration.
+  snapshot::Snapshot snap;
+  snapshot::Writer w(snap);
+  w.u64(1);
+  snap.bytes()[4] = 1;
+  try {
+    snapshot::Reader r(snap);
+    FAIL() << "version 1 accepted";
+  } catch (const snapshot::SnapshotError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("version 1 "), std::string::npos) << what;
+    EXPECT_NE(what.find("version " + std::to_string(snapshot::kVersion)),
+              std::string::npos)
+        << what;
+  }
+}
+
 TEST(SnapshotFormat, AcceptsCurrentVersion) {
   snapshot::Snapshot snap;
   snapshot::Writer w(snap);
