@@ -29,7 +29,7 @@ struct Sweep {
   std::size_t queue_depth;
   double wall_s = 0.0;
   double jobs_per_sec = 0.0;
-  vlsip::runtime::FarmMetrics metrics;
+  vlsip::obs::FarmMetrics metrics;
 };
 
 Sweep run_sweep(std::size_t workers, std::size_t queue_depth,

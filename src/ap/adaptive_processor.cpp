@@ -357,9 +357,9 @@ std::optional<arch::ObjectId> AdaptiveProcessor::handle_defective_object() {
   }
   chains_.refresh();
   if (trace_.enabled()) {
-    trace_.record(0, "ap",
-                  "defective physical object: capacity now " +
-                      std::to_string(config_.capacity));
+    trace_.event(0, obs::Layer::kAp, "ap", -1,
+                 "defective physical object: capacity now " +
+                     std::to_string(config_.capacity));
   }
   return evicted;
 }

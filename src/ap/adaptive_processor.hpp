@@ -21,9 +21,9 @@
 #include "ap/object_space.hpp"
 #include "ap/pipeline.hpp"
 #include "ap/wsrf.hpp"
-#include "common/trace.hpp"
 #include "csd/dynamic_csd.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace_sink.hpp"
 
 namespace vlsip::snapshot {
 class Writer;
@@ -136,7 +136,7 @@ class AdaptiveProcessor {
   const ReplacementScheduler& replacement() const { return scheduler_; }
   MemorySystem& memory() { return memory_; }
   const ApStats& stats() const { return stats_; }
-  Trace& trace() { return trace_; }
+  obs::TraceSink& trace() { return trace_; }
 
   /// Publishes the AP's lifetime counters into `registry` under "ap."
   /// names (configuration pipeline, executor, memory; the CSD network
@@ -159,7 +159,7 @@ class AdaptiveProcessor {
   /// Checkpoints the complete machine state — object placement, WSRF,
   /// library, CSD claims, chains, replacement ports, memory contents,
   /// the configured program and the executor's in-flight tokens, plus
-  /// lifetime stats. Trace contents are telemetry and excluded.
+  /// lifetime stats. Trace-sink contents are telemetry and excluded.
   void save(snapshot::Writer& w) const;
 
   /// Restores into an AP constructed with the *same* ApConfig the saved
@@ -179,7 +179,7 @@ class AdaptiveProcessor {
   void install_execution_hooks();
 
   ApConfig config_;
-  Trace trace_;
+  obs::TraceSink trace_;
   ObjectSpace space_;
   Wsrf wsrf_;
   ObjectLibrary library_;

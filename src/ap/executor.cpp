@@ -15,7 +15,8 @@ using arch::Word;
 }  // namespace
 
 Executor::Executor(const arch::Program& program, const ObjectSpace& space,
-                   MemorySystem& memory, ExecConfig config, Trace* trace)
+                   MemorySystem& memory, ExecConfig config,
+                   obs::TraceSink* trace)
     : program_(&program),
       space_(space),
       memory_(memory),
@@ -345,9 +346,9 @@ Executor::FireResult Executor::try_fire(arch::ObjectId id, Node& node,
     node.fault_in_service = true;
     node.bind_ready_at = now + latency;
     if (trace_) {
-      trace_->record(now, "exec",
-                     "object fault " + std::to_string(id) + " (+" +
-                         std::to_string(latency) + " cycles)");
+      trace_->event(now, obs::Layer::kAp, "exec", id,
+                    "object fault " + std::to_string(id) + " (+" +
+                        std::to_string(latency) + " cycles)");
     }
     return FireResult::kFaultRaised;
   }

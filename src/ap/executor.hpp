@@ -36,7 +36,7 @@
 #include "ap/memory_block.hpp"
 #include "ap/object_space.hpp"
 #include "common/activity_set.hpp"
-#include "common/trace.hpp"
+#include "obs/trace_sink.hpp"
 
 namespace vlsip::snapshot {
 class Writer;
@@ -109,7 +109,7 @@ class Executor {
   /// `space` decides residency; `memory` backs load/store objects.
   Executor(const arch::Program& program, const ObjectSpace& space,
            MemorySystem& memory, ExecConfig config = {},
-           Trace* trace = nullptr);
+           obs::TraceSink* trace = nullptr);
 
   /// Rebuilds the executor for a new program in place, reusing the node
   /// / edge / ring / activity arenas from the previous datapath — the
@@ -255,7 +255,7 @@ class Executor {
   const ObjectSpace& space_;
   MemorySystem& memory_;
   ExecConfig config_;
-  Trace* trace_;
+  obs::TraceSink* trace_;
   FaultHandler fault_handler_;
 
   std::vector<Edge> edges_;

@@ -121,7 +121,7 @@ ConfigurationPipeline::ConfigurationPipeline(ObjectSpace& space, Wsrf& wsrf,
                                              ChainSet& chains,
                                              ReplacementScheduler& scheduler,
                                              PipelineConfig config,
-                                             Trace* trace)
+                                             obs::TraceSink* trace)
     : space_(space),
       wsrf_(wsrf),
       library_(library),
@@ -154,9 +154,9 @@ std::uint64_t ConfigurationPipeline::ensure_resident(
       }
     }
     if (trace_) {
-      trace_->record(now, "pipeline",
-                     "hit object " + std::to_string(id) + " (was depth " +
-                         std::to_string(*pos) + ")");
+      trace_->event(now, obs::Layer::kAp, "pipeline", id,
+                    "hit object " + std::to_string(id) + " (was depth " +
+                        std::to_string(*pos) + ")");
     }
     return now;
   }
@@ -194,8 +194,8 @@ std::uint64_t ConfigurationPipeline::ensure_resident(
     // network re-resolves them — §2.6.2's re-request behaviour.
     t += 1;
     if (trace_) {
-      trace_->record(t, "pipeline",
-                     "evicted object " + std::to_string(victim));
+      trace_->event(t, obs::Layer::kAp, "pipeline", victim,
+                    "evicted object " + std::to_string(victim));
     }
   }
   chains_.shift_prefix(space_.size());
@@ -204,7 +204,8 @@ std::uint64_t ConfigurationPipeline::ensure_resident(
   t += 1;  // the stack shift entering the loaded object
   wsrf_.insert(id);
   if (trace_) {
-    trace_->record(t, "pipeline", "entered object " + std::to_string(id));
+    trace_->event(t, obs::Layer::kAp, "pipeline", id,
+                  "entered object " + std::to_string(id));
   }
   return t;
 }

@@ -28,8 +28,8 @@
 #include "ap/object_space.hpp"
 #include "ap/replacement.hpp"
 #include "ap/wsrf.hpp"
-#include "common/trace.hpp"
 #include "csd/dynamic_csd.hpp"
+#include "obs/trace_sink.hpp"
 
 namespace vlsip::snapshot {
 class Writer;
@@ -187,7 +187,8 @@ class ConfigurationPipeline {
   ConfigurationPipeline(ObjectSpace& space, Wsrf& wsrf,
                         ObjectLibrary& library, ChainSet& chains,
                         ReplacementScheduler& scheduler,
-                        PipelineConfig config = {}, Trace* trace = nullptr);
+                        PipelineConfig config = {},
+                        obs::TraceSink* trace = nullptr);
 
   /// Runs the whole stream to completion; logical objects are loaded
   /// from the library on miss (the AP stores the program's objects into
@@ -224,7 +225,7 @@ class ConfigurationPipeline {
   ChainSet& chains_;
   ReplacementScheduler& scheduler_;
   PipelineConfig config_;
-  Trace* trace_;
+  obs::TraceSink* trace_;
   DirtyProbe dirty_probe_;
 };
 

@@ -22,11 +22,11 @@
 
 #include "ap/adaptive_processor.hpp"
 #include "arch/datapath.hpp"
-#include "common/trace.hpp"
 #include "core/status.hpp"
 #include "costmodel/energy.hpp"
 #include "costmodel/vlsi_model.hpp"
 #include "noc/noc_fabric.hpp"
+#include "obs/trace_sink.hpp"
 #include "scaling/scaling_manager.hpp"
 #include "snapshot/snapshot.hpp"
 #include "topology/region.hpp"
@@ -112,7 +112,7 @@ class VlsiProcessor {
   topology::STopologyFabric& fabric() { return fabric_; }
   noc::NocFabric& noc() { return noc_; }
   scaling::ScalingManager& manager() { return manager_; }
-  Trace& trace() { return trace_; }
+  obs::TraceSink& trace() { return trace_; }
 
   /// Publishes the whole chip into `registry`: NoC fabric counters
   /// ("noc."), scaling/state-machine/AP-layer counters ("scaling.",
@@ -213,7 +213,7 @@ class VlsiProcessor {
 
  private:
   ChipConfig config_;
-  Trace trace_;
+  obs::TraceSink trace_;
   topology::STopologyFabric fabric_;
   noc::NocFabric noc_;
   scaling::ScalingManager manager_;

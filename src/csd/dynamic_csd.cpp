@@ -10,7 +10,7 @@
 
 namespace vlsip::csd {
 
-DynamicCsdNetwork::DynamicCsdNetwork(CsdConfig config, Trace* trace)
+DynamicCsdNetwork::DynamicCsdNetwork(CsdConfig config, obs::TraceSink* trace)
     : config_(config),
       words_per_segment_((static_cast<std::size_t>(config.channels) + 63) /
                          64),

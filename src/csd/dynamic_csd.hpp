@@ -22,9 +22,9 @@
 #include <string>
 #include <vector>
 
-#include "common/trace.hpp"
 #include "costmodel/energy.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace_sink.hpp"
 
 namespace vlsip::snapshot {
 class Writer;
@@ -85,7 +85,7 @@ struct SegmentKillResult {
 /// cycle-level AP model charges for it.
 class DynamicCsdNetwork {
  public:
-  explicit DynamicCsdNetwork(CsdConfig config, Trace* trace = nullptr);
+  explicit DynamicCsdNetwork(CsdConfig config, obs::TraceSink* trace = nullptr);
 
   Position positions() const { return config_.positions; }
   ChannelId channel_count() const { return config_.channels; }
@@ -252,7 +252,7 @@ class DynamicCsdNetwork {
   std::vector<Route> routes_;        // slot reuse via free list
   std::vector<RouteId> free_slots_;
   std::size_t active_routes_ = 0;
-  Trace* trace_;
+  obs::TraceSink* trace_;
   std::uint64_t now_ = 0;  // advanced by handshake latencies for tracing
   std::uint64_t version_ = 0;
   // Lifetime handshake counters (see route_requests()).

@@ -5,9 +5,6 @@
 // the latency QuantileSketch is exact below its reservoir capacity —
 // every regime the tests exercise — and bounded-memory past it, unlike
 // the old runtime/metrics.hpp store that kept every sample forever).
-//
-// This is the obs replacement for the deleted runtime/metrics.{hpp,cpp};
-// runtime/chip_farm.hpp re-exports it as runtime::FarmMetrics.
 #pragma once
 
 #include <cstdint>

@@ -41,11 +41,6 @@ void TraceSink::event(std::uint64_t cycle, Layer layer,
       Event{cycle, std::move(category), std::move(message), dur, layer, id});
 }
 
-void TraceSink::record(std::uint64_t cycle, std::string category,
-                       std::string message) {
-  event(cycle, Layer::kOther, std::move(category), -1, std::move(message));
-}
-
 std::size_t TraceSink::count(const std::string& category) const {
   std::size_t n = 0;
   for (const auto& e : entries_) {

@@ -2,17 +2,10 @@
 //
 // Every layer of the simulator records *typed* events: a cycle stamp, a
 // duration (0 = instant), the producing layer, a node/cluster/worker id
-// and a category, plus the human-readable message the old string Trace
-// carried. Recording is disabled by default and costs one branch per
-// call when off — the discipline the executor hot path relies on.
-//
-// Compatibility: `vlsip::Trace` (common/trace.hpp) is now an alias of
-// this class. The legacy record(cycle, category, message) entry point
-// maps to an untyped event (layer kOther, no id), and count()/
-// contains()/first_cycle_of()/render() behave exactly as the old Trace
-// did, so every existing producer and test keeps working unchanged.
-// New call sites should prefer event(), which carries layer/id/duration
-// into the chrome-trace exporter.
+// and a category, plus a human-readable message. Recording is disabled
+// by default and costs one branch per call when off — the discipline
+// the executor hot path relies on. count()/contains()/first_cycle_of()/
+// render() read only the category and message.
 //
 // A sink may be capacity-capped: set_capacity(N) turns it into a
 // bounded ring that keeps only the N most recent events (oldest are
@@ -35,7 +28,7 @@ namespace vlsip::obs {
 
 /// The producing subsystem of an event — the chrome-trace "process".
 enum class Layer : std::uint8_t {
-  kOther = 0,  // legacy string traces with no layer tag
+  kOther = 0,  // events with no layer tag
   kAp,         // executor / configuration pipeline
   kCsd,        // dynamic channel segmentation network
   kNoc,        // router fabric
@@ -63,9 +56,6 @@ class TraceSink {
     std::int64_t id = -1;
   };
 
-  /// The old Trace's name for its element type.
-  using Entry = Event;
-
   /// A disabled sink records nothing.
   explicit TraceSink(bool enabled = false) : enabled_(enabled) {}
 
@@ -81,13 +71,9 @@ class TraceSink {
   /// Events evicted by the capacity cap over the sink's lifetime.
   std::uint64_t dropped() const { return dropped_; }
 
-  /// Structured record — the preferred entry point.
+  /// Records one event.
   void event(std::uint64_t cycle, Layer layer, std::string category,
              std::int64_t id, std::string message, std::uint64_t dur = 0);
-
-  /// Legacy entry point (the old Trace::record): an untyped instant.
-  void record(std::uint64_t cycle, std::string category,
-              std::string message);
 
   const std::deque<Event>& entries() const { return entries_; }
 
@@ -111,7 +97,7 @@ class TraceSink {
   bool first_cycle_of(const std::string& needle,
                       std::uint64_t& cycle_out) const;
 
-  /// Renders "cycle  category  message" lines (the old Trace format).
+  /// Renders "cycle  category  message" lines.
   std::string render() const;
 
  private:
@@ -129,9 +115,3 @@ class TraceSink {
 void write_chrome_trace(const TraceSink& sink, std::ostream& out);
 
 }  // namespace vlsip::obs
-
-namespace vlsip {
-/// The historical name. common/trace.hpp re-exports this alias; new
-/// code should say obs::TraceSink.
-using Trace = obs::TraceSink;
-}  // namespace vlsip

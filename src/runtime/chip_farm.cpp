@@ -15,6 +15,10 @@ ChipFarm::ChipFarm(FarmConfig config)
       queue_(config_.deterministic ? SIZE_MAX : config_.queue_capacity),
       epoch_(std::chrono::steady_clock::now()) {
   VLSIP_REQUIRE(config_.workers >= 1, "the farm needs at least one worker");
+  // Checked here rather than in take_batch(), which runs on a worker
+  // thread where a throw would terminate the process.
+  VLSIP_REQUIRE(config_.batch.max_jobs >= 1,
+                "batches must hold at least one job");
   // The fault pump walks the plan with one cursor: sorted, in order.
   config_.fault_tolerance.plan.sort();
   // DVS implies energy accounting: the governor prices jobs off the
@@ -731,16 +735,16 @@ std::vector<ChipFarm::ChipHealth> ChipFarm::health() const {
   return out;
 }
 
-FarmMetrics ChipFarm::metrics() const {
+obs::FarmMetrics ChipFarm::metrics() const {
   std::lock_guard<std::mutex> lock(metrics_mutex_);
-  FarmMetrics total = admission_metrics_;
+  obs::FarmMetrics total = admission_metrics_;
   for (const auto& worker : workers_) total.merge(worker->metrics);
   return total;
 }
 
 obs::MetricRegistry ChipFarm::obs_metrics() const {
   std::lock_guard<std::mutex> lock(metrics_mutex_);
-  FarmMetrics total = admission_metrics_;
+  obs::FarmMetrics total = admission_metrics_;
   for (const auto& worker : workers_) total.merge(worker->metrics);
   obs::MetricRegistry out;
   total.export_into(out);

@@ -67,10 +67,6 @@
 
 namespace vlsip::runtime {
 
-/// The farm's metrics live in the observability spine now; the runtime
-/// keeps the historical name so embedders and tests are unaffected.
-using FarmMetrics = obs::FarmMetrics;
-
 /// Self-healing knobs. When enabled, the farm consumes a FaultPlan
 /// (events triggered by the global serve-sequence number, so
 /// deterministic mode stays bit-identical), retries environment-induced
@@ -218,7 +214,7 @@ class ChipFarm {
   std::size_t queue_depth() const { return queue_.size(); }
 
   /// Aggregated snapshot across all workers + admission counters.
-  FarmMetrics metrics() const;
+  obs::FarmMetrics metrics() const;
 
   /// One-call observability export: the aggregated FarmMetrics (under
   /// "farm." / "fault." names) merged with every worker chip's layer
@@ -278,8 +274,8 @@ class ChipFarm {
     std::size_t index = 0;
     std::unique_ptr<core::VlsiProcessor> chip;
     std::thread thread;
-    FarmMetrics metrics;     // guarded by ChipFarm::metrics_mutex_
-    ChipHealth health;       // guarded by ChipFarm::metrics_mutex_
+    obs::FarmMetrics metrics;  // guarded by ChipFarm::metrics_mutex_
+    ChipHealth health;         // guarded by ChipFarm::metrics_mutex_
     /// Chip-layer metric snapshot (noc/scaling/ap probes), re-published
     /// by the owning worker at each health check / quarantine; guarded
     /// by ChipFarm::metrics_mutex_.
@@ -362,7 +358,7 @@ class ChipFarm {
   std::chrono::steady_clock::time_point epoch_;
 
   mutable std::mutex metrics_mutex_;
-  FarmMetrics admission_metrics_;  // submitted/rejected/cancelled
+  obs::FarmMetrics admission_metrics_;  // submitted/rejected/cancelled
   std::vector<scaling::JobOutcome> outcome_log_;
   /// Serialises writes to the borrowed FarmConfig::trace sink.
   std::mutex trace_mutex_;

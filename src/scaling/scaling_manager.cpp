@@ -16,7 +16,7 @@ constexpr topology::RegionId kTicketBase = 0x80000000u;
 
 ScalingManager::ScalingManager(topology::STopologyFabric& fabric,
                                noc::NocFabric& noc, ScalingConfig config,
-                               Trace* trace)
+                               obs::TraceSink* trace)
     : fabric_(fabric),
       noc_(noc),
       regions_(fabric),

@@ -20,9 +20,9 @@
 
 #include "ap/adaptive_processor.hpp"
 #include "common/stats.hpp"
-#include "common/trace.hpp"
 #include "noc/noc_fabric.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace_sink.hpp"
 #include "scaling/state_machine.hpp"
 #include "topology/region.hpp"
 #include "topology/s_topology.hpp"
@@ -79,7 +79,7 @@ struct ScalingConfig {
 class ScalingManager {
  public:
   ScalingManager(topology::STopologyFabric& fabric, noc::NocFabric& noc,
-                 ScalingConfig config = {}, Trace* trace = nullptr);
+                 ScalingConfig config = {}, obs::TraceSink* trace = nullptr);
 
   // --- scaling ---------------------------------------------------------
 
@@ -268,7 +268,7 @@ class ScalingManager {
   noc::NocFabric& noc_;
   topology::RegionManager regions_;
   ScalingConfig config_;
-  Trace* trace_;
+  obs::TraceSink* trace_;
   /// Every processor slot ever fused, indexed by ProcId (ids are never
   /// reused; released slots keep their FSM counters for snapshots).
   std::vector<ScaledProcessor> procs_;

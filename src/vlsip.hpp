@@ -38,7 +38,6 @@
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
-#include "common/trace.hpp"
 
 #include "obs/farm_metrics.hpp"
 #include "obs/json.hpp"

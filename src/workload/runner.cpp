@@ -1,14 +1,16 @@
 #include "workload/runner.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
+#include <cstring>
 #include <map>
 #include <sstream>
 #include <vector>
 
 #include "net/client.hpp"
 #include "obs/json.hpp"
-#include "runtime/farm_config_builder.hpp"
+#include "runtime/manifest.hpp"
 #include "runtime/replay.hpp"
 
 namespace vlsip::workload {
@@ -173,50 +175,100 @@ std::string render_report(const JobStream& stream,
   return out.str();
 }
 
-StatusOr<std::string> serve_local(const JobStream& stream,
-                                  const RunPackOptions& options) {
-  runtime::FarmConfigBuilder builder;
-  builder.deterministic(options.deterministic)
-      .workers(options.deterministic ? 1 : options.workers)
-      .batch(options.batch)
-      .default_max_cycles(options.default_max_cycles)
-      .keep_outcome_log(true)
-      .chip(options.chip);
-  if (!options.deterministic) builder.queue(stream.jobs.size() + 1, true);
-  if (stream.pack.energy) builder.dvs(0);
-  auto config = builder.try_build();
-  if (!config.ok()) return config.status();
-
-  runtime::ChipFarm farm(*config);
-  for (const TimedJob& timed : stream.jobs) {
-    runtime::SubmitOptions submit;
-    submit.arrival_tick = timed.arrival;
-    submit.deadline = timed.deadline;
-    (void)farm.submit(timed.job, std::move(submit));
-  }
-  farm.drain();
-  const std::uint64_t final_tick = farm.now();
-  const auto log = farm.outcome_log();
-  farm.shutdown();
-
+/// Pairs each stream job with its outcome (null = never served).
+std::string render_local(const JobStream& stream, const Served& served) {
   std::map<std::string, const JobOutcome*> by_name;
-  for (const auto& outcome : log) by_name[outcome.name] = &outcome;
+  for (const auto& outcome : served.log) by_name[outcome.name] = &outcome;
   std::vector<const JobOutcome*> outcomes;
   outcomes.reserve(stream.jobs.size());
   for (const TimedJob& timed : stream.jobs) {
     const auto it = by_name.find(timed.job.name);
     outcomes.push_back(it == by_name.end() ? nullptr : it->second);
   }
-  return render_report(stream, outcomes, final_tick);
+  return render_report(stream, outcomes, served.final_tick);
 }
 
-StatusOr<std::string> serve_remote(const JobStream& stream,
-                                   const RunPackOptions& options) {
-  net::HubClient::Options copts;
-  copts.hub = options.hub;
-  copts.name = "workload";
-  copts.max_in_flight = options.max_in_flight;
-  auto client = net::HubClient::connect(std::move(copts));
+/// Manifest and synthetic jobs: arrival 0, no deadline, no kernel.
+JobStream untimed(std::vector<scaling::Job> jobs) {
+  JobStream stream;
+  stream.jobs.reserve(jobs.size());
+  for (auto& job : jobs) {
+    stream.jobs.push_back(TimedJob{std::move(job), 0, 0, {}});
+  }
+  return stream;
+}
+
+const Status kEmptyStream(StatusCode::kInvalidArgument,
+                          "the job stream is empty — build it from a pack "
+                          "first");
+
+}  // namespace
+
+StatusOr<JobStream> load_jobs(const std::string& ref, bool pack_files,
+                              std::uint64_t seed, std::size_t jobs) {
+  constexpr const char* kSynthetic = "@synthetic:";
+  if (ref.rfind(kSynthetic, 0) == 0) {
+    // @synthetic:N[:seed]
+    const auto fields = ref_integers(ref, std::strlen(kSynthetic), 2);
+    if (!fields.ok()) return fields.status();
+    runtime::SyntheticSpec spec;
+    spec.jobs = static_cast<std::size_t>((*fields)[0]);
+    if (fields->size() == 2) spec.seed = (*fields)[1];
+    return untimed(runtime::synthetic_jobs(spec));
+  }
+  if (pack_files || ref.rfind("@preset:", 0) == 0) {
+    auto pack = load_pack(ref);
+    if (!pack.ok()) return pack.status();
+    JobStreamBuilder builder;
+    builder.pack(std::move(*pack));
+    if (seed != 0) builder.seed(seed);
+    if (jobs != 0) builder.jobs(jobs);
+    return builder.try_build();
+  }
+  try {
+    return untimed(runtime::load_manifest(ref));
+  } catch (const std::exception& e) {
+    return Status(StatusCode::kInvalidArgument, e.what());
+  }
+}
+
+Served serve(const JobStream& stream, runtime::FarmConfig config) {
+  if (stream.pack.energy) config.dvs.enabled = true;
+  Served served;
+  served.energy = config.dvs.enabled;
+  const bool want_obs = config.trace != nullptr;
+  const auto t0 = std::chrono::steady_clock::now();
+  runtime::ChipFarm farm(std::move(config));
+  for (const TimedJob& timed : stream.jobs) {
+    runtime::SubmitOptions submit;
+    submit.arrival_tick = timed.arrival;
+    submit.deadline = timed.deadline;
+    if (!farm.submit(timed.job, std::move(submit)).admitted) {
+      ++served.rejected;
+    }
+  }
+  farm.drain();
+  served.wall_s =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
+  served.final_tick = farm.now();
+  served.workers = farm.workers();
+  served.metrics = farm.metrics();
+  served.log = farm.outcome_log();
+  served.health = farm.health();
+  if (want_obs) served.obs = farm.obs_metrics();
+  farm.shutdown();
+  return served;
+}
+
+StatusOr<RemoteServed> serve_remote(const JobStream& stream,
+                                    const HubTarget& hub,
+                                    const HubControl& control) {
+  net::HubClient::Options options;
+  options.hub = hub.address;
+  options.name = control.client_name;
+  options.max_in_flight = hub.window;
+  auto client = net::HubClient::connect(std::move(options));
   if (!client.ok()) return client.status();
 
   std::map<std::uint64_t, std::size_t> index_by_seq;
@@ -225,33 +277,64 @@ StatusOr<std::string> serve_remote(const JobStream& stream,
     if (!seq.ok()) return seq.status();
     index_by_seq[*seq] = i;
   }
-  auto results = client->collect(stream.jobs.size());
-  if (!results.ok()) return results.status();
-  client->goodbye();
 
-  std::vector<const JobOutcome*> outcomes(stream.jobs.size(), nullptr);
-  for (const auto& result : *results) {
-    const auto it = index_by_seq.find(result.id);
-    if (it != index_by_seq.end()) outcomes[it->second] = &result.outcome;
+  RemoteServed remote;
+  remote.outcomes.resize(stream.jobs.size());
+  const auto collect = [&](std::size_t n) -> Status {
+    auto results = client->collect(n);
+    if (!results.ok()) return results.status();
+    for (auto& result : *results) {
+      const auto it = index_by_seq.find(result.id);
+      if (it == index_by_seq.end()) continue;
+      remote.outcomes[it->second] = std::move(result.outcome);
+    }
+    return Status::Ok();
+  };
+  // With a drain requested, the first wave stops after drain_after
+  // results so the migration happens mid-run.
+  const std::size_t total = stream.jobs.size();
+  const std::size_t first_wave =
+      control.drain_worker > 0 ? std::min(control.drain_after, total) : total;
+  Status status = collect(first_wave);
+  if (status.ok() && control.drain_worker > 0) {
+    status = client->drain_worker(control.drain_worker);
+    if (status.ok()) status = collect(total - first_wave);
   }
-  return render_report(stream, outcomes, 0);
+  if (!status.ok()) return status;
+
+  if (control.fetch_metrics) {
+    auto metrics = client->metrics_json();
+    if (metrics.ok()) remote.hub_metrics = std::move(*metrics);
+  }
+  if (control.shutdown_hub) {
+    (void)client->shutdown_hub();
+  } else {
+    client->goodbye();
+  }
+  return remote;
 }
 
-}  // namespace
-
 StatusOr<std::string> run_pack(const JobStream& stream,
-                               const RunPackOptions& options) {
-  if (stream.jobs.empty()) {
-    return Status(StatusCode::kInvalidArgument,
-                  "the job stream is empty — build it from a pack first");
-  }
+                               const runtime::FarmConfig& config) {
+  if (stream.jobs.empty()) return kEmptyStream;
   try {
-    if (!options.hub.empty()) return serve_remote(stream, options);
-    return serve_local(stream, options);
+    return render_local(stream, serve(stream, config));
   } catch (const std::exception& e) {
     return Status(StatusCode::kInvalidArgument,
                   std::string("pack run failed: ") + e.what());
   }
+}
+
+StatusOr<std::string> run_pack(const JobStream& stream, const HubTarget& hub) {
+  if (stream.jobs.empty()) return kEmptyStream;
+  auto remote = serve_remote(stream, hub);
+  if (!remote.ok()) return remote.status();
+  std::vector<const JobOutcome*> outcomes;
+  outcomes.reserve(stream.jobs.size());
+  for (const auto& outcome : remote->outcomes) {
+    outcomes.push_back(outcome ? &*outcome : nullptr);
+  }
+  return render_report(stream, outcomes, 0);
 }
 
 void save_stream(snapshot::Writer& w, const JobStream& stream) {
@@ -316,7 +399,7 @@ JobStream restore_stream(snapshot::Reader& r) {
 }
 
 StatusOr<std::string> run_pack_replay(const JobStream& stream,
-                                      const RunPackOptions& options) {
+                                      const runtime::FarmConfig& config) {
   try {
     snapshot::Snapshot snap;
     snapshot::Writer w(snap);
@@ -324,7 +407,7 @@ StatusOr<std::string> run_pack_replay(const JobStream& stream,
     snapshot::Reader r(snap);
     JobStream restored = restore_stream(r);
     VLSIP_REQUIRE(r.done(), "trailing bytes after the encoded stream");
-    return run_pack(restored, options);
+    return run_pack(restored, config);
   } catch (const snapshot::SnapshotError& e) {
     return Status(StatusCode::kCorruptSnapshot, e.what());
   } catch (const std::exception& e) {

@@ -1,27 +1,25 @@
-// Pack runner — drives a generated JobStream and renders the report.
+// The serving path behind every farm front door (vlsipc serve, chaos,
+// workload, submit): load_jobs() turns a positional into a JobStream,
+// the caller validates a FarmConfig with FarmConfigBuilder::try_build(),
+// serve() submits the stream to one ChipFarm and drains it, and the
+// verb renders the Served result. serve_remote() is the same stream
+// through net::HubClient.
 //
-// Local mode serves the stream through a ChipFarm: each job is
-// submitted with its arrival tick (SubmitOptions::arrival_tick) and
-// deadline, the farm drains, and the outcome log is folded into a
-// schema-versioned JSON report — per-kernel latency/energy percentiles
-// and outcome counts. In deterministic mode (the default) the report
-// is byte-identical per seed: timestamps come from the virtual cycle
-// clock and every aggregate is exact integer math over them.
-//
-// Remote mode (RunPackOptions::hub) submits the same stream through
-// net::HubClient — the distributed pack-submission path — and folds
-// the collected results into the same report shape. Remote timestamps
-// are the worker farms' wall clocks, so byte-identity is a local-mode
-// guarantee only.
-//
-// save_stream()/restore_stream() round-trip a stream through the
-// snapshot codec (runtime::save_job per job, plus the pack and timing
-// fields); run_pack_replay() proves the codec by encoding, decoding,
-// and serving the decoded copy — its report must equal a direct
-// run_pack() byte for byte.
+// run_pack() renders a pack stream's schema-versioned workload-pack
+// report (per-kernel latency/energy percentiles and outcome counts)
+// from either serve. Served locally in deterministic mode it is
+// byte-identical per seed: timestamps come from the virtual cycle
+// clock and every aggregate is exact integer math. Remote timestamps
+// are worker wall clocks, so byte-identity is local-only.
+// run_pack_replay() serves a stream after a round trip through the
+// snapshot codec (save_stream()/restore_stream()); its report must
+// equal a direct run_pack() byte for byte.
 #pragma once
 
+#include <cstdint>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "runtime/chip_farm.hpp"
 #include "snapshot/snapshot.hpp"
@@ -34,37 +32,88 @@ namespace vlsip::workload {
 /// when a report field is renamed, removed, or changes meaning.
 inline constexpr std::uint64_t kPackReportVersion = 1;
 
-struct RunPackOptions {
-  /// Deterministic mode: one worker on the virtual cycle clock,
-  /// byte-identical reports per seed. Threaded mode frees the worker
-  /// count but reports wall-tick latencies.
-  bool deterministic = true;
-  std::size_t workers = 1;
-  std::size_t batch = 8;
-  std::uint64_t default_max_cycles = 1u << 22;
-  /// Chip template each farm slot is built from (default geometry).
-  core::ChipConfig chip;
-  /// Non-empty = submit through net::HubClient at this address
-  /// ("host:port" or "unix:/path") instead of a local farm.
-  std::string hub;
-  /// Client submission window in remote mode (0 = unbounded).
-  std::size_t max_in_flight = 64;
+/// Resolves `ref` into a job stream:
+///   "@preset:NAME[:seed[:jobs]]"  a builtin scenario pack (load_pack);
+///   "@synthetic:N[:seed]"         runtime::synthetic_jobs;
+///   anything else                 a file — a pack spec when
+///                                 `pack_files`, otherwise a manifest.
+/// Manifest and synthetic jobs arrive at tick 0 with no deadline, which
+/// is what ChipFarm::submit(job) does with default SubmitOptions.
+/// Non-zero `seed` / `jobs` override a pack's own. kInvalidArgument on
+/// a malformed ref or manifest, kIoError on an unreadable pack spec.
+StatusOr<JobStream> load_jobs(const std::string& ref, bool pack_files = false,
+                              std::uint64_t seed = 0, std::size_t jobs = 0);
+
+/// Everything one local serve produced.
+struct Served {
+  std::vector<scaling::JobOutcome> log;  // completion order
+  obs::FarmMetrics metrics;
+  std::vector<runtime::ChipFarm::ChipHealth> health;
+  /// Every layer's probes; read only when the config has a trace sink.
+  obs::MetricRegistry obs;
+  /// Farm clock after the drain (virtual cycles when deterministic).
+  std::uint64_t final_tick = 0;
+  std::size_t workers = 0;
+  std::size_t rejected = 0;  // refused at admission
+  /// Host seconds from farm construction to the end of the drain.
+  double wall_s = 0.0;
+  bool energy = false;  // DVS energy metering was on
 };
 
-/// Serves `stream` and returns the rendered JSON report.
-StatusOr<std::string> run_pack(const JobStream& stream,
-                               const RunPackOptions& options = {});
+/// Serves `stream` on one ChipFarm built from `config`. A pack that
+/// meters energy turns DVS metering on (the budget stays as
+/// configured), so its outcomes carry femtojoules. Throws
+/// PreconditionError on a config or job the farm refuses.
+Served serve(const JobStream& stream, runtime::FarmConfig config);
 
-/// Snapshot codec for a stream (pack fields + every timed job through
-/// runtime::save_job).
+/// The remote pair: the hub address ("host:port" or "unix:/path") and
+/// the client's submission window (0 = unbounded).
+struct HubTarget {
+  std::string address;
+  std::size_t window = 64;
+};
+
+/// Hub controls beyond submit-and-collect (the submit verb's flags).
+struct HubControl {
+  /// Display name sent in the client's Hello.
+  std::string client_name = "workload";
+  /// Checkpoint-migrate this worker (0 = none) once `drain_after`
+  /// results have arrived.
+  std::uint64_t drain_worker = 0;
+  std::size_t drain_after = 0;
+  /// Fetch the hub's metrics document after the last result.
+  bool fetch_metrics = false;
+  /// Close with shutdown_hub() instead of goodbye().
+  bool shutdown_hub = false;
+};
+
+struct RemoteServed {
+  /// outcomes[i] is stream.jobs[i]'s result; empty if none came back.
+  std::vector<std::optional<scaling::JobOutcome>> outcomes;
+  std::string hub_metrics;  // HubControl::fetch_metrics, else empty
+};
+
+/// Serves `stream` through the hub at `hub`. Arrival ticks and
+/// deadlines are local-farm timing and do not travel.
+StatusOr<RemoteServed> serve_remote(const JobStream& stream,
+                                    const HubTarget& hub,
+                                    const HubControl& control = {});
+
+/// Serves a pack stream locally and returns the rendered JSON report.
+StatusOr<std::string> run_pack(const JobStream& stream,
+                               const runtime::FarmConfig& config);
+/// The same report from a serve through the hub at `hub`.
+StatusOr<std::string> run_pack(const JobStream& stream, const HubTarget& hub);
+
+/// Snapshot codec for a stream: the pack fields, then every timed job
+/// through runtime::save_job.
 void save_stream(snapshot::Writer& w, const JobStream& stream);
 /// Throws snapshot::SnapshotError on malformed bytes.
 JobStream restore_stream(snapshot::Reader& r);
 
-/// Round-trips `stream` through save_stream()/restore_stream() and
-/// serves the decoded copy: the replay half of the serve-vs-replay
-/// byte-identity guarantee.
+/// run_pack() on the save_stream()/restore_stream() round trip of
+/// `stream`.
 StatusOr<std::string> run_pack_replay(const JobStream& stream,
-                                      const RunPackOptions& options = {});
+                                      const runtime::FarmConfig& config);
 
 }  // namespace vlsip::workload

@@ -128,8 +128,13 @@ std::vector<std::string> split_ws(const std::string& line) {
   return out;
 }
 
+/// Decimal digits only: no sign, no whitespace, no suffix, not empty.
 bool parse_u64(const std::string& s, std::uint64_t* out) {
-  if (s.empty()) return false;
+  if (s.empty() || !std::all_of(s.begin(), s.end(), [](unsigned char c) {
+        return std::isdigit(c) != 0;
+      })) {
+    return false;
+  }
   char* end = nullptr;
   errno = 0;
   const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
@@ -337,58 +342,67 @@ StatusOr<ScenarioPack> parse_pack(const std::string& text) {
   return builder.try_build();
 }
 
+StatusOr<std::vector<std::uint64_t>> ref_integers(const std::string& ref,
+                                                  std::size_t from,
+                                                  std::size_t max_fields) {
+  std::vector<std::uint64_t> values;
+  for (std::size_t start = from;;) {
+    const auto colon = ref.find(':', start);
+    const std::string field = ref.substr(
+        start, colon == std::string::npos ? std::string::npos : colon - start);
+    std::uint64_t value = 0;
+    if (!parse_u64(field, &value)) {
+      return invalid("field '" + field + "' of " + ref +
+                     " is not an integer");
+    }
+    values.push_back(value);
+    if (colon == std::string::npos) break;
+    start = colon + 1;
+  }
+  if (values.size() > max_fields) {
+    return invalid(ref + " has too many fields");
+  }
+  return values;
+}
+
 StatusOr<ScenarioPack> load_pack(const std::string& ref) {
   constexpr const char* kPrefix = "@preset:";
   if (ref.rfind(kPrefix, 0) == 0) {
     // @preset:NAME[:seed[:jobs]]
-    std::vector<std::string> parts;
-    std::size_t start = std::string(kPrefix).size();
-    while (start <= ref.size()) {
-      const auto colon = ref.find(':', start);
-      parts.push_back(ref.substr(
-          start, colon == std::string::npos ? std::string::npos
-                                            : colon - start));
-      if (colon == std::string::npos) break;
-      start = colon + 1;
-    }
-    if (parts.empty() || parts[0].empty()) {
+    const std::size_t name_at = std::string(kPrefix).size();
+    const auto colon = ref.find(':', name_at);
+    const std::string name = ref.substr(
+        name_at,
+        colon == std::string::npos ? std::string::npos : colon - name_at);
+    if (name.empty()) {
       return invalid("preset reference needs a name: @preset:NAME");
     }
     ScenarioPackBuilder builder;
-    builder.name(parts[0]).jobs(64);
-    if (parts[0] == "steady") {
+    builder.name(name).jobs(64);
+    if (name == "steady") {
       builder.steady(400);
-    } else if (parts[0] == "bursty") {
+    } else if (name == "bursty") {
       builder.bursty(6, 400);
-    } else if (parts[0] == "diurnal") {
+    } else if (name == "diurnal") {
       builder.diurnal(24, 300);
-    } else if (parts[0] == "churn") {
+    } else if (name == "churn") {
       builder.steady(200).churn(0.35).widths(2, 10);
-    } else if (parts[0] == "deadline") {
+    } else if (name == "deadline") {
       builder.steady(300).deadline_pressure(0.3, 150000);
-    } else if (parts[0] == "mixed") {
+    } else if (name == "mixed") {
       builder.bursty(4, 300).churn(0.2).deadline_pressure(0.15, 250000)
           .energy();
     } else {
-      return invalid("unknown preset '" + parts[0] +
+      return invalid("unknown preset '" + name +
                      "' (steady, bursty, diurnal, churn, deadline, mixed)");
     }
-    if (parts.size() >= 2 && !parts[1].empty()) {
-      std::uint64_t seed = 0;
-      if (!parse_u64(parts[1], &seed)) {
-        return invalid("preset seed must be an integer: " + ref);
+    if (colon != std::string::npos) {
+      const auto fields = ref_integers(ref, colon + 1, 2);
+      if (!fields.ok()) return fields.status();
+      builder.seed((*fields)[0]);
+      if (fields->size() == 2) {
+        builder.jobs(static_cast<std::size_t>((*fields)[1]));
       }
-      builder.seed(seed);
-    }
-    if (parts.size() >= 3 && !parts[2].empty()) {
-      std::uint64_t jobs = 0;
-      if (!parse_u64(parts[2], &jobs)) {
-        return invalid("preset job count must be an integer: " + ref);
-      }
-      builder.jobs(static_cast<std::size_t>(jobs));
-    }
-    if (parts.size() > 3) {
-      return invalid("preset reference has too many fields: " + ref);
     }
     return builder.try_build();
   }

@@ -208,4 +208,12 @@ StatusOr<ScenarioPack> parse_pack(const std::string& text);
 /// to a spec file.
 StatusOr<ScenarioPack> load_pack(const std::string& ref);
 
+/// The ':'-separated integer fields of a builtin "@...:" reference,
+/// from byte `from` of `ref` to its end, at most `max_fields` of them.
+/// Every such field obeys this one rule: decimal digits only — no
+/// sign, no suffix, not empty. kInvalidArgument otherwise.
+StatusOr<std::vector<std::uint64_t>> ref_integers(const std::string& ref,
+                                                  std::size_t from,
+                                                  std::size_t max_fields);
+
 }  // namespace vlsip::workload

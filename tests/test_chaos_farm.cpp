@@ -47,7 +47,7 @@ FarmConfig chaos_config(const fault::FaultPlan& plan) {
 }
 
 struct ChaosRun {
-  FarmMetrics metrics;
+  obs::FarmMetrics metrics;
   std::vector<JobOutcome> log;
   std::vector<ChipFarm::ChipHealth> health;
 };
@@ -68,7 +68,7 @@ ChaosRun run_chaos(const std::vector<scaling::Job>& jobs,
   return run;
 }
 
-void expect_no_job_lost(const FarmMetrics& m) {
+void expect_no_job_lost(const obs::FarmMetrics& m) {
   EXPECT_EQ(m.submitted, m.admitted + m.rejected);
   // Every admitted job resolved: served (completed or failed with a
   // status/reason) or cancelled. Nothing vanished.

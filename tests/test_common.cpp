@@ -11,7 +11,7 @@
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
-#include "common/trace.hpp"
+#include "obs/trace_sink.hpp"
 
 namespace vlsip {
 namespace {
@@ -323,19 +323,19 @@ TEST(Format, SigDigits) {
   EXPECT_EQ(format_sig(1234.5, 2), "1.2e+03");
 }
 
-// ---- Trace ----------------------------------------------------------------------
+// ---- TraceSink ------------------------------------------------------------------
 
 TEST(Trace, DisabledRecordsNothing) {
-  Trace t(false);
-  t.record(1, "cat", "message");
+  obs::TraceSink t(false);
+  t.event(1, obs::Layer::kOther, "cat", -1, "message");
   EXPECT_TRUE(t.entries().empty());
 }
 
 TEST(Trace, EnabledRecordsAndCounts) {
-  Trace t(true);
-  t.record(1, "a", "first");
-  t.record(2, "b", "second");
-  t.record(3, "a", "third");
+  obs::TraceSink t(true);
+  t.event(1, obs::Layer::kOther, "a", -1, "first");
+  t.event(2, obs::Layer::kOther, "b", -1, "second");
+  t.event(3, obs::Layer::kOther, "a", -1, "third");
   EXPECT_EQ(t.count("a"), 2u);
   EXPECT_TRUE(t.contains("second"));
   std::uint64_t cycle = 0;
@@ -345,8 +345,8 @@ TEST(Trace, EnabledRecordsAndCounts) {
 }
 
 TEST(Trace, RenderContainsFields) {
-  Trace t(true);
-  t.record(7, "cat", "msg");
+  obs::TraceSink t(true);
+  t.event(7, obs::Layer::kOther, "cat", -1, "msg");
   const auto s = t.render();
   EXPECT_NE(s.find("7"), std::string::npos);
   EXPECT_NE(s.find("cat"), std::string::npos);
@@ -354,10 +354,10 @@ TEST(Trace, RenderContainsFields) {
 }
 
 TEST(Trace, CapacityCapEvictsOldest) {
-  Trace t(true);
+  obs::TraceSink t(true);
   t.set_capacity(3);
   for (std::uint64_t c = 0; c < 5; ++c) {
-    t.record(c, "cat", "m" + std::to_string(c));
+    t.event(c, obs::Layer::kOther, "cat", -1, "m" + std::to_string(c));
   }
   ASSERT_EQ(t.entries().size(), 3u);
   EXPECT_EQ(t.dropped(), 2u);
@@ -369,8 +369,8 @@ TEST(Trace, CapacityCapEvictsOldest) {
 }
 
 TEST(Trace, ShrinkingCapacityEvictsImmediately) {
-  Trace t(true);
-  for (std::uint64_t c = 0; c < 4; ++c) t.record(c, "cat", "msg");
+  obs::TraceSink t(true);
+  for (std::uint64_t c = 0; c < 4; ++c) t.event(c, obs::Layer::kOther, "cat", -1, "msg");
   t.set_capacity(2);
   EXPECT_EQ(t.entries().size(), 2u);
   EXPECT_EQ(t.dropped(), 2u);
@@ -378,14 +378,14 @@ TEST(Trace, ShrinkingCapacityEvictsImmediately) {
 }
 
 TEST(Trace, ClearEmptiesEntriesButKeepsLifetimeDropCount) {
-  // Pinned semantics (see trace.hpp): dropped() counts capacity-cap
+  // Pinned semantics (see obs/trace_sink.hpp): dropped() counts capacity-cap
   // evictions over the trace's *lifetime*. clear() surrenders the
   // buffered entries without touching that counter — so a consumer
   // that periodically drains the trace can still tell eviction ever
   // happened — and the cleared entries themselves are not "dropped".
-  Trace t(true);
+  obs::TraceSink t(true);
   t.set_capacity(3);
-  for (std::uint64_t c = 0; c < 5; ++c) t.record(c, "cat", "msg");
+  for (std::uint64_t c = 0; c < 5; ++c) t.event(c, obs::Layer::kOther, "cat", -1, "msg");
   ASSERT_EQ(t.entries().size(), 3u);
   ASSERT_EQ(t.dropped(), 2u);
 
@@ -395,15 +395,15 @@ TEST(Trace, ClearEmptiesEntriesButKeepsLifetimeDropCount) {
 
   // Recording resumes normally and further evictions keep accumulating
   // on top of the pre-clear count.
-  for (std::uint64_t c = 0; c < 4; ++c) t.record(c, "cat", "again");
+  for (std::uint64_t c = 0; c < 4; ++c) t.event(c, obs::Layer::kOther, "cat", -1, "again");
   EXPECT_EQ(t.entries().size(), 3u);
   EXPECT_EQ(t.dropped(), 3u);
 }
 
 TEST(Trace, UnlimitedByDefault) {
-  Trace t(true);
+  obs::TraceSink t(true);
   EXPECT_EQ(t.capacity(), 0u);
-  for (std::uint64_t c = 0; c < 100; ++c) t.record(c, "cat", "msg");
+  for (std::uint64_t c = 0; c < 100; ++c) t.event(c, obs::Layer::kOther, "cat", -1, "msg");
   EXPECT_EQ(t.entries().size(), 100u);
   EXPECT_EQ(t.dropped(), 0u);
 }

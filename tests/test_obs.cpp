@@ -389,21 +389,21 @@ TEST(MetricRegistry, MatchesStringKeyedReferenceUnderRandomOps) {
 TEST(TraceSink, DisabledRecordsNothing) {
   TraceSink sink(false);
   sink.event(1, Layer::kAp, "exec", 0, "fired");
-  sink.record(2, "exec", "legacy");
+  sink.event(2, Layer::kOther, "exec", -1, "untyped");
   EXPECT_TRUE(sink.entries().empty());
 }
 
 TEST(TraceSink, StructuredAndLegacyEvents) {
   TraceSink sink(true);
   sink.event(10, Layer::kCsd, "route", 4, "grant", 3);
-  sink.record(11, "exec", "fired");
+  sink.event(11, Layer::kOther, "exec", -1, "fired");
   ASSERT_EQ(sink.entries().size(), 2u);
-  const TraceSink::Entry& e = sink.entries().front();
+  const TraceSink::Event& e = sink.entries().front();
   EXPECT_EQ(e.cycle, 10u);
   EXPECT_EQ(e.layer, Layer::kCsd);
   EXPECT_EQ(e.id, 4);
   EXPECT_EQ(e.dur, 3u);
-  // The legacy entry point produces an untyped instant.
+  // An untyped instant: no layer, no id, no duration.
   EXPECT_EQ(sink.entries().back().layer, Layer::kOther);
   EXPECT_EQ(sink.entries().back().id, -1);
   EXPECT_EQ(sink.entries().back().dur, 0u);
@@ -419,7 +419,8 @@ TEST(TraceSink, CapacityRingAndLifetimeDropCounter) {
   TraceSink sink(true);
   sink.set_capacity(3);
   for (int i = 0; i < 5; ++i) {
-    sink.record(static_cast<std::uint64_t>(i), "c", std::to_string(i));
+    sink.event(static_cast<std::uint64_t>(i), Layer::kOther, "c", -1,
+               std::to_string(i));
   }
   ASSERT_EQ(sink.entries().size(), 3u);
   EXPECT_EQ(sink.entries().front().message, "2");  // oldest evicted

@@ -387,7 +387,7 @@ struct DiffRun {
   /// be bit-identical across engines and across checkpoint/resume.
   cost::EnergyActivity energy;
   std::map<std::string, std::vector<std::int64_t>> outputs;
-  std::vector<Trace::Entry> trace;
+  std::vector<obs::TraceSink::Event> trace;
 };
 
 void expect_energy_identical(const cost::EnergyActivity& a,

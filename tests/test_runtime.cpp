@@ -327,6 +327,18 @@ TEST(ChipFarm, SubmitValidation) {
   EXPECT_THROW(farm.submit(std::move(zero)), vlsip::PreconditionError);
 }
 
+// A zero batch ceiling is refused on the caller's thread: left to the
+// batcher, it would throw on a worker thread and abort the process.
+TEST(ChipFarm, ZeroBatchCeilingIsRefusedAtConstruction) {
+  for (const bool deterministic : {false, true}) {
+    FarmConfig config;
+    config.deterministic = deterministic;
+    config.batch.max_jobs = 0;
+    EXPECT_THROW(ChipFarm farm(config), vlsip::PreconditionError)
+        << "deterministic=" << deterministic;
+  }
+}
+
 TEST(ChipFarm, FourWorkerStressRun) {
   FarmConfig cfg;
   cfg.workers = 4;
@@ -424,9 +436,9 @@ TEST(FarmMetrics, MergeMatchesSequentialRecording) {
   JobOutcome o2 = o1;
   o2.finished_at = 210;
 
-  FarmMetrics a;
+  obs::FarmMetrics a;
   a.record(o1);
-  FarmMetrics b;
+  obs::FarmMetrics b;
   b.record(o2);
   a.merge(b);
   EXPECT_EQ(a.completed, 2u);

@@ -22,6 +22,12 @@ namespace {
 
 // Mirrors the kernel library's fixed coefficient schedules so expected
 // values are computed independently of the generated source text.
+/// The farm a pack report is served on: the workload verb's defaults
+/// (deterministic, one worker).
+runtime::FarmConfig pack_farm() {
+  return runtime::FarmConfigBuilder().deterministic().workers(1).build();
+}
+
 std::int64_t dot_weight(int i) { return 1 + (i * 3) % 7; }
 std::int64_t fir_coeff(int i) { return 1 + (i * 5) % 9; }
 
@@ -213,6 +219,40 @@ TEST(Scenario, PresetsLoadAndUnknownRefsFail) {
   }
   EXPECT_FALSE(load_pack("@preset:nosuch").ok());
   EXPECT_FALSE(load_pack("/no/such/pack.spec").ok());
+  // Every "@...:" field obeys one strict integer rule: digits only,
+  // not empty, no more fields than the ref takes.
+  for (const char* bad :
+       {"@preset:steady:3x:4", "@preset:steady:", "@preset:steady:3:",
+        "@preset:steady:-1", "@preset:steady:1:2:3", "@synthetic:3x:1y",
+        "@synthetic:", "@synthetic:5:", "@synthetic:5:1:2", "@synthetic:+5",
+        "@synthetic: 5"}) {
+    const auto stream = load_jobs(bad);
+    ASSERT_FALSE(stream.ok()) << bad;
+    EXPECT_EQ(stream.status().code(), StatusCode::kInvalidArgument) << bad;
+  }
+}
+
+TEST(Runner, LoadJobsResolvesEveryRefKind) {
+  // @synthetic: and manifests arrive at tick 0 with no deadline.
+  const auto synthetic = load_jobs("@synthetic:5:3");
+  ASSERT_TRUE(synthetic.ok()) << synthetic.status().to_string();
+  ASSERT_EQ(synthetic->jobs.size(), 5u);
+  for (const TimedJob& timed : synthetic->jobs) {
+    EXPECT_EQ(timed.arrival, 0u);
+    EXPECT_EQ(timed.deadline, 0u);
+  }
+  // A preset keeps its pack timing; seed/jobs overrides apply to it.
+  const auto preset = load_jobs("@preset:steady:3:4", false, 9, 6);
+  ASSERT_TRUE(preset.ok()) << preset.status().to_string();
+  EXPECT_EQ(preset->pack.seed, 9u);
+  EXPECT_EQ(preset->jobs.size(), 6u);
+  // A file is a manifest unless the caller reads files as pack specs.
+  const auto missing = load_jobs("/no/such/jobs.txt");
+  ASSERT_FALSE(missing.ok());
+  EXPECT_EQ(missing.status().code(), StatusCode::kInvalidArgument);
+  const auto missing_pack = load_jobs("/no/such/pack.spec", true);
+  ASSERT_FALSE(missing_pack.ok());
+  EXPECT_EQ(missing_pack.status().code(), StatusCode::kIoError);
 }
 
 TEST(Scenario, SameSeedSameStreamDifferentSeedDiverges) {
@@ -296,7 +336,7 @@ TEST(Runner, ReportCarriesSchemaAndPerKernelSections) {
                                     .energy()
                                     .build())
                           .build();
-  const auto report = run_pack(stream);
+  const auto report = run_pack(stream, pack_farm());
   ASSERT_TRUE(report.ok()) << report.status().to_string();
   EXPECT_NE(report->find("\"schema_version\""), std::string::npos);
   EXPECT_NE(report->find("\"report\":\"workload-pack\""), std::string::npos);
@@ -323,9 +363,9 @@ TEST(Runner, TwentySeedDeterminismSweepServeVsReplay) {
                                       .energy()
                                       .build())
                             .build();
-    const auto serve1 = run_pack(stream);
-    const auto serve2 = run_pack(stream);
-    const auto replay = run_pack_replay(stream);
+    const auto serve1 = run_pack(stream, pack_farm());
+    const auto serve2 = run_pack(stream, pack_farm());
+    const auto replay = run_pack_replay(stream, pack_farm());
     ASSERT_TRUE(serve1.ok()) << serve1.status().to_string();
     ASSERT_TRUE(serve2.ok()) << serve2.status().to_string();
     ASSERT_TRUE(replay.ok()) << replay.status().to_string();
@@ -342,7 +382,7 @@ TEST(Runner, DifferentSeedsProduceDifferentReports) {
             .pack(
                 ScenarioPackBuilder().seed(seed).jobs(4).steady(150).build())
             .build();
-    const auto report = run_pack(stream);
+    const auto report = run_pack(stream, pack_farm());
     ASSERT_TRUE(report.ok());
     reports.insert(*report);
   }
@@ -351,7 +391,7 @@ TEST(Runner, DifferentSeedsProduceDifferentReports) {
 
 TEST(Runner, EmptyStreamIsRejected) {
   JobStream stream;
-  EXPECT_FALSE(run_pack(stream).ok());
+  EXPECT_FALSE(run_pack(stream, pack_farm()).ok());
 }
 
 }  // namespace

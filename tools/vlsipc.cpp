@@ -23,17 +23,16 @@
 //              [--batch B] [--reject] [--deterministic] [--json]
 //              [--checkpoint-every-batches N]
 //              [--dvs] [--energy-budget FJ] [--p99-guardrail TICKS]
-//       Run a job manifest through the multi-chip farm; prints a
-//       per-job table plus throughput and latency percentiles.
+//       Run jobs through the multi-chip farm; prints a per-job table
+//       plus throughput and latency percentiles.
 //       --checkpoint-every-batches saves each chip as one flat .vsnap
 //       every N batches; a quarantined chip's replacement restores from
 //       it (docs/SNAPSHOT.md). --dvs
 //       turns on per-chip energy metering and the DVS governor;
 //       --energy-budget throttles chips toward that many femtojoules
-//       per served job (docs/ENERGY.md). With --pack the positional is
-//       a scenario-pack spec (or @preset:...) instead of a manifest:
-//       the generated stream is submitted with its arrival ticks and
-//       deadlines (docs/WORKLOADS.md).
+//       per served job (docs/ENERGY.md). --pack reads a file positional
+//       as a scenario-pack spec instead of a manifest; pack jobs keep
+//       their arrival ticks and deadlines (docs/WORKLOADS.md).
 //   vlsipc chaos <jobs.txt|@synthetic:N[:seed]> [--seed S] [--events E]
 //              [--threaded] [--workers N] [--stalls] [--crashes]
 //              [--max-retries R] [--backoff T] [--quarantine-after Q]
@@ -70,7 +69,14 @@
 //       stream through the snapshot codec first and must produce the
 //       same bytes. See docs/WORKLOADS.md.
 //
-// run, serve and chaos additionally accept:
+// serve, chaos and workload are one serving path (workload/runner.hpp):
+// the positional (a manifest, @synthetic:N[:seed], @preset:... or, for
+// workload and serve --pack, a pack spec) loads into one job stream, the
+// verb's flags and defaults configure a validated FarmConfig, the
+// stream is served and drained, and the verb renders the result: the
+// serve table/JSON, the chaos survival JSON, or the pack report.
+//
+// run, resume, serve and chaos additionally accept:
 //   --obs <out.json>           write an ObsSnapshot (run info + every
 //                              layer's metrics + trace summary)
 //   --chrome-trace <out.trace> write the session's structured events as
@@ -82,7 +88,6 @@
 // (pass --deterministic to serve for bit-identical outcomes too).
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -510,23 +515,88 @@ void run_session(ap::AdaptiveProcessor& ap, RunSession& session,
   }
 }
 
-/// The run/resume report (shared so the two are byte-identical).
-/// Returns the process exit code.
-int print_run_report(const RunSession& session,
-                     const ap::AdaptiveProcessor& ap, bool json,
-                     int obs_rc) {
+/// --obs / --chrome-trace: the ObsSnapshot export shared by the session
+/// verbs (run, resume, serve, chaos; docs/OBSERVABILITY.md).
+class ObsExport {
+ public:
+  explicit ObsExport(OptionParser& opts) {
+    opts.value("--obs", &obs_path_).value("--chrome-trace", &trace_path_);
+  }
+
+  bool wanted() const { return !obs_path_.empty() || !trace_path_.empty(); }
+
+  /// The farm verbs' session sink, handed to the farm only when an
+  /// export was asked for. Capped so a large manifest cannot grow trace
+  /// memory without bound; evictions show as farm trace drops.
+  void attach(runtime::FarmConfigBuilder& farm) {
+    if (!wanted()) return;
+    sink_.set_enabled(true);
+    sink_.set_capacity(1u << 20);
+    farm.trace_sink(&sink_);
+  }
+
+  /// Writes the requested files with `trace` (default: the farm sink).
+  /// Returns 0, or 1 on an unwritable path.
+  int write(const std::vector<std::pair<std::string, std::string>>& info,
+            obs::MetricRegistry metrics,
+            const obs::TraceSink* trace = nullptr) const {
+    if (!wanted()) return 0;
+    obs::ObsSnapshot snapshot;
+    for (const auto& [key, value] : info) snapshot.add_info(key, value);
+    snapshot.metrics = std::move(metrics);
+    snapshot.trace = trace != nullptr ? trace : &sink_;
+    int rc = 0;
+    if (!obs_path_.empty()) {
+      rc |= wrote(snapshot.write_json_file(obs_path_), "obs snapshot",
+                  obs_path_);
+    }
+    if (!trace_path_.empty()) {
+      rc |= wrote(snapshot.write_chrome_trace_file(trace_path_),
+                  "chrome trace", trace_path_);
+    }
+    return rc;
+  }
+
+ private:
+  static int wrote(bool ok, const char* what, const std::string& path) {
+    std::fprintf(stderr,
+                 ok ? "wrote %s: %s\n" : "error: cannot write %s: %s\n",
+                 what, path.c_str());
+    return ok ? 0 : 1;
+  }
+
+  std::string obs_path_;
+  std::string trace_path_;
+  obs::TraceSink sink_;
+};
+
+const char* run_status(const ap::ExecStats& exec) {
+  return exec.completed ? "completed"
+                        : (exec.deadlocked ? "deadlocked" : "timeout");
+}
+
+/// The run/resume epilogue, shared so the two are byte-identical: the
+/// obs export (`info` plus the run status), then the report. Returns
+/// the process exit code.
+int finish_run(const RunSession& session, ap::AdaptiveProcessor& ap,
+               bool json, const ObsExport& obs,
+               std::vector<std::pair<std::string, std::string>> info) {
+  int obs_rc = 0;
+  if (obs.wanted()) {
+    info.emplace_back("status", run_status(session.exec));
+    obs::MetricRegistry metrics;
+    ap.export_obs(metrics);
+    obs_rc = obs.write(info, std::move(metrics), &ap.trace());
+  }
   const ap::ExecStats& exec = session.exec;
   const ap::ConfigStats& config_stats = session.config_stats;
-  const char* status = exec.completed
-                           ? "completed"
-                           : (exec.deadlocked ? "deadlocked" : "timeout");
   if (json) {
     std::ostringstream out;
     obs::JsonWriter w(out);
     w.begin_object();
     w.field("schema_version", obs::kJsonSchemaVersion);
     w.field("program", session.program_path);
-    w.field("status", status);
+    w.field("status", run_status(exec));
     w.key("configuration");
     w.begin_object();
     w.field("cycles", config_stats.cycles);
@@ -585,40 +655,11 @@ int print_run_report(const RunSession& session,
   return exec.completed ? obs_rc : 1;
 }
 
-/// Writes the --obs and --chrome-trace files, if requested. Returns 0
-/// on success (including "nothing requested"), 1 on an unwritable path.
-int write_obs_outputs(const obs::ObsSnapshot& snapshot,
-                      const std::string& obs_path,
-                      const std::string& trace_path) {
-  int rc = 0;
-  if (!obs_path.empty()) {
-    if (snapshot.write_json_file(obs_path)) {
-      std::fprintf(stderr, "wrote obs snapshot: %s\n", obs_path.c_str());
-    } else {
-      std::fprintf(stderr, "error: cannot write obs snapshot: %s\n",
-                   obs_path.c_str());
-      rc = 1;
-    }
-  }
-  if (!trace_path.empty()) {
-    if (snapshot.write_chrome_trace_file(trace_path)) {
-      std::fprintf(stderr, "wrote chrome trace: %s\n", trace_path.c_str());
-    } else {
-      std::fprintf(stderr, "error: cannot write chrome trace: %s\n",
-                   trace_path.c_str());
-      rc = 1;
-    }
-  }
-  return rc;
-}
-
 int cmd_run(int argc, char** argv) {
   std::string path;
   int capacity = 64;
   std::size_t expect = 1;
   bool json = false;
-  std::string obs_path;
-  std::string trace_path;
   std::uint64_t checkpoint_every = 0;
   std::string checkpoint_path;
   std::vector<std::string> in_specs;
@@ -631,11 +672,10 @@ int cmd_run(int argc, char** argv) {
       .value("--capacity", &capacity)
       .value("--expect", &expect)
       .flag("--json", &json)
-      .value("--obs", &obs_path)
-      .value("--chrome-trace", &trace_path)
       .value("--checkpoint-every", &checkpoint_every)
       .value("--checkpoint", &checkpoint_path)
       .positional(&path);
+  ObsExport obs(opts);
   int rc = 0;
   if (!opts.parse(argc, argv, &rc)) return rc;
   if (path.empty()) return opts.error("missing <file>");
@@ -656,29 +696,14 @@ int cmd_run(int argc, char** argv) {
 
   // The exporters read the AP's own trace sink; only pay for recording
   // when a snapshot was actually requested.
-  const bool want_obs = !obs_path.empty() || !trace_path.empty();
-  ap::AdaptiveProcessor ap(make_session_config(capacity, want_obs));
+  ap::AdaptiveProcessor ap(make_session_config(capacity, obs.wanted()));
   session.config_stats = ap.configure(session.program);
   for (const auto& [name, values] : feeds) {
     for (const auto v : values) ap.feed(name, arch::make_word_i(v));
   }
   run_session(ap, session, checkpoint_every, checkpoint_path);
-
-  int obs_rc = 0;
-  if (want_obs) {
-    obs::ObsSnapshot snapshot;
-    snapshot.add_info("verb", "run");
-    snapshot.add_info("program", path);
-    snapshot.add_info("status",
-                      session.exec.completed
-                          ? "completed"
-                          : (session.exec.deadlocked ? "deadlocked"
-                                                     : "timeout"));
-    ap.export_obs(snapshot.metrics);
-    snapshot.trace = &ap.trace();
-    obs_rc = write_obs_outputs(snapshot, obs_path, trace_path);
-  }
-  return print_run_report(session, ap, json, obs_rc);
+  return finish_run(session, ap, json, obs,
+                    {{"verb", "run"}, {"program", path}});
 }
 
 int cmd_snapshot(int argc, char** argv) {
@@ -738,8 +763,6 @@ int cmd_snapshot(int argc, char** argv) {
 int cmd_resume(int argc, char** argv) {
   std::string path;
   bool json = false;
-  std::string obs_path;
-  std::string trace_path;
   std::uint64_t checkpoint_every = 0;
   std::string checkpoint_path;
   OptionParser opts("resume",
@@ -747,11 +770,10 @@ int cmd_resume(int argc, char** argv) {
                     "[--checkpoint-every CYC --checkpoint out.vsnap] "
                     "[--obs out.json] [--chrome-trace out.trace]");
   opts.flag("--json", &json)
-      .value("--obs", &obs_path)
-      .value("--chrome-trace", &trace_path)
       .value("--checkpoint-every", &checkpoint_every)
       .value("--checkpoint", &checkpoint_path)
       .positional(&path);
+  ObsExport obs(opts);
   int rc = 0;
   if (!opts.parse(argc, argv, &rc)) return rc;
   if (path.empty()) return opts.error("missing <file.vsnap>");
@@ -763,30 +785,38 @@ int cmd_resume(int argc, char** argv) {
   snapshot::Reader r(snap);
   RunSession session = read_session_header(r);
 
-  const bool want_obs = !obs_path.empty() || !trace_path.empty();
-  ap::AdaptiveProcessor ap(make_session_config(session.capacity, want_obs));
+  ap::AdaptiveProcessor ap(
+      make_session_config(session.capacity, obs.wanted()));
   ap.restore(r);
   run_session(ap, session, checkpoint_every, checkpoint_path);
+  // The obs snapshot covers only the resumed half: trace events and
+  // layer metrics are host-side observability, deliberately outside
+  // the checkpoint (see docs/SNAPSHOT.md).
+  return finish_run(session, ap, json, obs,
+                    {{"verb", "resume"},
+                     {"program", session.program_path},
+                     {"checkpoint", path}});
+}
 
-  int obs_rc = 0;
-  if (want_obs) {
-    // The obs snapshot covers only the resumed half: trace events and
-    // layer metrics are host-side observability, deliberately outside
-    // the checkpoint (see docs/SNAPSHOT.md).
-    obs::ObsSnapshot snapshot;
-    snapshot.add_info("verb", "resume");
-    snapshot.add_info("program", session.program_path);
-    snapshot.add_info("checkpoint", path);
-    snapshot.add_info("status",
-                      session.exec.completed
-                          ? "completed"
-                          : (session.exec.deadlocked ? "deadlocked"
-                                                     : "timeout"));
-    ap.export_obs(snapshot.metrics);
-    snapshot.trace = &ap.trace();
-    obs_rc = write_obs_outputs(snapshot, obs_path, trace_path);
-  }
-  return print_run_report(session, ap, json, obs_rc);
+// --- farm verbs -------------------------------------------------------------
+//
+// Each verb is its flag table, its defaults row and its renderer over
+// the one serving path (see the header comment).
+
+/// A non-OK Status at the CLI boundary. what() is "<code>: <message>"
+/// for the stderr line; main() puts the code and the bare message in
+/// the JSON error object.
+struct StatusFailure : std::runtime_error {
+  explicit StatusFailure(Status status_in)
+      : std::runtime_error(status_in.to_string()),
+        status(std::move(status_in)) {}
+  Status status;
+};
+
+template <typename T>
+T take(StatusOr<T> result) {
+  if (!result.ok()) throw StatusFailure(result.status());
+  return std::move(*result);
 }
 
 void print_outcome_json(obs::JsonWriter& w, const scaling::JobOutcome& o) {
@@ -821,16 +851,93 @@ void print_outcome_json(obs::JsonWriter& w, const scaling::JobOutcome& o) {
   w.end_object();
 }
 
+/// serve's renderer: the per-job table or JSON document plus the
+/// throughput/latency footer.
+void print_serve_report(const std::string& path, bool deterministic,
+                        bool json, const workload::Served& served) {
+  const obs::FarmMetrics& metrics = served.metrics;
+  const char* unit = deterministic ? "cycles" : "us";
+  const double jobs_per_sec =
+      served.wall_s > 0.0
+          ? static_cast<double>(metrics.served()) / served.wall_s
+          : 0.0;
+  // Deterministic runs promise bit-identical output, so the footer
+  // reports the virtual clock instead of wall time.
+  if (json) {
+    std::ostringstream out;
+    obs::JsonWriter w(out);
+    w.begin_object();
+    w.field("schema_version", obs::kJsonSchemaVersion);
+    w.field("manifest", path);
+    w.field("workers", static_cast<std::uint64_t>(served.workers));
+    w.field("deterministic", deterministic);
+    w.field("tick_unit", unit);
+    w.key("jobs");
+    w.begin_array();
+    for (const auto& o : served.log) print_outcome_json(w, o);
+    w.end_array();
+    w.key("metrics");
+    w.begin_object();
+    w.field("submitted", metrics.submitted);
+    w.field("served", metrics.served());
+    w.field("completed", metrics.completed);
+    w.field("rejected", metrics.rejected);
+    w.field("cancelled", metrics.cancelled);
+    w.field("timed_out", metrics.timed_out);
+    w.field("batches", metrics.batches);
+    w.field("fuse_reuses", metrics.fuse_reuses);
+    w.field("latency_p50", metrics.latency_percentile(0.50));
+    w.field("latency_p95", metrics.latency_percentile(0.95));
+    w.field("latency_p99", metrics.latency_percentile(0.99));
+    if (served.energy) {
+      w.field("energy_fj", metrics.energy_fj);
+      w.field("energy_fj_per_job",
+              metrics.served() > 0
+                  ? static_cast<double>(metrics.energy_fj) /
+                        static_cast<double>(metrics.served())
+                  : 0.0);
+      w.field("dvs_level_changes", metrics.dvs_level_changes);
+    }
+    if (deterministic) {
+      w.field("virtual_cycles", served.final_tick);
+    } else {
+      w.field("wall_seconds", served.wall_s);
+      w.field("jobs_per_sec", jobs_per_sec);
+    }
+    w.end_object();
+    w.end_object();
+    std::printf("%s\n", out.str().c_str());
+    return;
+  }
+  AsciiTable table({"job", "status", "clusters", "config", "exec", "faults",
+                    "latency(" + std::string(unit) + ")"});
+  for (const auto& o : served.log) {
+    table.add_row({o.name, scaling::to_string(o.status),
+                   std::to_string(o.clusters_used),
+                   std::to_string(o.config_cycles),
+                   std::to_string(o.exec_cycles), std::to_string(o.faults),
+                   std::to_string(o.turnaround())});
+  }
+  std::printf("%s\n", table.render().c_str());
+  std::printf("%s", metrics.render(unit).c_str());
+  if (deterministic) {
+    std::printf("farm: %zu worker(s), %llu virtual cycles\n", served.workers,
+                static_cast<unsigned long long>(served.final_tick));
+  } else {
+    std::printf("farm: %zu workers, %.3f s wall, %.1f jobs/sec\n",
+                served.workers, served.wall_s, jobs_per_sec);
+  }
+}
+
 int cmd_serve(int argc, char** argv) {
   std::string path;
-  runtime::FarmConfig cfg;
-  cfg.block_when_full = true;  // batch manifests throttle by default
+  runtime::FarmConfigBuilder farm;
+  farm.queue(64, /*block_when_full=*/true);  // batch manifests throttle
+  runtime::FarmConfig& cfg = farm.raw();
   bool json = false;
   bool reject = false;
   bool pack_mode = false;
   std::uint64_t energy_budget = 0;
-  std::string obs_path;
-  std::string trace_path;
   OptionParser opts(
       "serve",
       "usage: vlsipc serve <jobs.txt|pack-ref> [--pack] [--workers N] "
@@ -849,278 +956,46 @@ int cmd_serve(int argc, char** argv) {
       .value("--p99-guardrail", &cfg.dvs.p99_guardrail_ticks)
       .flag("--pack", &pack_mode)
       .flag("--json", &json)
-      .value("--obs", &obs_path)
-      .value("--chrome-trace", &trace_path)
       .positional(&path);
+  ObsExport obs(opts);
   int rc = 0;
   if (!opts.parse(argc, argv, &rc)) return rc;
   if (path.empty()) {
     return opts.error(pack_mode ? "missing <pack-ref>" : "missing <jobs.txt>");
   }
   if (reject) cfg.block_when_full = false;
-  if (energy_budget > 0) {
-    cfg.dvs.enabled = true;
-    cfg.dvs.energy_budget_fj_per_job = energy_budget;
-  }
+  if (energy_budget > 0) farm.energy_budget(energy_budget);
+  obs.attach(farm);
 
-  // --pack: the positional is a scenario-pack spec; expand it into the
-  // deterministic job stream and carry each job's traffic timing
-  // through SubmitOptions. A pack that meters energy turns the DVS
-  // governor on (budget 0 = meter only) so the outcomes carry fJ.
-  std::vector<scaling::Job> jobs;
-  std::vector<runtime::SubmitOptions> timing;
-  if (pack_mode) {
-    auto pack = workload::load_pack(path);
-    VLSIP_REQUIRE(pack.ok(), pack.status().to_string());
-    workload::JobStream stream =
-        workload::JobStreamBuilder().pack(std::move(*pack)).build();
-    if (stream.pack.energy) cfg.dvs.enabled = true;
-    jobs.reserve(stream.jobs.size());
-    timing.reserve(stream.jobs.size());
-    for (auto& timed : stream.jobs) {
-      runtime::SubmitOptions so;
-      so.arrival_tick = timed.arrival;
-      so.deadline = timed.deadline;
-      timing.push_back(so);
-      jobs.push_back(std::move(timed.job));
-    }
-  }
-
-  // Session-wide event sink for the snapshot exporters. Capped so a
-  // large manifest cannot grow trace memory without bound; evictions
-  // are visible as farm trace drops in the snapshot.
-  const bool want_obs = !obs_path.empty() || !trace_path.empty();
-  obs::TraceSink session_trace(want_obs);
-  session_trace.set_capacity(1u << 20);
-  if (want_obs) cfg.trace = &session_trace;
-
-  if (!pack_mode) jobs = runtime::load_manifest(path);
-  const auto t0 = std::chrono::steady_clock::now();
-  runtime::ChipFarm farm(cfg);
-  std::size_t rejected = 0;
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    const auto admission =
-        pack_mode ? farm.submit(jobs[i], timing[i]) : farm.submit(jobs[i]);
-    if (!admission.admitted) ++rejected;
-  }
-  farm.drain();
-  const double wall_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  const auto metrics = farm.metrics();
-  const auto log = farm.outcome_log();
-  obs::MetricRegistry obs_registry;
-  if (want_obs) obs_registry = farm.obs_metrics();
-  farm.shutdown();
-
-  const char* unit = cfg.deterministic ? "cycles" : "us";
-  const double jobs_per_sec =
-      wall_s > 0.0 ? static_cast<double>(metrics.served()) / wall_s : 0.0;
-  // Deterministic runs promise bit-identical output, so the footer
-  // reports the virtual clock instead of wall time.
-  const std::uint64_t virtual_cycles = farm.now();
-
-  int obs_rc = 0;
-  if (want_obs) {
-    obs::ObsSnapshot snapshot;
-    snapshot.add_info("verb", "serve");
-    snapshot.add_info("manifest", path);
-    snapshot.add_info("deterministic", cfg.deterministic ? "true" : "false");
-    snapshot.add_info("tick_unit", unit);
-    snapshot.metrics = std::move(obs_registry);
-    snapshot.trace = &session_trace;
-    obs_rc = write_obs_outputs(snapshot, obs_path, trace_path);
-  }
-
-  if (json) {
-    std::ostringstream out;
-    obs::JsonWriter w(out);
-    w.begin_object();
-    w.field("schema_version", obs::kJsonSchemaVersion);
-    w.field("manifest", path);
-    w.field("workers", static_cast<std::uint64_t>(farm.workers()));
-    w.field("deterministic", cfg.deterministic);
-    w.field("tick_unit", unit);
-    w.key("jobs");
-    w.begin_array();
-    for (const auto& o : log) print_outcome_json(w, o);
-    w.end_array();
-    w.key("metrics");
-    w.begin_object();
-    w.field("submitted", metrics.submitted);
-    w.field("served", metrics.served());
-    w.field("completed", metrics.completed);
-    w.field("rejected", metrics.rejected);
-    w.field("cancelled", metrics.cancelled);
-    w.field("timed_out", metrics.timed_out);
-    w.field("batches", metrics.batches);
-    w.field("fuse_reuses", metrics.fuse_reuses);
-    w.field("latency_p50", metrics.latency_percentile(0.50));
-    w.field("latency_p95", metrics.latency_percentile(0.95));
-    w.field("latency_p99", metrics.latency_percentile(0.99));
-    if (cfg.dvs.enabled) {
-      w.field("energy_fj", metrics.energy_fj);
-      w.field("energy_fj_per_job",
-              metrics.served() > 0
-                  ? static_cast<double>(metrics.energy_fj) /
-                        static_cast<double>(metrics.served())
-                  : 0.0);
-      w.field("dvs_level_changes", metrics.dvs_level_changes);
-    }
-    if (cfg.deterministic) {
-      w.field("virtual_cycles", virtual_cycles);
-    } else {
-      w.field("wall_seconds", wall_s);
-      w.field("jobs_per_sec", jobs_per_sec);
-    }
-    w.end_object();
-    w.end_object();
-    std::printf("%s\n", out.str().c_str());
-  } else {
-    AsciiTable table({"job", "status", "clusters", "config", "exec",
-                      "faults", "latency(" + std::string(unit) + ")"});
-    for (const auto& o : log) {
-      table.add_row({o.name, scaling::to_string(o.status),
-                     std::to_string(o.clusters_used),
-                     std::to_string(o.config_cycles),
-                     std::to_string(o.exec_cycles),
-                     std::to_string(o.faults),
-                     std::to_string(o.turnaround())});
-    }
-    std::printf("%s\n", table.render().c_str());
-    std::printf("%s", metrics.render(unit).c_str());
-    if (cfg.deterministic) {
-      std::printf("farm: %zu worker(s), %llu virtual cycles\n",
-                  farm.workers(),
-                  static_cast<unsigned long long>(virtual_cycles));
-    } else {
-      std::printf("farm: %zu workers, %.3f s wall, %.1f jobs/sec\n",
-                  farm.workers(), wall_s, jobs_per_sec);
-    }
-  }
-  return metrics.completed == metrics.served() && rejected == 0 ? obs_rc
-                                                                : 1;
+  // --pack reads a file positional as a scenario-pack spec; its jobs
+  // keep their arrival ticks and deadlines (docs/WORKLOADS.md).
+  const auto stream = take(workload::load_jobs(path, pack_mode));
+  const auto served = workload::serve(stream, take(farm.try_build()));
+  const int obs_rc =
+      obs.write({{"verb", "serve"},
+                 {"manifest", path},
+                 {"deterministic", cfg.deterministic ? "true" : "false"},
+                 {"tick_unit", cfg.deterministic ? "cycles" : "us"}},
+                served.obs);
+  print_serve_report(path, cfg.deterministic, json, served);
+  const obs::FarmMetrics& metrics = served.metrics;
+  return metrics.completed == metrics.served() && served.rejected == 0
+             ? obs_rc
+             : 1;
 }
 
-/// Loads a chaos manifest: a file path, or "@synthetic:N[:seed]" for a
-/// generated mixed workload.
-std::vector<scaling::Job> load_chaos_jobs(const std::string& path) {
-  if (path.rfind("@synthetic:", 0) == 0) {
-    runtime::SyntheticSpec spec;
-    const std::string rest = path.substr(std::strlen("@synthetic:"));
-    const auto colon = rest.find(':');
-    spec.jobs = static_cast<std::size_t>(
-        std::stoull(colon == std::string::npos ? rest
-                                               : rest.substr(0, colon)));
-    if (colon != std::string::npos) {
-      spec.seed = std::stoull(rest.substr(colon + 1));
-    }
-    return runtime::synthetic_jobs(spec);
-  }
-  return runtime::load_manifest(path);
-}
-
-int cmd_chaos(int argc, char** argv) {
-  std::string path;
-  runtime::FarmConfig cfg;
-  cfg.deterministic = true;
-  cfg.fault_tolerance.enabled = true;
-  fault::FaultPlanSpec plan_spec;
-  plan_spec.seed = 1;
-  plan_spec.events = 16;
-  std::uint64_t horizon = 0;
-  bool threaded = false;
-  bool stalls = false;
-  bool crashes = false;
-  std::string obs_path;
-  std::string trace_path;
-  OptionParser opts(
-      "chaos",
-      "usage: vlsipc chaos <jobs.txt|@synthetic:N[:seed]> "
-      "[--seed S] [--events E] [--horizon H] [--threaded] "
-      "[--workers N] [--stalls] [--crashes] [--max-retries R] "
-      "[--backoff T] [--quarantine-after Q] "
-      "[--obs out.json] [--chrome-trace out.trace]");
-  opts.value("--seed", &plan_spec.seed)
-      .value("--events", &plan_spec.events)
-      .value("--horizon", &horizon)
-      .flag("--threaded", &threaded)
-      .value("--workers", &cfg.workers)
-      .flag("--stalls", &stalls)
-      .flag("--crashes", &crashes)
-      .value("--max-retries", &cfg.fault_tolerance.max_retries)
-      .value("--backoff", &cfg.fault_tolerance.retry_backoff_ticks)
-      .value("--quarantine-after", &cfg.fault_tolerance.quarantine_after)
-      .value("--obs", &obs_path)
-      .value("--chrome-trace", &trace_path)
-      .positional(&path);
-  int rc = 0;
-  if (!opts.parse(argc, argv, &rc)) return rc;
-  if (path.empty()) return opts.error("missing <jobs.txt|@synthetic:...>");
-  const bool explicit_horizon = horizon > 0;
-  if (explicit_horizon) plan_spec.horizon = horizon;
-  if (threaded) cfg.deterministic = false;
-  if (stalls) plan_spec.w_worker_stall = 1.0;
-  if (crashes) plan_spec.w_worker_crash = 0.5;
-
-  const bool want_obs = !obs_path.empty() || !trace_path.empty();
-  obs::TraceSink session_trace(want_obs);
-  session_trace.set_capacity(1u << 20);
-  if (want_obs) cfg.trace = &session_trace;
-
-  const auto jobs = load_chaos_jobs(path);
-
-  // Match the plan's target ranges to the fleet; triggers are global
-  // serve-sequence numbers, so the horizon is the job count (every
-  // event lands inside the run).
-  plan_spec.clusters = cfg.chip.width * cfg.chip.height * cfg.chip.layers;
-  plan_spec.workers = cfg.deterministic ? 1 : cfg.workers;
-  if (!explicit_horizon) {
-    plan_spec.horizon = std::max<std::uint64_t>(1, jobs.size());
-  }
-  cfg.fault_tolerance.plan = fault::random_fault_plan(plan_spec);
-  const fault::FaultPlan& plan = cfg.fault_tolerance.plan;
-
-  runtime::ChipFarm farm(cfg);
-  std::size_t rejected = 0;
-  for (const auto& job : jobs) {
-    const auto admission = farm.submit(job);
-    if (!admission.admitted) ++rejected;
-  }
-  farm.drain();
-  const auto metrics = farm.metrics();
-  const auto log = farm.outcome_log();
-  const auto health = farm.health();
-  obs::MetricRegistry obs_registry;
-  if (want_obs) obs_registry = farm.obs_metrics();
-  farm.shutdown();
-
-  // Survival: every admitted job must have resolved one way or another.
-  const std::uint64_t resolved = metrics.served() + metrics.cancelled;
-  const std::uint64_t lost =
-      metrics.admitted > resolved ? metrics.admitted - resolved : 0;
-  const std::uint64_t failed =
-      metrics.served() - metrics.completed;
-
-  int obs_rc = 0;
-  if (want_obs) {
-    obs::ObsSnapshot snapshot;
-    snapshot.add_info("verb", "chaos");
-    snapshot.add_info("manifest", path);
-    snapshot.add_info("seed", std::to_string(plan.seed));
-    snapshot.add_info("deterministic", cfg.deterministic ? "true" : "false");
-    snapshot.add_info("survived", lost == 0 ? "true" : "false");
-    snapshot.metrics = std::move(obs_registry);
-    snapshot.trace = &session_trace;
-    obs_rc = write_obs_outputs(snapshot, obs_path, trace_path);
-  }
-
+/// chaos's renderer: the JSON survival report.
+void print_survival_report(const std::string& path, bool deterministic,
+                           const fault::FaultPlan& plan,
+                           const workload::Served& served,
+                           std::uint64_t lost) {
+  const obs::FarmMetrics& metrics = served.metrics;
   std::ostringstream out;
   obs::JsonWriter w(out);
   w.begin_object();
   w.field("schema_version", obs::kJsonSchemaVersion);
   w.field("manifest", path);
-  w.field("deterministic", cfg.deterministic);
+  w.field("deterministic", deterministic);
   w.field("seed", plan.seed);
   w.key("plan");
   w.begin_object();
@@ -1142,7 +1017,7 @@ int cmd_chaos(int argc, char** argv) {
   w.field("admitted", metrics.admitted);
   w.field("rejected", metrics.rejected);
   w.field("completed", metrics.completed);
-  w.field("failed", failed);
+  w.field("failed", metrics.served() - metrics.completed);
   w.field("cancelled", metrics.cancelled);
   w.field("lost", lost);
   w.end_object();
@@ -1159,7 +1034,7 @@ int cmd_chaos(int argc, char** argv) {
   w.end_object();
   w.key("chips");
   w.begin_array();
-  for (const auto& h : health) {
+  for (const auto& h : served.health) {
     w.begin_object();
     w.field("worker", static_cast<std::uint64_t>(h.worker));
     w.field("total_clusters", static_cast<std::uint64_t>(h.total_clusters));
@@ -1177,7 +1052,7 @@ int cmd_chaos(int argc, char** argv) {
   w.end_array();
   w.key("outcomes");
   w.begin_array();
-  for (const auto& o : log) {
+  for (const auto& o : served.log) {
     w.begin_object();
     w.field("name", o.name);
     w.field("status", scaling::to_string(o.status));
@@ -1191,6 +1066,73 @@ int cmd_chaos(int argc, char** argv) {
   w.field("survived", lost == 0);
   w.end_object();
   std::printf("%s\n", out.str().c_str());
+}
+
+int cmd_chaos(int argc, char** argv) {
+  std::string path;
+  runtime::FarmConfigBuilder farm;
+  farm.deterministic();
+  runtime::FarmConfig& cfg = farm.raw();
+  fault::FaultPlanSpec plan_spec;
+  plan_spec.seed = 1;
+  plan_spec.events = 16;
+  std::uint64_t horizon = 0;
+  bool threaded = false;
+  bool stalls = false;
+  bool crashes = false;
+  OptionParser opts(
+      "chaos",
+      "usage: vlsipc chaos <jobs.txt|@synthetic:N[:seed]> "
+      "[--seed S] [--events E] [--horizon H] [--threaded] "
+      "[--workers N] [--stalls] [--crashes] [--max-retries R] "
+      "[--backoff T] [--quarantine-after Q] "
+      "[--obs out.json] [--chrome-trace out.trace]");
+  opts.value("--seed", &plan_spec.seed)
+      .value("--events", &plan_spec.events)
+      .value("--horizon", &horizon)
+      .flag("--threaded", &threaded)
+      .value("--workers", &cfg.workers)
+      .flag("--stalls", &stalls)
+      .flag("--crashes", &crashes)
+      .value("--max-retries", &cfg.fault_tolerance.max_retries)
+      .value("--backoff", &cfg.fault_tolerance.retry_backoff_ticks)
+      .value("--quarantine-after", &cfg.fault_tolerance.quarantine_after)
+      .positional(&path);
+  ObsExport obs(opts);
+  int rc = 0;
+  if (!opts.parse(argc, argv, &rc)) return rc;
+  if (path.empty()) return opts.error("missing <jobs.txt|@synthetic:...>");
+  if (threaded) farm.deterministic(false);
+  if (stalls) plan_spec.w_worker_stall = 1.0;
+  if (crashes) plan_spec.w_worker_crash = 0.5;
+  obs.attach(farm);
+
+  const auto stream = take(workload::load_jobs(path));
+  // Match the plan's target ranges to the fleet; triggers are global
+  // serve-sequence numbers, so the default horizon is the job count
+  // (every event lands inside the run).
+  plan_spec.clusters = cfg.chip.width * cfg.chip.height * cfg.chip.layers;
+  plan_spec.workers = cfg.deterministic ? 1 : cfg.workers;
+  plan_spec.horizon =
+      horizon > 0 ? horizon
+                  : std::max<std::uint64_t>(1, stream.jobs.size());
+  farm.fault_tolerance(fault::random_fault_plan(plan_spec));
+  const auto served = workload::serve(stream, take(farm.try_build()));
+
+  // Survival: every admitted job must have resolved one way or another.
+  const obs::FarmMetrics& metrics = served.metrics;
+  const std::uint64_t resolved = metrics.served() + metrics.cancelled;
+  const std::uint64_t lost =
+      metrics.admitted > resolved ? metrics.admitted - resolved : 0;
+  const fault::FaultPlan& plan = cfg.fault_tolerance.plan;
+  const int obs_rc =
+      obs.write({{"verb", "chaos"},
+                 {"manifest", path},
+                 {"seed", std::to_string(plan.seed)},
+                 {"deterministic", cfg.deterministic ? "true" : "false"},
+                 {"survived", lost == 0 ? "true" : "false"}},
+                served.obs);
+  print_survival_report(path, cfg.deterministic, plan, served, lost);
   return lost == 0 ? obs_rc : 1;
 }
 
@@ -1299,96 +1241,38 @@ int cmd_worker(int argc, char** argv) {
 
 int cmd_submit(int argc, char** argv) {
   std::string path;
-  net::HubClient::Options copts;
-  copts.name = "vlsipc";
+  workload::HubTarget hub;
+  workload::HubControl control;
+  control.client_name = "vlsipc";
   bool json = false;
-  bool want_metrics = false;
-  bool want_shutdown = false;
-  std::uint64_t drain_worker = 0;
-  std::size_t drain_after = 0;
-  // Manifests used to stream every job up front; a bounded in-flight
-  // window is the default now so one client cannot flood the hub.
-  copts.max_in_flight = 64;
   OptionParser opts("submit",
                     "usage: vlsipc submit <jobs.txt> --hub ADDR [--json] "
                     "[--window N] [--drain-worker ID] [--drain-after K] "
                     "[--metrics] [--shutdown]");
-  opts.value("--hub", &copts.hub)
-      .value("--window", &copts.max_in_flight)
+  opts.value("--hub", &hub.address)
+      .value("--window", &hub.window)
       .flag("--json", &json)
-      .value("--drain-worker", &drain_worker)
-      .value("--drain-after", &drain_after)
-      .flag("--metrics", &want_metrics)
-      .flag("--shutdown", &want_shutdown)
+      .value("--drain-worker", &control.drain_worker)
+      .value("--drain-after", &control.drain_after)
+      .flag("--metrics", &control.fetch_metrics)
+      .flag("--shutdown", &control.shutdown_hub)
       .positional(&path);
   int rc = 0;
   if (!opts.parse(argc, argv, &rc)) return rc;
   if (path.empty()) return opts.error("missing <jobs.txt>");
-  if (copts.hub.empty()) return opts.error("submit needs --hub ADDR");
+  if (hub.address.empty()) return opts.error("submit needs --hub ADDR");
 
-  const auto jobs = runtime::load_manifest(path);
-  auto client = net::HubClient::connect(copts);
-  if (!client.ok()) {
-    std::fprintf(stderr, "error: %s: %s\n",
-                 status_code_name(client.status().code()),
-                 client.status().message().c_str());
-    return 1;
-  }
-  for (const auto& job : jobs) {
-    const auto seq = client->submit(job);
-    if (!seq.ok()) {
-      std::fprintf(stderr, "error: submit failed: %s\n",
-                   seq.status().message().c_str());
-      return 1;
-    }
-  }
+  const auto stream = take(workload::load_jobs(path));
+  const auto remote = take(workload::serve_remote(stream, hub, control));
 
-  std::vector<net::JobResultMsg> results;
-  const std::size_t first_wave =
-      drain_worker > 0 ? std::min(drain_after, jobs.size()) : jobs.size();
-  auto wave = client->collect(first_wave);
-  if (!wave.ok()) {
-    std::fprintf(stderr, "error: collect failed: %s\n",
-                 wave.status().message().c_str());
-    return 1;
-  }
-  results = std::move(*wave);
-  if (drain_worker > 0) {
-    const Status drained = client->drain_worker(drain_worker);
-    if (!drained.ok()) {
-      std::fprintf(stderr, "error: drain failed: %s\n",
-                   drained.message().c_str());
-      return 1;
-    }
-    auto rest = client->collect(jobs.size() - results.size());
-    if (!rest.ok()) {
-      std::fprintf(stderr, "error: collect failed: %s\n",
-                   rest.status().message().c_str());
-      return 1;
-    }
-    for (auto& r : *rest) results.push_back(std::move(r));
-  }
-  // Arrival order depends on worker interleaving; report in submit
-  // order so the same manifest prints the same report.
-  std::sort(results.begin(), results.end(),
-            [](const net::JobResultMsg& a, const net::JobResultMsg& b) {
-              return a.id < b.id;
-            });
-
-  std::string metrics_doc;
-  if (want_metrics) {
-    auto metrics = client->metrics_json();
-    if (metrics.ok()) metrics_doc = std::move(*metrics);
-  }
-  if (want_shutdown) {
-    (void)client->shutdown_hub();
-  } else {
-    client->goodbye();
-  }
-
+  // Outcomes are in submit order, so the same manifest prints the same
+  // report whatever the worker interleaving.
+  const std::size_t submitted = stream.jobs.size();
+  std::size_t received = 0;
   std::size_t completed = 0;
-  for (const auto& r : results) {
-    if (r.outcome.status == scaling::JobStatus::kCompleted) ++completed;
+  for (const auto& o : remote.outcomes) {
+    received += o.has_value();
+    completed += o && o->status == scaling::JobStatus::kCompleted;
   }
   if (json) {
     std::ostringstream out;
@@ -1396,42 +1280,44 @@ int cmd_submit(int argc, char** argv) {
     w.begin_object();
     w.field("schema_version", obs::kJsonSchemaVersion);
     w.field("verb", "submit");
-    w.field("hub", copts.hub);
+    w.field("hub", hub.address);
     w.field("manifest", path);
-    w.field("submitted", static_cast<std::uint64_t>(jobs.size()));
-    w.field("received", static_cast<std::uint64_t>(results.size()));
+    w.field("submitted", static_cast<std::uint64_t>(submitted));
+    w.field("received", static_cast<std::uint64_t>(received));
     w.field("completed", static_cast<std::uint64_t>(completed));
-    w.field("lost", static_cast<std::uint64_t>(jobs.size() - results.size()));
+    w.field("lost", static_cast<std::uint64_t>(submitted - received));
     w.key("jobs");
     w.begin_array();
-    for (const auto& r : results) print_outcome_json(w, r.outcome);
+    for (const auto& o : remote.outcomes) {
+      if (o) print_outcome_json(w, *o);
+    }
     w.end_array();
-    if (!metrics_doc.empty()) {
+    if (!remote.hub_metrics.empty()) {
       w.key("hub_metrics");
-      w.raw(metrics_doc);
+      w.raw(remote.hub_metrics);
     }
     w.end_object();
     std::printf("%s\n", out.str().c_str());
   } else {
     AsciiTable table({"job", "status", "clusters", "config", "exec",
                       "attempts"});
-    for (const auto& r : results) {
-      const auto& o = r.outcome;
-      table.add_row({o.name, scaling::to_string(o.status),
-                     std::to_string(o.clusters_used),
-                     std::to_string(o.config_cycles),
-                     std::to_string(o.exec_cycles),
-                     std::to_string(o.attempts)});
+    for (const auto& o : remote.outcomes) {
+      if (!o) continue;
+      table.add_row({o->name, scaling::to_string(o->status),
+                     std::to_string(o->clusters_used),
+                     std::to_string(o->config_cycles),
+                     std::to_string(o->exec_cycles),
+                     std::to_string(o->attempts)});
     }
     std::printf("%s\n", table.render().c_str());
-    std::printf("submit: %zu jobs, %zu results, %zu completed\n",
-                jobs.size(), results.size(), completed);
-    if (!metrics_doc.empty()) std::printf("%s\n", metrics_doc.c_str());
+    std::printf("submit: %zu jobs, %zu results, %zu completed\n", submitted,
+                received, completed);
+    if (!remote.hub_metrics.empty()) {
+      std::printf("%s\n", remote.hub_metrics.c_str());
+    }
   }
-  return results.size() == jobs.size() && completed == results.size() ? 0 : 1;
+  return received == submitted && completed == submitted ? 0 : 1;
 }
-
-// --- workload ---------------------------------------------------------------
 
 int cmd_workload(int argc, char** argv) {
   std::string ref;
@@ -1442,7 +1328,9 @@ int cmd_workload(int argc, char** argv) {
   bool threaded = false;
   std::uint64_t seed = 0;
   std::size_t jobs = 0;
-  workload::RunPackOptions ropts;
+  runtime::FarmConfigBuilder farm;
+  farm.deterministic().workers(1);
+  workload::HubTarget hub;
   OptionParser opts(
       "workload",
       "usage: vlsipc workload <pack.spec|@preset:NAME[:seed[:jobs]]> "
@@ -1450,12 +1338,12 @@ int cmd_workload(int argc, char** argv) {
       "[--batch B] [--workers N] [--threaded] [--window N] "
       "[--report out.json] [--list-kernels] [--json]");
   opts.value("--mode", &mode)
-      .value("--hub", &ropts.hub)
+      .value("--hub", &hub.address)
       .value("--seed", &seed)
       .value("--jobs", &jobs)
-      .value("--batch", &ropts.batch)
-      .value("--workers", &ropts.workers)
-      .value("--window", &ropts.max_in_flight)
+      .value("--batch", &farm.raw().batch.max_jobs)
+      .value("--workers", &farm.raw().workers)
+      .value("--window", &hub.window)
       .flag("--threaded", &threaded)
       .value("--report", &report_path)
       .flag("--list-kernels", &list_kernels)
@@ -1490,26 +1378,26 @@ int cmd_workload(int argc, char** argv) {
     return opts.error("--mode must be 'serve' or 'replay', got '" + mode +
                       "'");
   }
-  if (mode == "replay" && !ropts.hub.empty()) {
+  if (mode == "replay" && !hub.address.empty()) {
     return opts.error("--mode replay is local-only (drop --hub)");
   }
-  if (threaded) ropts.deterministic = false;
 
-  auto pack = workload::load_pack(ref);
-  VLSIP_REQUIRE(pack.ok(), pack.status().to_string());
-  workload::JobStreamBuilder builder;
-  builder.pack(std::move(*pack));
-  if (seed != 0) builder.seed(seed);
-  if (jobs != 0) builder.jobs(jobs);
-  const workload::JobStream stream = builder.build();
-
-  const auto report = mode == "replay"
-                          ? workload::run_pack_replay(stream, ropts)
-                          : workload::run_pack(stream, ropts);
-  VLSIP_REQUIRE(report.ok(), report.status().to_string());
+  const auto stream =
+      take(workload::load_jobs(ref, /*pack_files=*/true, seed, jobs));
+  std::string report;
+  if (!hub.address.empty()) {
+    report = take(workload::run_pack(stream, hub));
+  } else {
+    // Threaded mode frees the worker count and reports wall-tick
+    // latencies; its queue holds the whole stream.
+    if (threaded) farm.deterministic(false).queue(stream.jobs.size() + 1, true);
+    const auto config = take(farm.try_build());
+    report = take(mode == "replay" ? workload::run_pack_replay(stream, config)
+                                   : workload::run_pack(stream, config));
+  }
   if (!report_path.empty()) {
     std::ofstream out(report_path);
-    out << *report << "\n";
+    out << report << "\n";
     if (!out) {
       std::fprintf(stderr, "error: cannot write report: %s\n",
                    report_path.c_str());
@@ -1517,13 +1405,16 @@ int cmd_workload(int argc, char** argv) {
     }
     std::fprintf(stderr, "wrote report: %s\n", report_path.c_str());
   }
-  std::printf("%s\n", report->c_str());
+  std::printf("%s\n", report.c_str());
   return 0;
 }
 
 /// Classifies an escaped exception into a stable machine-readable code
 /// (mirrors vlsip::StatusCode names; see docs/OBSERVABILITY.md).
 const char* classify_error(const std::exception& e) {
+  if (const auto* failure = dynamic_cast<const StatusFailure*>(&e)) {
+    return status_code_name(failure->status.code());
+  }
   if (dynamic_cast<const snapshot::SnapshotError*>(&e) != nullptr) {
     return status_code_name(StatusCode::kCorruptSnapshot);
   }
@@ -1556,38 +1447,21 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--json") == 0) json = true;
   }
   try {
-    if (std::strcmp(argv[1], "compile") == 0) {
-      return cmd_compile(argc - 2, argv + 2);
-    }
-    if (std::strcmp(argv[1], "info") == 0) {
-      return cmd_info(argc - 2, argv + 2);
-    }
-    if (std::strcmp(argv[1], "run") == 0) {
-      return cmd_run(argc - 2, argv + 2);
-    }
-    if (std::strcmp(argv[1], "snapshot") == 0) {
-      return cmd_snapshot(argc - 2, argv + 2);
-    }
-    if (std::strcmp(argv[1], "resume") == 0) {
-      return cmd_resume(argc - 2, argv + 2);
-    }
-    if (std::strcmp(argv[1], "serve") == 0) {
-      return cmd_serve(argc - 2, argv + 2);
-    }
-    if (std::strcmp(argv[1], "chaos") == 0) {
-      return cmd_chaos(argc - 2, argv + 2);
-    }
-    if (std::strcmp(argv[1], "hub") == 0) {
-      return cmd_hub(argc - 2, argv + 2);
-    }
-    if (std::strcmp(argv[1], "worker") == 0) {
-      return cmd_worker(argc - 2, argv + 2);
-    }
-    if (std::strcmp(argv[1], "submit") == 0) {
-      return cmd_submit(argc - 2, argv + 2);
-    }
-    if (std::strcmp(argv[1], "workload") == 0) {
-      return cmd_workload(argc - 2, argv + 2);
+    const struct {
+      const char* name;
+      int (*run)(int, char**);
+    } verbs[] = {
+        {"compile", cmd_compile}, {"info", cmd_info},
+        {"run", cmd_run},         {"snapshot", cmd_snapshot},
+        {"resume", cmd_resume},   {"serve", cmd_serve},
+        {"chaos", cmd_chaos},     {"hub", cmd_hub},
+        {"worker", cmd_worker},   {"submit", cmd_submit},
+        {"workload", cmd_workload},
+    };
+    for (const auto& verb : verbs) {
+      if (std::strcmp(argv[1], verb.name) == 0) {
+        return verb.run(argc - 2, argv + 2);
+      }
     }
     std::fprintf(stderr, "unknown command: %s\n", argv[1]);
     return 2;
@@ -1600,7 +1474,9 @@ int main(int argc, char** argv) {
       w.key("error");
       w.begin_object();
       w.field("code", classify_error(e));
-      w.field("message", std::string(e.what()));
+      const auto* failure = dynamic_cast<const StatusFailure*>(&e);
+      w.field("message", failure != nullptr ? failure->status.message()
+                                            : std::string(e.what()));
       // Compile failures carry the offending source line (the typed
       // lang::try_compile error), so scripted callers can point at it.
       if (const auto* cf = dynamic_cast<const CompileFailed*>(&e)) {
