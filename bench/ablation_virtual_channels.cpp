@@ -42,11 +42,12 @@ std::uint64_t victim_latency(int vcs) {
   fabric.inject(p1);
   fabric.inject(p2);
   const auto victim = fabric.inject(p3);
+  std::uint64_t latency = ~0ull;
+  fabric.set_on_deliver([&](const noc::Packet& d) {
+    if (d.id == victim) latency = d.deliver_cycle - d.inject_cycle;
+  });
   fabric.run_until_drained(1u << 20);
-  for (const auto& d : fabric.delivered()) {
-    if (d.id == victim) return d.deliver_cycle - d.inject_cycle;
-  }
-  return ~0ull;
+  return latency;
 }
 
 }  // namespace

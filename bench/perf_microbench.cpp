@@ -114,7 +114,7 @@ void BM_NocRandomTraffic(benchmark::State& state) {
       fabric.inject(p);
     }
     fabric.run_until_drained(1u << 20);
-    benchmark::DoNotOptimize(fabric.delivered().size());
+    benchmark::DoNotOptimize(fabric.latency_stats().count());
   }
   state.SetItemsProcessed(state.iterations() * side * side);
 }

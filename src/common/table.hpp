@@ -20,8 +20,6 @@ class AsciiTable {
   /// Appends a horizontal separator line at this position.
   void add_separator();
 
-  std::size_t row_count() const { return rows_.size(); }
-
   /// Renders with single-space-padded `|` separated cells and a rule
   /// under the header.
   std::string render() const;

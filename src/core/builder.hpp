@@ -126,15 +126,6 @@ class ChipConfigBuilder {
     return *this;
   }
 
-  /// DVS operating points (nominal first) and the starting ladder
-  /// index; implies nothing unless energy accounting is on.
-  ChipConfigBuilder& dvs_ladder(std::vector<cost::DvsPoint> ladder,
-                                std::size_t initial_level = 0) {
-    config_.energy.ladder = std::move(ladder);
-    config_.energy.initial_level = initial_level;
-    return *this;
-  }
-
   /// Validates and returns the config; throws PreconditionError on an
   /// impossible shape (the same failure the VlsiProcessor constructor
   /// would raise, but named at the knob that caused it).

@@ -47,36 +47,11 @@ StatusOr<scaling::ProcId> VlsiProcessor::try_fuse(std::size_t clusters) {
   }
 }
 
-StatusOr<scaling::ProcId> VlsiProcessor::try_fuse_path(
-    const std::vector<topology::ClusterId>& path, bool ring) {
-  try {
-    const scaling::ProcId id = fuse_path(path, ring);
-    if (id == scaling::kNoProc) {
-      return Status(StatusCode::kUnavailable,
-                    "cluster path is occupied, defective, or conflicted");
-    }
-    return id;
-  } catch (const std::logic_error& e) {
-    return Status(StatusCode::kInvalidArgument, e.what());
-  }
-}
-
 Status VlsiProcessor::try_split(scaling::ProcId id,
                                 std::size_t keep_clusters) {
   try {
     split(id, keep_clusters);
     return Status::Ok();
-  } catch (const std::logic_error& e) {
-    return Status(StatusCode::kInvalidArgument, e.what());
-  }
-}
-
-StatusOr<RunResult> VlsiProcessor::try_run_program(
-    scaling::ProcId id, const arch::Program& program,
-    const std::map<std::string, std::vector<arch::Word>>& inputs,
-    std::size_t expected_per_output, std::uint64_t max_cycles) {
-  try {
-    return run_program(id, program, inputs, expected_per_output, max_cycles);
   } catch (const std::logic_error& e) {
     return Status(StatusCode::kInvalidArgument, e.what());
   }

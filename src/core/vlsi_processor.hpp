@@ -82,16 +82,7 @@ class VlsiProcessor {
 
   /// fuse() with the kNoProc sentinel lifted into a Status.
   StatusOr<scaling::ProcId> try_fuse(std::size_t clusters);
-  StatusOr<scaling::ProcId> try_fuse_path(
-      const std::vector<topology::ClusterId>& path, bool ring = false);
   Status try_split(scaling::ProcId id, std::size_t keep_clusters);
-
-  /// run_program() with configuration/precondition errors surfaced as
-  /// Status (kInvalidArgument) instead of PreconditionError.
-  StatusOr<RunResult> try_run_program(
-      scaling::ProcId id, const arch::Program& program,
-      const std::map<std::string, std::vector<arch::Word>>& inputs,
-      std::size_t expected_per_output, std::uint64_t max_cycles);
 
   void activate(scaling::ProcId id) { manager_.activate(id); }
   void deactivate(scaling::ProcId id) { manager_.deactivate(id); }

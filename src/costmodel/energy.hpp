@@ -82,11 +82,6 @@ struct EnergyActivity {
     }
     return d;
   }
-  std::uint64_t total_units() const {
-    std::uint64_t t = 0;
-    for (const auto u : units) t += u;
-    return t;
-  }
   bool operator==(const EnergyActivity&) const = default;
 };
 
@@ -160,10 +155,6 @@ class EnergyModel {
 
   /// Prices an activity vector at one operating point. Pure integer.
   EnergyBreakdown price(const EnergyActivity& a, std::size_t level) const;
-  std::uint64_t price_total_fj(const EnergyActivity& a,
-                               std::size_t level) const {
-    return price(a, level).total_fj();
-  }
 
  private:
   EnergySpec spec_;

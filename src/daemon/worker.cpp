@@ -8,8 +8,21 @@
 
 namespace vlsip::daemon {
 
+namespace {
+
+/// A worker streams each outcome to the hub as it completes and never
+/// reads the farm's outcome log, so it keeps none: a long-running
+/// worker would otherwise hold every outcome it ever served.
+runtime::FarmConfig without_outcome_log(runtime::FarmConfig config) {
+  config.keep_outcome_log = false;
+  return config;
+}
+
+}  // namespace
+
 WorkerDaemon::WorkerDaemon(WorkerOptions options)
-    : options_(std::move(options)), farm_(options_.farm) {}
+    : options_(std::move(options)),
+      farm_(without_outcome_log(options_.farm)) {}
 
 WorkerDaemon::~WorkerDaemon() { sock_.close(); }
 

@@ -48,8 +48,8 @@ struct CompileError {
   std::string message;
 };
 
-/// Non-throwing facade over compile(), matching the try_fuse /
-/// try_run_program convention: expected failures (bad source from a
+/// Non-throwing facade over compile(), matching the chip's try_fuse /
+/// try_split convention: expected failures (bad source from a
 /// user, a tool, or a fuzzer) come back as kInvalidArgument instead of
 /// an exception. If `error` is non-null it receives the typed error on
 /// failure and is left untouched on success.

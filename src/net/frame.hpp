@@ -10,7 +10,7 @@
 //
 //   offset  size  field
 //   0       4     frame magic "VFRM" (little-endian u32)
-//   4       2     protocol version (u16), currently 3
+//   4       2     protocol version (u16, kProtoVersion)
 //   6       2     message type (u16, net::MsgType)
 //   8       4     payload length N (u32)
 //   12      N     payload (snapshot byte stream)
@@ -42,7 +42,8 @@ inline constexpr std::uint32_t kFrameMagic = 0x5646524Du;
 /// Current wire-protocol version. Bump on any layout change.
 /// v3: CheckpointMsg carries exactly one flat chip snapshot.
 /// v4: payloads are snapshot::kVersion 3 streams.
-inline constexpr std::uint16_t kProtoVersion = 4;
+/// v5: payloads are snapshot::kVersion 4 streams.
+inline constexpr std::uint16_t kProtoVersion = 5;
 /// Header bytes before the payload.
 inline constexpr std::size_t kFrameHeaderSize = 12;
 /// Default payload ceiling (checkpoint transfers dominate sizing; a

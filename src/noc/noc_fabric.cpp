@@ -59,6 +59,14 @@ std::uint32_t NocFabric::inject(Packet packet) {
       static_cast<std::uint32_t>(index(packet.src_x, packet.src_y));
   const auto vc = static_cast<std::uint8_t>(
       packet.id % static_cast<std::uint32_t>(router_config_.virtual_channels));
+  std::uint32_t slot;
+  if (!flow_free_.empty()) {
+    slot = flow_free_.back();
+    flow_free_.pop_back();
+  } else {
+    slot = static_cast<std::uint32_t>(flows_.size());
+    flows_.emplace_back();
+  }
   auto& feed = feeds_[static_cast<std::size_t>(node) * kMaxVcs + vc];
   if (feed.empty()) {
     feed.buf.clear();
@@ -66,7 +74,7 @@ std::uint32_t NocFabric::inject(Packet packet) {
   }
   Flit head;
   head.kind = packet.payload.empty() ? FlitKind::kHeadTail : FlitKind::kHead;
-  head.packet = packet.id;
+  head.flow = slot;
   head.vc = vc;
   head.dest_x = packet.dst_x;
   head.dest_y = packet.dst_y;
@@ -77,7 +85,7 @@ std::uint32_t NocFabric::inject(Packet packet) {
     Flit f;
     f.kind = (i + 1 == packet.payload.size()) ? FlitKind::kTail
                                               : FlitKind::kBody;
-    f.packet = packet.id;
+    f.flow = slot;
     f.vc = vc;
     f.payload = packet.payload[i];
     feed.buf.push_back(f);
@@ -85,14 +93,6 @@ std::uint32_t NocFabric::inject(Packet packet) {
   feed_nodes_.insert(node);
 
   const std::uint32_t id = packet.id;
-  std::uint32_t slot;
-  if (!flow_free_.empty()) {
-    slot = flow_free_.back();
-    flow_free_.pop_back();
-  } else {
-    slot = static_cast<std::uint32_t>(flows_.size());
-    flows_.emplace_back();
-  }
   Flow& flow = flows_[slot];
   // The payload words now live in the flits; the delivered packet's
   // payload is rebuilt from them at the destination.
@@ -101,8 +101,6 @@ std::uint32_t NocFabric::inject(Packet packet) {
   flow.head_seen = false;
   flow.live = true;
   ++live_flows_;
-  if (flow_slot_.size() <= id) flow_slot_.resize(id + 1, 0);
-  flow_slot_[id] = slot;
   return id;
 }
 
@@ -194,7 +192,9 @@ std::size_t NocFabric::step() {
         case Port::kLocal: {
           // Reassemble at the destination.
           --queued_flits_;
-          Flow& flow = flows_[flow_slot_[t.flit.packet]];
+          VLSIP_INVARIANT(t.flit.flow < flows_.size(),
+                          "delivered flit of unknown flow");
+          Flow& flow = flows_[t.flit.flow];
           if (t.flit.is_head()) {
             VLSIP_INVARIANT(flow.live, "delivered flit of unknown packet");
             flow.head_seen = true;
@@ -208,11 +208,10 @@ std::size_t NocFabric::step() {
             lifetime_latency_.add(static_cast<double>(
                 flow.packet.deliver_cycle - flow.packet.inject_cycle));
             if (on_deliver_) on_deliver_(flow.packet);
-            delivered_.push_back(std::move(flow.packet));
             flow.packet = Packet{};
             flow.head_seen = false;
             flow.live = false;
-            flow_free_.push_back(flow_slot_[t.flit.packet]);
+            flow_free_.push_back(t.flit.flow);
             --live_flows_;
           }
           continue;
@@ -276,14 +275,6 @@ std::string NocFabric::render_link_heatmap() const {
     }
   }
   return out;
-}
-
-RunningStats NocFabric::latency_stats() const {
-  RunningStats stats;
-  for (const auto& p : delivered_) {
-    stats.add(static_cast<double>(p.deliver_cycle - p.inject_cycle));
-  }
-  return stats;
 }
 
 namespace {
@@ -373,11 +364,8 @@ void NocFabric::save(snapshot::Writer& w) const {
     w.b(f.live);
   }
   w.vec_u32(flow_free_);
-  w.vec_u32(flow_slot_);
   w.u64(live_flows_);
   w.u64(queued_flits_);
-  w.u64(delivered_.size());
-  for (const auto& p : delivered_) save_packet(w, p);
   w.u64(total_delivered_);
   w.u64(total_flits_moved_);
   const RunningStats::Raw lat = lifetime_latency_.raw();
@@ -424,15 +412,8 @@ void NocFabric::restore(snapshot::Reader& r) {
     flows_.push_back(std::move(f));
   }
   flow_free_ = r.vec_u32();
-  flow_slot_ = r.vec_u32();
   live_flows_ = static_cast<std::size_t>(r.u64());
   queued_flits_ = static_cast<std::size_t>(r.u64());
-  delivered_.clear();
-  const std::uint64_t n_delivered = r.count(38);
-  delivered_.reserve(static_cast<std::size_t>(n_delivered));
-  for (std::uint64_t i = 0; i < n_delivered; ++i) {
-    delivered_.push_back(restore_packet(r));
-  }
   total_delivered_ = r.u64();
   total_flits_moved_ = r.u64();
   RunningStats::Raw lat;

@@ -66,12 +66,10 @@ class NocFabric {
   /// elapse; returns true if the network drained.
   bool run_until_drained(std::uint64_t max_cycles);
 
-  /// Packets fully received at their destination local ports, in
-  /// delivery order. Caller may take them.
-  std::vector<Packet>& delivered() { return delivered_; }
-
-  /// Delivery callback (invoked when a packet completes, before it is
-  /// appended to delivered()).
+  /// Delivery callback, invoked once per packet as it completes at its
+  /// destination's local port, in delivery order. The fabric keeps no
+  /// record of delivered packets: a caller that wants them collects
+  /// them here.
   void set_on_deliver(std::function<void(const Packet&)> cb) {
     on_deliver_ = std::move(cb);
   }
@@ -81,13 +79,13 @@ class NocFabric {
     return feed_nodes_.empty() && queued_flits_ == 0 && live_flows_ == 0;
   }
 
-  /// Latency statistics over delivered packets (inject -> deliver).
-  RunningStats latency_stats() const;
+  /// Latency statistics over every packet delivered so far (inject ->
+  /// deliver).
+  const RunningStats& latency_stats() const { return lifetime_latency_; }
 
   /// Publishes fabric counters (packets, flit movement, lifetime flit
-  /// latency — which survives callers taking delivered()) and
-  /// point-in-time queue depth into `registry` under "noc." names —
-  /// this layer's probe into the observability spine.
+  /// latency) and point-in-time queue depth into `registry` under
+  /// "noc." names — this layer's probe into the observability spine.
   void export_obs(obs::MetricRegistry& registry) const;
 
   /// Folds the fabric's lifetime activity into `a` (energy spine):
@@ -112,15 +110,16 @@ class NocFabric {
   std::string render_link_heatmap() const;
 
   /// Checkpoint codec: routers, injection queues, flow reassembly
-  /// state, delivered packets and lifetime counters. The delivery
-  /// callback is NOT serialized — re-install it after restore.
+  /// state and lifetime counters. The delivery callback is NOT
+  /// serialized — re-install it after restore.
   void save(snapshot::Writer& w) const;
   void restore(snapshot::Reader& r);
 
  private:
   /// One undelivered packet: the source metadata plus the destination's
-  /// reassembly state. Slots are reused through a free list; packet id
-  /// -> slot is a flat vector lookup.
+  /// reassembly state. Slots are reused through a free list, and every
+  /// flit of the packet carries its slot, so the table is bounded by
+  /// the packets in flight.
   struct Flow {
     Packet packet;
     bool head_seen = false;
@@ -156,7 +155,6 @@ class NocFabric {
 
   std::vector<Flow> flows_;
   std::vector<std::uint32_t> flow_free_;
-  std::vector<std::uint32_t> flow_slot_;  // [packet id] -> flows_ slot
   std::size_t live_flows_ = 0;
   /// Flits currently inside router input queues, fabric-wide.
   std::size_t queued_flits_ = 0;
@@ -169,10 +167,8 @@ class NocFabric {
   /// produced transfers; end offset = next entry's begin (or total).
   std::vector<std::pair<std::uint32_t, std::uint32_t>> step_ranges_;
 
-  std::vector<Packet> delivered_;
   std::function<void(const Packet&)> on_deliver_;
-  /// Lifetime observability counters: unlike delivered_ (which callers
-  /// may take()) these survive the whole fabric lifetime.
+  /// Lifetime observability counters.
   std::uint64_t total_delivered_ = 0;
   std::uint64_t total_flits_moved_ = 0;
   RunningStats lifetime_latency_;

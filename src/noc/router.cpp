@@ -185,7 +185,7 @@ std::optional<std::pair<Port, int>> Router::output_owner(Port out,
 
 void save_flit(snapshot::Writer& w, const Flit& flit) {
   w.u8(static_cast<std::uint8_t>(flit.kind));
-  w.u32(flit.packet);
+  w.u32(flit.flow);
   w.u8(flit.vc);
   w.u32(flit.dest_x);
   w.u32(flit.dest_y);
@@ -196,7 +196,7 @@ void save_flit(snapshot::Writer& w, const Flit& flit) {
 Flit restore_flit(snapshot::Reader& r) {
   Flit flit;
   flit.kind = static_cast<FlitKind>(r.u8());
-  flit.packet = r.u32();
+  flit.flow = r.u32();
   flit.vc = r.u8();
   flit.dest_x = static_cast<std::uint16_t>(r.u32());
   flit.dest_y = static_cast<std::uint16_t>(r.u32());

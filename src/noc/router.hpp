@@ -54,7 +54,7 @@ enum class PacketKind : std::uint8_t {
 
 struct Flit {
   FlitKind kind = FlitKind::kBody;
-  std::uint32_t packet = 0;   // packet id
+  std::uint32_t flow = 0;     // the fabric's reassembly slot
   std::uint8_t vc = 0;        // virtual channel on the incoming link
   // Head-flit fields:
   std::uint16_t dest_x = 0;

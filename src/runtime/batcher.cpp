@@ -13,7 +13,6 @@ std::vector<PendingJob> take_batch(std::deque<PendingJob>& queue,
 
   batch.push_back(std::move(queue.front()));
   queue.pop_front();
-  if (!policy.group_by_clusters) return batch;
 
   const std::size_t clusters = batch.front().job.requested_clusters;
   for (auto it = queue.begin();

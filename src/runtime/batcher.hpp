@@ -19,17 +19,14 @@ namespace vlsip::runtime {
 struct PendingJob;
 
 struct BatchPolicy {
-  /// Ceiling on jobs per batch (>= 1).
+  /// Ceiling on jobs per batch (>= 1); 1 is strict FCFS.
   std::size_t max_jobs = 8;
-  /// Group by requested_clusters so a batch can share one fused
-  /// processor. Off = strict FCFS, one job per batch.
-  bool group_by_clusters = true;
 };
 
 /// Forms the next batch from `queue` (which the caller must have
-/// locked): always takes the head, then — when grouping — up to
-/// max_jobs-1 further jobs with the head's requested_clusters. Taken
-/// jobs are removed from `queue`.
+/// locked): always takes the head, then up to max_jobs-1 further jobs
+/// with the head's requested_clusters. Taken jobs are removed from
+/// `queue`.
 std::vector<PendingJob> take_batch(std::deque<PendingJob>& queue,
                                    const BatchPolicy& policy);
 

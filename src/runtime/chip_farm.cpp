@@ -29,7 +29,7 @@ ChipFarm::ChipFarm(FarmConfig config)
   // caller was still submitting, batch composition and queued_at stamps
   // would depend on thread scheduling. drain() lifts the pause, so the
   // natural submit-everything-then-drain flow is race-free.
-  if (config_.start_paused || config_.deterministic) queue_.set_paused(true);
+  if (config_.deterministic) queue_.set_paused(true);
   workers_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     auto worker = std::make_unique<Worker>();
@@ -521,22 +521,6 @@ Status ChipFarm::save_chip(std::size_t index, snapshot::Snapshot& out) const {
   return workers_[index]->chip->save(out);
 }
 
-Status ChipFarm::restore_chip(std::size_t index, const snapshot::Snapshot& snap,
-                              std::uint64_t resumed_from_tick) {
-  if (index >= workers_.size()) {
-    return Status(StatusCode::kInvalidArgument,
-                  "no worker slot " + std::to_string(index));
-  }
-  Worker& worker = *workers_[index];
-  std::lock_guard<std::mutex> lock(metrics_mutex_);
-  const Status restored = worker.chip->restore(snap);
-  if (restored.ok()) {
-    worker.resumed_from = resumed_from_tick;
-    ++worker.metrics.chip_restores;
-  }
-  return restored;
-}
-
 void ChipFarm::quarantine_chip(Worker& worker, const char* why) {
   // The defective chip leaves the fleet; a spare of the same shape
   // takes over its slot. Any state on the old chip is gone — jobs it
@@ -602,8 +586,7 @@ void ChipFarm::health_check(Worker& worker) {
       ++worker.metrics.health_checks;
     }
     auto& manager = worker.chip->manager();
-    if (ft.compact_on_health_check &&
-        manager.largest_free_run() < manager.free_clusters()) {
+    if (manager.largest_free_run() < manager.free_clusters()) {
       if (manager.compact() > 0) {
         {
           std::lock_guard<std::mutex> lock(metrics_mutex_);

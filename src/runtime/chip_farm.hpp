@@ -89,8 +89,6 @@ struct FaultToleranceConfig {
   /// Consecutive faulty services after which a worker's chip is pulled
   /// from service and replaced with a fresh one (0 = never).
   std::size_t quarantine_after = 3;
-  /// Compact a fragmented chip during the post-batch health check.
-  bool compact_on_health_check = true;
 };
 
 struct FarmConfig {
@@ -125,8 +123,6 @@ struct FarmConfig {
   /// `dvs.energy_budget_fj_per_job`. The chip's ladder and starting
   /// level come from FarmConfig::chip.energy.
   DvsConfig dvs;
-  /// Construct paused: workers start but don't consume until resume().
-  bool start_paused = false;
   /// Keep every served outcome for outcome_log() (tests, serve verb).
   bool keep_outcome_log = true;
   /// Checkpoint each worker's chip every N completed batches (at the
@@ -262,12 +258,6 @@ class ChipFarm {
   /// kInvalidArgument on a bad index.
   Status save_chip(std::size_t index, snapshot::Snapshot& out) const;
 
-  /// Restores a shipped checkpoint into worker `index`'s chip (same
-  /// geometry required); subsequent outcomes served on it carry
-  /// resumed_from_cycle = `resumed_from_tick`. kInvalidArgument on a
-  /// bad index, kCorruptSnapshot on bad bytes or geometry mismatch.
-  Status restore_chip(std::size_t index, const snapshot::Snapshot& snap,
-                      std::uint64_t resumed_from_tick);
 
  private:
   struct Worker {

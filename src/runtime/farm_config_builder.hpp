@@ -48,10 +48,8 @@ class FarmConfigBuilder {
     return *this;
   }
 
-  FarmConfigBuilder& batch(std::size_t max_jobs,
-                           bool group_by_clusters = true) {
+  FarmConfigBuilder& batch(std::size_t max_jobs) {
     config_.batch.max_jobs = max_jobs;
-    config_.batch.group_by_clusters = group_by_clusters;
     return *this;
   }
 
@@ -63,11 +61,6 @@ class FarmConfigBuilder {
   /// Emulated silicon clock (threaded mode pacing); 0 = unpaced.
   FarmConfigBuilder& chip_hz(double hz) {
     config_.chip_hz = hz;
-    return *this;
-  }
-
-  FarmConfigBuilder& start_paused(bool on = true) {
-    config_.start_paused = on;
     return *this;
   }
 
@@ -103,24 +96,11 @@ class FarmConfigBuilder {
     return *this;
   }
 
-  FarmConfigBuilder& compact_on_health_check(bool on) {
-    config_.fault_tolerance.compact_on_health_check = on;
-    return *this;
-  }
-
   /// Checkpoint each worker chip every N batches; quarantines then
   /// restore the replacement from the last checkpoint.
   FarmConfigBuilder& checkpoint_every(std::size_t batches) {
     config_.checkpoint_every_batches = batches;
     return *this;
-  }
-
-  /// Passthrough under the FarmConfig field's exact name, so callers
-  /// mapping external config (the vlsipd worker daemon's
-  /// --checkpoint-every-batches flag) onto the builder don't need a
-  /// spelling table. Identical to checkpoint_every().
-  FarmConfigBuilder& checkpoint_every_batches(std::size_t batches) {
-    return checkpoint_every(batches);
   }
 
   /// Energy-aware scheduling: enables per-chip energy accounting (the
@@ -131,12 +111,6 @@ class FarmConfigBuilder {
     config_.dvs.enabled = true;
     config_.dvs.energy_budget_fj_per_job = budget_fj_per_job;
     return *this;
-  }
-
-  /// Alias for dvs() under the config field's exact name, for callers
-  /// mapping external flags (vlsipc's --energy-budget).
-  FarmConfigBuilder& energy_budget(std::uint64_t budget_fj_per_job) {
-    return dvs(budget_fj_per_job);
   }
 
   /// Step the DVS ladder back up when farm p99 latency exceeds this

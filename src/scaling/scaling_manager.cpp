@@ -1,6 +1,7 @@
 #include "scaling/scaling_manager.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/require.hpp"
 #include "snapshot/snapshot.hpp"
@@ -28,16 +29,27 @@ ScalingManager::ScalingManager(topology::STopologyFabric& fabric,
                 "NoC must cover the cluster grid");
 }
 
+const ScaledProcessor* ScalingManager::find(ProcId id) const {
+  const auto it = std::lower_bound(
+      procs_.begin(), procs_.end(), id,
+      [](const ScaledProcessor& p, ProcId key) { return p.id < key; });
+  return it != procs_.end() && it->id == id ? &*it : nullptr;
+}
+
+ScaledProcessor* ScalingManager::find(ProcId id) {
+  return const_cast<ScaledProcessor*>(std::as_const(*this).find(id));
+}
+
 ScaledProcessor& ScalingManager::proc_mut(ProcId id) {
-  VLSIP_REQUIRE(id < procs_.size() && procs_[id].id != kNoProc,
-                "processor is not alive");
-  return procs_[id];
+  ScaledProcessor* p = find(id);
+  VLSIP_REQUIRE(p != nullptr, "processor is not alive");
+  return *p;
 }
 
 const ScaledProcessor& ScalingManager::proc(ProcId id) const {
-  VLSIP_REQUIRE(id < procs_.size() && procs_[id].id != kNoProc,
-                "processor is not alive");
-  return procs_[id];
+  const ScaledProcessor* p = find(id);
+  VLSIP_REQUIRE(p != nullptr, "processor is not alive");
+  return *p;
 }
 
 bool ScalingManager::reserve_path(
@@ -100,21 +112,25 @@ void ScalingManager::retire_ap(ScaledProcessor& p) {
   }
 }
 
-void ScalingManager::retire_slot(ScaledProcessor& p) {
+void ScalingManager::retire(ScaledProcessor& p) {
   retire_ap(p);
-  p.processor.reset();
-  p.region = topology::kNoRegion;
   released_transitions_ += p.fsm.transitions();
   released_fsm_faults_ += p.fsm.faults();
-  live_.erase(std::lower_bound(live_.begin(), live_.end(), p.id));
-  p.id = kNoProc;
+  procs_.erase(procs_.begin() + (&p - procs_.data()));
 }
 
 ProcId ScalingManager::owner_of(topology::RegionId region) const {
-  for (const ProcId id : live_) {
-    if (procs_[id].region == region) return id;
+  for (const ScaledProcessor& p : procs_) {
+    if (p.region == region) return p.id;
   }
   return kNoProc;
+}
+
+std::vector<ProcId> ScalingManager::live_processors() const {
+  std::vector<ProcId> ids;
+  ids.reserve(procs_.size());
+  for (const ScaledProcessor& p : procs_) ids.push_back(p.id);
+  return ids;
 }
 
 std::unique_ptr<ap::AdaptiveProcessor> ScalingManager::make_ap(
@@ -139,8 +155,7 @@ ProcId ScalingManager::allocate_path(
   for (const auto c : path) {
     if (defective_[c]) return kNoProc;
   }
-  const auto ticket =
-      kTicketBase + static_cast<topology::RegionId>(procs_.size());
+  const auto ticket = kTicketBase + next_id_;
   if (!reserve_path(path, ticket)) return kNoProc;
   if (!send_config_worm(path)) {
     clear_path_reservations(path);
@@ -149,14 +164,12 @@ ProcId ScalingManager::allocate_path(
   const auto region = regions_.form(path, ring);
   clear_path_reservations(path);
 
-  const auto id = static_cast<ProcId>(procs_.size());
-  procs_.push_back(ScaledProcessor{});
-  ScaledProcessor& p = procs_.back();
+  const ProcId id = next_id_++;
+  ScaledProcessor& p = procs_.emplace_back();  // ids only grow: stays sorted
   p.id = id;
   p.region = region;
   p.fsm.allocate();  // release -> inactive
   p.processor = make_ap(path.size());
-  live_.push_back(id);  // ids only grow, so live_ stays ascending
   ++stats_.allocations;
   if (trace_) {
     trace_->event(now_, obs::Layer::kScaling, "scaling",
@@ -264,7 +277,7 @@ void ScalingManager::release(ProcId id) {
   if (p.fsm.state() == ProcState::kSleep) p.fsm.wake();
   p.fsm.release();
   regions_.dissolve(p.region);
-  retire_slot(p);
+  retire(p);
   ++stats_.releases;
 }
 
@@ -291,8 +304,7 @@ void ScalingManager::notify(ProcId id) {
 
 void ScalingManager::advance(std::uint64_t cycles) {
   now_ += cycles;
-  for (const ProcId id : live_) {
-    ScaledProcessor& p = procs_[id];
+  for (ScaledProcessor& p : procs_) {
     if (p.fsm.timer_expired(now_)) p.fsm.wake();
   }
 }
@@ -309,9 +321,7 @@ ProcState ScalingManager::state(ProcId id) const {
   return proc(id).fsm.state();
 }
 
-bool ScalingManager::alive(ProcId id) const {
-  return id < procs_.size() && procs_[id].id != kNoProc;
-}
+bool ScalingManager::alive(ProcId id) const { return find(id) != nullptr; }
 
 std::size_t ScalingManager::cluster_count(ProcId id) const {
   return regions_.region(proc(id).region).cluster_count();
@@ -452,7 +462,7 @@ ScalingManager::FaultRecovery ScalingManager::refuse_around(
     recovery.victim_clusters = regions_.region(p.region).cluster_count();
     p.fsm.fault();
     regions_.dissolve(p.region);
-    retire_slot(p);
+    retire(p);
     ++stats_.releases;
     ++stats_.fault_releases;
     if (trace_) {
@@ -511,14 +521,14 @@ std::size_t ScalingManager::compact() {
     std::size_t head_serp;
   };
   std::vector<Item> order;
-  order.reserve(live_.size());
-  for (const ProcId id : live_) {
-    const auto& path = regions_.region(procs_[id].region).path;
+  order.reserve(procs_.size());
+  for (const ScaledProcessor& p : procs_) {
+    const auto& path = regions_.region(p.region).path;
     std::size_t head = fabric_.cluster_count();
     for (const auto c : path) {
       head = std::min(head, fabric_.serpentine_index(c));
     }
-    order.push_back(Item{id, head});
+    order.push_back(Item{p.id, head});
   }
   std::sort(order.begin(), order.end(),
             [](const Item& a, const Item& b) {
@@ -655,17 +665,17 @@ void ScalingManager::export_obs(obs::MetricRegistry& registry) const {
   registry.counter(id.fault_refusals) += stats_.fault_refusals;
   registry.counter(id.fault_releases) += stats_.fault_releases;
 
-  // State-machine transition totals across every processor slot the
-  // manager ever created: released slots were totalled at release.
+  // State-machine transition totals across every processor the manager
+  // ever fused: released ones were totalled at release.
   std::uint64_t transitions = released_transitions_;
   std::uint64_t fsm_faults = released_fsm_faults_;
-  for (const ProcId pid : live_) {
-    transitions += procs_[pid].fsm.transitions();
-    fsm_faults += procs_[pid].fsm.faults();
+  for (const ScaledProcessor& p : procs_) {
+    transitions += p.fsm.transitions();
+    fsm_faults += p.fsm.faults();
   }
   registry.counter(id.fsm_transitions) += transitions;
   registry.counter(id.fsm_faults) += fsm_faults;
-  registry.gauge(id.live_processors) = static_cast<double>(live_.size());
+  registry.gauge(id.live_processors) = static_cast<double>(procs_.size());
   registry.gauge(id.free_clusters) = static_cast<double>(free_clusters());
   registry.gauge(id.largest_free_run) =
       static_cast<double>(largest_free_run());
@@ -684,7 +694,7 @@ void ScalingManager::export_obs(obs::MetricRegistry& registry) const {
 
   // AP-layer metrics: live simulators accumulate directly, torn-down
   // ones were folded into retired_obs_ by retire_ap().
-  for (const ProcId pid : live_) procs_[pid].processor->export_obs(registry);
+  for (const ScaledProcessor& p : procs_) p.processor->export_obs(registry);
   registry.merge(retired_obs_);
 }
 
@@ -714,6 +724,9 @@ void restore_running_stats(snapshot::Reader& r, RunningStats& s) {
 void ScalingManager::save(snapshot::Writer& w) const {
   w.section("scaling.manager");
   regions_.save(w);
+  w.u32(next_id_);
+  w.u64(released_transitions_);
+  w.u64(released_fsm_faults_);
   w.u64(procs_.size());
   for (const auto& p : procs_) {
     w.u32(p.id);
@@ -726,16 +739,13 @@ void ScalingManager::save(snapshot::Writer& w) const {
     w.u64(p.fsm.transitions());
     w.u64(p.fsm.faults());
     w.b(p.event_pending);
-    w.b(p.processor != nullptr);
-    if (p.processor) {
-      // Cluster count the AP was built from (memory blocks never
-      // shrink, unlike capacity, so they recover the original size).
-      const auto clusters = static_cast<std::uint64_t>(
-          p.processor->config().memory_blocks /
-          fabric_.cluster_spec().memory_objects);
-      w.u64(clusters);
-      p.processor->save(w);
-    }
+    // Cluster count the AP was built from (memory blocks never shrink,
+    // unlike capacity, so they recover the original size).
+    const auto clusters = static_cast<std::uint64_t>(
+        p.processor->config().memory_blocks /
+        fabric_.cluster_spec().memory_objects);
+    w.u64(clusters);
+    p.processor->save(w);
   }
   std::vector<std::uint8_t> defects(defective_.size());
   for (std::size_t i = 0; i < defective_.size(); ++i) {
@@ -765,15 +775,27 @@ void ScalingManager::restore(snapshot::Reader& r) {
   r.section("scaling.manager");
   regions_.restore(r);
   procs_.clear();
-  live_.clear();
-  released_transitions_ = 0;
-  released_fsm_faults_ = 0;
-  const std::uint64_t n_procs = r.count(34);
+  next_id_ = r.u32();
+  released_transitions_ = r.u64();
+  released_fsm_faults_ = r.u64();
+  const std::uint64_t n_procs = r.count(45);
   procs_.reserve(static_cast<std::size_t>(n_procs));
   for (std::uint64_t i = 0; i < n_procs; ++i) {
     ScaledProcessor p;
     p.id = r.u32();
     p.region = r.u32();
+    const std::string at = "live processor " + std::to_string(i);
+    if (p.id >= next_id_ || (!procs_.empty() && p.id <= procs_.back().id)) {
+      throw snapshot::SnapshotError(
+          at + " has id " + std::to_string(p.id) +
+          ": ids must ascend strictly below the next id " +
+          std::to_string(next_id_));
+    }
+    if (!regions_.alive(p.region) || owner_of(p.region) != kNoProc) {
+      throw snapshot::SnapshotError(
+          at + " names region " + std::to_string(p.region) +
+          ", which is dead or another processor's");
+    }
     const auto state = static_cast<ProcState>(r.u8());
     const bool read_protected = r.b();
     const bool write_protected = r.b();
@@ -786,28 +808,12 @@ void ScalingManager::restore(snapshot::Reader& r) {
                                  : std::nullopt,
                         transitions, faults);
     p.event_pending = r.b();
-    const bool has_ap = r.b();
-    const bool live = p.id != kNoProc;
-    if (live != has_ap || (live && p.id != i)) {
-      throw snapshot::SnapshotError(
-          "processor slot " + std::to_string(i) +
-          (live != has_ap ? " is live without an AP or dead with one"
-                          : " holds the id of another slot"));
-    }
-    if (has_ap) {
-      const std::uint64_t clusters = r.u64();
-      p.processor = make_ap(static_cast<std::size_t>(clusters));
-      p.processor->restore(r);
-    }
+    const std::uint64_t clusters = r.u64();
+    p.processor = make_ap(static_cast<std::size_t>(clusters));
+    p.processor->restore(r);
+    // Only a processor whose AP restored joins the table, so a
+    // snapshot that throws mid-record leaves every live walk safe.
     procs_.push_back(std::move(p));
-    // Only a slot already in procs_ joins the live list or the released
-    // totals, so a snapshot that throws mid-slot leaves them consistent.
-    if (live) {
-      live_.push_back(procs_.back().id);
-    } else {
-      released_transitions_ += transitions;
-      released_fsm_faults_ += faults;
-    }
   }
   const std::vector<std::uint8_t> defects = r.vec_u8();
   VLSIP_REQUIRE(defects.size() == defective_.size(),
@@ -841,7 +847,7 @@ void ScalingManager::restore(snapshot::Reader& r) {
 
 void ScalingManager::fold_energy(cost::EnergyActivity& a) const {
   a.add(retired_activity_);
-  for (const ProcId id : live_) procs_[id].processor->fold_energy(a);
+  for (const ScaledProcessor& p : procs_) p.processor->fold_energy(a);
   a.units[cost::kEnergyWormHop] += stats_.config_packets;
   a.units[cost::kEnergyRelocation] +=
       stats_.relocations + stats_.defects_handled;

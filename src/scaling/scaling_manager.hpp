@@ -202,10 +202,7 @@ class ScalingManager {
   std::size_t free_clusters() const;
   /// Live processor ids, ascending (ids are never reused, so this is
   /// also fuse order).
-  const std::vector<ProcId>& live_processors() const { return live_; }
-  /// Every processor slot ever fused, indexed by ProcId; a released
-  /// slot has id kNoProc and keeps its FSM counters.
-  const std::vector<ScaledProcessor>& slots() const { return procs_; }
+  std::vector<ProcId> live_processors() const;
   topology::RegionManager& regions() { return regions_; }
 
   /// Publishes scaling counters, fuse/compaction wormhole durations,
@@ -213,7 +210,7 @@ class ScalingManager {
   /// processor — live ones plus the accumulated totals of simulators
   /// already torn down — into `registry`. Scaling metrics go under
   /// "scaling."; AP-layer metrics keep their own "ap." prefix. Walks
-  /// live processors only: released slots were folded in at release.
+  /// live processors only: released ones were folded in at release.
   void export_obs(obs::MetricRegistry& registry) const;
 
   /// Folds the scaling layer's lifetime activity into `a` (energy
@@ -224,13 +221,14 @@ class ScalingManager {
   /// release/upscale/fault never lose energy history).
   void fold_energy(cost::EnergyActivity& a) const;
 
-  /// Checkpoint codec: region table, every processor slot (dead slots
-  /// keep their FSM counters), nested AP state for live processors,
-  /// defect map, counters, wormhole timing stats and the retired-AP
-  /// energy accumulator. retired_obs_ is telemetry and excluded
-  /// (documented in docs/SNAPSHOT.md). restore derives the live-id
-  /// list and the released slots' FSM totals from the restored slots,
-  /// and rejects slot tables no manager can produce (SnapshotError).
+  /// Checkpoint codec: region table, the next processor id, the
+  /// released processors' FSM totals, every live processor with its
+  /// nested AP state, defect map, counters, wormhole timing stats and
+  /// the retired-AP energy accumulator. retired_obs_ is telemetry and
+  /// excluded (documented in docs/SNAPSHOT.md). restore rejects a live
+  /// table no manager can produce (SnapshotError): ids out of order,
+  /// duplicated or not below the next id, or a processor whose region
+  /// is dead or another processor's.
   void save(snapshot::Writer& w) const;
   void restore(snapshot::Reader& r);
 
@@ -251,10 +249,14 @@ class ScalingManager {
 
   std::unique_ptr<ap::AdaptiveProcessor> make_ap(std::size_t clusters) const;
 
-  /// Retires a slot whose processor was just released (release or
-  /// fault path): folds its AP, adds its FSM counters to the released
-  /// totals, and drops it from live_.
-  void retire_slot(ScaledProcessor& p);
+  /// The live processor `id`, or null.
+  ScaledProcessor* find(ProcId id);
+  const ScaledProcessor* find(ProcId id) const;
+
+  /// Retires a processor just released (release or fault path): folds
+  /// its AP, adds its FSM counters to the released totals, and drops it
+  /// from the live table. `p` dangles afterwards.
+  void retire(ScaledProcessor& p);
 
   /// The live processor owning `region`, or kNoProc.
   ProcId owner_of(topology::RegionId region) const;
@@ -269,13 +271,13 @@ class ScalingManager {
   topology::RegionManager regions_;
   ScalingConfig config_;
   obs::TraceSink* trace_;
-  /// Every processor slot ever fused, indexed by ProcId (ids are never
-  /// reused; released slots keep their FSM counters for snapshots).
+  /// The live processors, ascending by id — what every per-processor
+  /// walk visits, so cost and checkpoint size track live processors,
+  /// not the chip's age.
   std::vector<ScaledProcessor> procs_;
-  /// Ids of the live slots, ascending — what every per-processor walk
-  /// visits, so the cost tracks live processors, not the chip's age.
-  std::vector<ProcId> live_;
-  /// FSM transition and fault totals of released slots.
+  /// The id the next fuse gets; ids are never reused.
+  ProcId next_id_ = 0;
+  /// FSM transition and fault totals of released processors.
   std::uint64_t released_transitions_ = 0;
   std::uint64_t released_fsm_faults_ = 0;
   std::vector<bool> defective_;

@@ -42,7 +42,9 @@ inline constexpr std::uint32_t kMagic = 0x56534E50u;
 ///   1: the flat full-state layout.
 ///   2: a retired incremental delta container (never reused).
 ///   3: CSD routes carry their claimed [lo, hi] span.
-inline constexpr std::uint32_t kVersion = 3;
+///   4: chip tables hold live state only: no delivered packets, no
+///      packet-to-flow index, no released processor slots.
+inline constexpr std::uint32_t kVersion = 4;
 
 /// Owning byte container. The header (magic + version) is written by
 /// the first Writer attached and validated by every Reader.

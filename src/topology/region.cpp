@@ -56,8 +56,14 @@ RegionId RegionManager::form(const std::vector<ClusterId>& path, bool ring) {
     VLSIP_REQUIRE(fabric_.are_neighbors(path.back(), path.front()),
                   "ring ends must be neighbours");
   }
-  const auto id = static_cast<RegionId>(regions_.size());
-  Region r;
+  // Reuse the first dissolved entry, so the table never outgrows the
+  // peak number of concurrent regions.
+  const auto dead =
+      std::find_if(regions_.begin(), regions_.end(),
+                   [](const Region& r) { return r.id == kNoRegion; });
+  const auto id = static_cast<RegionId>(dead - regions_.begin());
+  if (dead == regions_.end()) regions_.emplace_back();
+  Region& r = regions_[id];
   r.id = id;
   r.path = path;
   r.ring = ring;
@@ -66,7 +72,6 @@ RegionId RegionManager::form(const std::vector<ClusterId>& path, bool ring) {
   }
   if (ring) fabric_.chain(path.back(), path.front());
   for (ClusterId c : path) cluster_owner_[c] = id;
-  regions_.push_back(std::move(r));
   return id;
 }
 
@@ -138,14 +143,6 @@ std::size_t RegionManager::free_clusters() const {
       std::count(cluster_owner_.begin(), cluster_owner_.end(), kNoRegion));
 }
 
-std::vector<RegionId> RegionManager::live_regions() const {
-  std::vector<RegionId> out;
-  for (const auto& r : regions_) {
-    if (r.id != kNoRegion) out.push_back(r.id);
-  }
-  return out;
-}
-
 int RegionManager::stack_capacity(RegionId id) const {
   check_alive(id);
   return static_cast<int>(regions_[id].path.size()) *
@@ -195,6 +192,29 @@ void RegionManager::restore(snapshot::Reader& r) {
   cluster_owner_ = r.vec_u32();
   VLSIP_REQUIRE(cluster_owner_.size() == fabric_.cluster_count(),
                 "snapshot region ownership mismatch");
+  // The ownership map must be exactly what the live regions' paths
+  // claim: an entry naming a dead region, or a cluster two regions
+  // share, is a table no manager produces.
+  std::vector<RegionId> claimed(cluster_owner_.size(), kNoRegion);
+  for (std::size_t i = 0; i < regions_.size(); ++i) {
+    const Region& region = regions_[i];
+    if (region.id == kNoRegion) continue;
+    if (region.id != i) {
+      throw snapshot::SnapshotError("region entry " + std::to_string(i) +
+                                    " holds id " + std::to_string(region.id));
+    }
+    for (const ClusterId c : region.path) {
+      if (c >= claimed.size() || claimed[c] != kNoRegion) {
+        throw snapshot::SnapshotError("region " + std::to_string(i) +
+                                      " claims an invalid or shared cluster");
+      }
+      claimed[c] = region.id;
+    }
+  }
+  if (claimed != cluster_owner_) {
+    throw snapshot::SnapshotError(
+        "cluster ownership disagrees with the live regions' paths");
+  }
 }
 
 }  // namespace vlsip::topology

@@ -44,6 +44,7 @@ class RegionManager {
 
   /// Forms a region along `path`, programming the chain switches in
   /// order (top of stack first). Throws PreconditionError if !can_form.
+  /// Ids are internal: a dissolved region's id is reused.
   RegionId form(const std::vector<ClusterId>& path, bool ring = false);
 
   /// Releases the region: unchains its switches and frees its clusters.
@@ -66,7 +67,6 @@ class RegionManager {
   RegionId owner(ClusterId cluster) const;
 
   std::size_t free_clusters() const;
-  std::vector<RegionId> live_regions() const;
 
   /// Total stack capacity (compute positions) of a region.
   int stack_capacity(RegionId id) const;
@@ -79,7 +79,9 @@ class RegionManager {
 
   /// Checkpoint codec: region table and ownership verbatim. Switches
   /// are NOT re-programmed on restore — the fabric's own codec carries
-  /// their state, so the two must be restored together.
+  /// their state, so the two must be restored together. restore throws
+  /// SnapshotError when the ownership map disagrees with the live
+  /// regions' paths.
   void save(snapshot::Writer& w) const;
   void restore(snapshot::Reader& r);
 

@@ -11,11 +11,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "core/vlsi_processor.hpp"
 #include "fault/fault_plan.hpp"
+#include "live_table.hpp"
 #include "runtime/chip_farm.hpp"
 #include "runtime/farm_config_builder.hpp"
 #include "runtime/manifest.hpp"
@@ -97,6 +100,63 @@ TEST(FuzzSnapshot, MutatedChipSnapshotsRestoreOrFailTyped) {
   // decoder (all OK) or never get past the header (all typed).
   EXPECT_GT(ok, 0u);
   EXPECT_GT(typed, 0u);
+}
+
+/// Live tables no scaling manager produces, each planted in an
+/// otherwise valid chip snapshot: a chip that fused processors 0..3
+/// and released 0, so ids 1..3 are live, the next id is 4 and region 0
+/// is dead.
+std::vector<snapshot::Snapshot> malformed_live_tables() {
+  core::VlsiProcessor chip{core::ChipConfig{}};
+  for (int i = 0; i < 4; ++i) EXPECT_NE(chip.fuse(1), scaling::kNoProc);
+  chip.release(0);
+  snapshot::Snapshot pristine;
+  EXPECT_TRUE(chip.save(pristine).ok());
+  const std::vector<std::uint8_t>& bytes = pristine.bytes();
+  const auto at = test_support::locate_live_table(bytes);
+  EXPECT_EQ(test_support::read_u64(bytes, at.count), 3u);
+
+  // The first free cluster's and the first owned cluster's entries in
+  // the ownership map.
+  std::size_t free_owner = 0;
+  std::size_t owned = 0;
+  for (std::size_t c = chip.total_clusters(); c-- > 0;) {
+    std::uint32_t owner = 0;
+    std::memcpy(&owner, bytes.data() + at.owners + 4 * c, 4);
+    (owner == topology::kNoRegion ? free_owner : owned) = at.owners + 4 * c;
+  }
+
+  const std::pair<std::size_t, std::uint32_t> plants[] = {
+      {at.first_record, 2},           // duplicates live id 2
+      {at.first_record, 3},           // 3 before 2: ids out of order
+      {at.first_record, 9},           // id above the next id
+      {at.next_id, 3},                // live id 3 >= next id
+      {at.first_record + 4, 0},       // names dead region 0
+      {at.first_record + 4, 2},       // names processor 2's region
+      {at.first_record + 4, 77},      // names no region at all
+      {free_owner, 0},                // a free cluster owned by region 0
+      {owned, 0},                     // a fused cluster moved to region 0
+      {owned, topology::kNoRegion},   // a fused cluster freed
+  };
+  std::vector<snapshot::Snapshot> out;
+  for (const auto& [offset, value] : plants) {
+    snapshot::Snapshot bad = pristine;
+    test_support::write_u32(bad.bytes(), offset, value);
+    out.push_back(std::move(bad));
+  }
+  return out;
+}
+
+TEST(FuzzSnapshot, MalformedLiveTablesFailTyped) {
+  const auto inputs = malformed_live_tables();
+  ASSERT_EQ(inputs.size(), 10u);
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    core::VlsiProcessor chip{core::ChipConfig{}};
+    Status restored = Status::Ok();
+    ASSERT_NO_THROW(restored = chip.restore(inputs[i])) << "input " << i;
+    EXPECT_EQ(restored.code(), StatusCode::kCorruptSnapshot)
+        << "input " << i << ": " << restored.message();
+  }
 }
 
 TEST(FuzzSnapshot, RestoreRejectsDeltaContainers) {

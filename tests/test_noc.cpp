@@ -4,6 +4,7 @@
 #include "common/require.hpp"
 #include "noc/noc_fabric.hpp"
 #include "noc/router.hpp"
+#include "snapshot/snapshot.hpp"
 
 namespace vlsip::noc {
 namespace {
@@ -19,6 +20,22 @@ Packet make_packet(int sx, int sy, int dx, int dy,
   p.kind = kind;
   p.payload = std::move(payload);
   return p;
+}
+
+/// Every packet `noc` delivers, in delivery order, collected through
+/// the delivery callback (the fabric itself keeps none).
+struct Delivered {
+  explicit Delivered(NocFabric& noc) {
+    noc.set_on_deliver([this](const Packet& p) { packets.push_back(p); });
+  }
+  std::vector<Packet> packets;
+};
+
+std::size_t snapshot_bytes(const NocFabric& noc) {
+  snapshot::Snapshot snap;
+  snapshot::Writer w(snap);
+  noc.save(w);
+  return snap.size();
 }
 
 // ---- Router primitives ------------------------------------------------------
@@ -75,7 +92,7 @@ TEST(Router, WormholeLockHeldUntilTail) {
   Router r(0, 0, RouterConfig{});
   Flit head;
   head.kind = FlitKind::kHead;
-  head.packet = 1;
+  head.flow = 1;
   head.dest_x = 1;
   head.dest_y = 0;
   r.accept(Port::kLocal, head);
@@ -85,7 +102,7 @@ TEST(Router, WormholeLockHeldUntilTail) {
   EXPECT_EQ(r.output_owner(Port::kEast)->first, Port::kLocal);
   Flit tail;
   tail.kind = FlitKind::kTail;
-  tail.packet = 1;
+  tail.flow = 1;
   r.accept(Port::kLocal, tail);
   t = r.compute(all_ready());
   r.commit(t);
@@ -116,10 +133,10 @@ TEST(Router, SecondWormUsesSecondVc) {
   Router r(0, 0, RouterConfig{4, 2});
   Flit h1;
   h1.kind = FlitKind::kHead;
-  h1.packet = 1;
+  h1.flow = 1;
   h1.dest_x = 1;
   Flit h2 = h1;
-  h2.packet = 2;
+  h2.flow = 2;
   r.accept(Port::kWest, h1);
   r.accept(Port::kNorth, h2);
   auto t = r.compute(all_ready(2));
@@ -141,12 +158,12 @@ TEST(Router, VcAvoidsHeadOfLineBlocking) {
   Router r(1, 1, RouterConfig{4, 1});
   Flit a;
   a.kind = FlitKind::kHead;
-  a.packet = 1;
+  a.flow = 1;
   a.dest_x = 2;
   a.dest_y = 1;
   Flit b;
   b.kind = FlitKind::kHeadTail;
-  b.packet = 2;
+  b.flow = 2;
   b.dest_x = 1;
   b.dest_y = 2;
   r.accept(Port::kWest, a);
@@ -156,17 +173,18 @@ TEST(Router, VcAvoidsHeadOfLineBlocking) {
   const auto t = r.compute(ready);
   ASSERT_EQ(t.size(), 1u);
   EXPECT_EQ(t[0].out, Port::kSouth);
-  EXPECT_EQ(t[0].flit.packet, 2u);
+  EXPECT_EQ(t[0].flit.flow, 2u);
 }
 
 // ---- Fabric end-to-end -------------------------------------------------------
 
 TEST(Fabric, SingleFlitDelivery) {
   NocFabric noc(4, 4);
+  Delivered delivered(noc);
   noc.inject(make_packet(0, 0, 3, 3));
   ASSERT_TRUE(noc.run_until_drained(1000));
-  ASSERT_EQ(noc.delivered().size(), 1u);
-  const auto& p = noc.delivered()[0];
+  ASSERT_EQ(delivered.packets.size(), 1u);
+  const auto& p = delivered.packets[0];
   EXPECT_EQ(p.dst_x, 3);
   EXPECT_EQ(p.dst_y, 3);
   EXPECT_EQ(p.hops(), 6);
@@ -177,24 +195,27 @@ TEST(Fabric, SingleFlitDelivery) {
 
 TEST(Fabric, PayloadArrivesIntact) {
   NocFabric noc(3, 3);
+  Delivered delivered(noc);
   noc.inject(make_packet(0, 0, 2, 1, {11, 22, 33}));
   ASSERT_TRUE(noc.run_until_drained(1000));
-  ASSERT_EQ(noc.delivered().size(), 1u);
-  EXPECT_EQ(noc.delivered()[0].payload,
+  ASSERT_EQ(delivered.packets.size(), 1u);
+  EXPECT_EQ(delivered.packets[0].payload,
             (std::vector<std::uint64_t>{11, 22, 33}));
-  EXPECT_EQ(noc.delivered()[0].kind, PacketKind::kData);
+  EXPECT_EQ(delivered.packets[0].kind, PacketKind::kData);
 }
 
 TEST(Fabric, SelfDelivery) {
   NocFabric noc(2, 2);
+  Delivered delivered(noc);
   noc.inject(make_packet(1, 1, 1, 1, {7}));
   ASSERT_TRUE(noc.run_until_drained(100));
-  ASSERT_EQ(noc.delivered().size(), 1u);
-  EXPECT_EQ(noc.delivered()[0].payload[0], 7u);
+  ASSERT_EQ(delivered.packets.size(), 1u);
+  EXPECT_EQ(delivered.packets[0].payload[0], 7u);
 }
 
 TEST(Fabric, ManyPacketsAllDeliver) {
   NocFabric noc(4, 4);
+  Delivered delivered(noc);
   int expected = 0;
   for (int sx = 0; sx < 4; ++sx) {
     for (int sy = 0; sy < 4; ++sy) {
@@ -203,30 +224,54 @@ TEST(Fabric, ManyPacketsAllDeliver) {
     }
   }
   ASSERT_TRUE(noc.run_until_drained(10000));
-  EXPECT_EQ(noc.delivered().size(), static_cast<std::size_t>(expected));
+  EXPECT_EQ(delivered.packets.size(), static_cast<std::size_t>(expected));
 }
 
 TEST(Fabric, WormsDoNotInterleaveFlits) {
   // Two long packets crossing the same column: payloads must arrive
   // intact (wormhole keeps worms contiguous per link).
   NocFabric noc(5, 5);
+  Delivered delivered(noc);
   noc.inject(make_packet(0, 2, 4, 2, {1, 1, 1, 1, 1, 1}));
   noc.inject(make_packet(2, 0, 2, 4, {2, 2, 2, 2, 2, 2}));
   ASSERT_TRUE(noc.run_until_drained(10000));
-  ASSERT_EQ(noc.delivered().size(), 2u);
-  for (const auto& p : noc.delivered()) {
+  ASSERT_EQ(delivered.packets.size(), 2u);
+  for (const auto& p : delivered.packets) {
     for (const auto w : p.payload) EXPECT_EQ(w, p.payload[0]);
   }
 }
 
 TEST(Fabric, LatencyScalesWithDistance) {
   NocFabric noc(8, 1);
+  Delivered delivered(noc);
   noc.inject(make_packet(0, 0, 1, 0));
   noc.inject(make_packet(0, 0, 7, 0));
   ASSERT_TRUE(noc.run_until_drained(1000));
   const auto stats = noc.latency_stats();
   EXPECT_EQ(stats.count(), 2u);
   EXPECT_GT(stats.max(), stats.min());
+  // The lifetime statistics are exactly those of the delivered packets.
+  RunningStats reference;
+  for (const auto& p : delivered.packets) {
+    reference.add(static_cast<double>(p.deliver_cycle - p.inject_cycle));
+  }
+  EXPECT_EQ(stats.mean(), reference.mean());
+  EXPECT_EQ(stats.min(), reference.min());
+  EXPECT_EQ(stats.max(), reference.max());
+}
+
+TEST(Fabric, StateIsBoundedByPacketsInFlight) {
+  // Delivered packets leave no trace: after 1 000 packets sent one at a
+  // time the checkpoint is exactly as large as after 10.
+  NocFabric noc(4, 4);
+  std::size_t after_ten = 0;
+  for (int i = 0; i < 1000; ++i) {
+    noc.inject(make_packet(i % 4, 0, 3 - i % 4, 3, {1, 2, 3}));
+    ASSERT_TRUE(noc.run_until_drained(1000));
+    if (i == 9) after_ten = snapshot_bytes(noc);
+  }
+  EXPECT_EQ(snapshot_bytes(noc), after_ten);
+  EXPECT_EQ(noc.latency_stats().count(), 1000u);
 }
 
 TEST(Fabric, DeliveryCallbackFires) {
@@ -259,6 +304,7 @@ TEST(Fabric, InjectValidatesCoordinates) {
 TEST(Fabric, HeavyContentionStillDrains) {
   // All nodes flood the same destination.
   NocFabric noc(4, 4, RouterConfig{2});
+  Delivered delivered(noc);
   for (int sx = 0; sx < 4; ++sx) {
     for (int sy = 0; sy < 4; ++sy) {
       if (sx == 1 && sy == 1) continue;
@@ -266,7 +312,7 @@ TEST(Fabric, HeavyContentionStillDrains) {
     }
   }
   ASSERT_TRUE(noc.run_until_drained(100000));
-  EXPECT_EQ(noc.delivered().size(), 15u);
+  EXPECT_EQ(delivered.packets.size(), 15u);
 }
 
 TEST(Fabric, ZeroPayloadIsSingleFlit) {

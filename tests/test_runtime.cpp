@@ -68,7 +68,7 @@ TEST(Batcher, RespectsMaxJobsAndGroupingOff) {
   EXPECT_EQ(take_batch(queue, capped).size(), 3u);
 
   BatchPolicy fcfs;
-  fcfs.group_by_clusters = false;
+  fcfs.max_jobs = 1;  // strict FCFS: no grouping past the head
   EXPECT_EQ(take_batch(queue, fcfs).size(), 1u);
   EXPECT_EQ(queue.size(), 1u);
 }
@@ -192,8 +192,8 @@ TEST(ChipFarm, BackpressureRejectsWhenQueueIsFull) {
   cfg.workers = 1;
   cfg.queue_capacity = 2;
   cfg.block_when_full = false;
-  cfg.start_paused = true;  // nothing drains: the queue must fill
   ChipFarm farm(cfg);
+  farm.pause();  // nothing drains: the queue must fill
 
   auto a = farm.submit(make_job("a", 2, 1));
   auto b = farm.submit(make_job("b", 2, 1));
@@ -230,8 +230,8 @@ TEST(ChipFarm, TimeoutYieldsTimedOutOutcome) {
 TEST(ChipFarm, CancelQueuedJob) {
   FarmConfig cfg;
   cfg.workers = 1;
-  cfg.start_paused = true;
   ChipFarm farm(cfg);
+  farm.pause();
   auto keep = farm.submit(make_job("keep", 2, 1));
   auto drop = farm.submit(make_job("drop", 2, 1));
   ASSERT_TRUE(keep.admitted);
@@ -253,8 +253,8 @@ TEST(ChipFarm, CancelQueuedJob) {
 TEST(ChipFarm, DeadlineExpiresBeforeStart) {
   FarmConfig cfg;
   cfg.deterministic = true;  // virtual clock: advances per job served
-  cfg.start_paused = true;
   ChipFarm farm(cfg);
+  farm.pause();
   auto first = farm.submit(make_job("first", 4, 1));
   SubmitOptions options;
   options.deadline = 1;  // expires once "first" advances the clock
@@ -273,9 +273,9 @@ TEST(ChipFarm, DeadlineExpiresBeforeStart) {
 TEST(ChipFarm, BatchingReusesOneFusedProcessor) {
   FarmConfig cfg;
   cfg.deterministic = true;
-  cfg.start_paused = true;
   cfg.batch.max_jobs = 8;
   ChipFarm farm(cfg);
+  farm.pause();
   for (int i = 0; i < 4; ++i) {
     ASSERT_TRUE(farm.submit(make_job("j" + std::to_string(i), 3, 2))
                     .admitted);
@@ -370,8 +370,8 @@ TEST(ChipFarm, FourWorkerStressRun) {
 TEST(ChipFarm, ShutdownServesBacklog) {
   FarmConfig cfg;
   cfg.workers = 2;
-  cfg.start_paused = true;
   ChipFarm farm(cfg);
+  farm.pause();
   std::vector<std::future<JobOutcome>> futures;
   for (int i = 0; i < 6; ++i) {
     futures.push_back(

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/require.hpp"
+#include "live_table.hpp"
 #include "costmodel/energy.hpp"
 #include "obs/metrics.hpp"
 #include "snapshot/snapshot.hpp"
@@ -291,44 +292,57 @@ TEST_F(ManagerFixture, DeadProcessorAccessThrows) {
 
 // ---- live-processor walk ------------------------------------------------
 
-/// What export_obs and fold_energy computed before the live list: walk
-/// every slot ever fused, then add the APs the test retired itself.
-struct SlotWalkReference {
+/// An independent model of what export_obs and fold_energy must report:
+/// it tracks the live ids itself, folds each processor's AP and FSM
+/// into its own released totals as the test retires it, and walks the
+/// live processors through info().
+struct LiveWalkReference {
+  std::vector<ProcId> live;
   obs::MetricRegistry retired;
   cost::EnergyActivity retired_activity;
+  std::uint64_t released_transitions = 0;
+  std::uint64_t released_faults = 0;
 
-  /// Folds `id`'s AP the way the manager does just before retiring it.
-  void retire(const ScalingManager& mgr, ProcId id) {
-    mgr.info(id).processor->export_obs(retired);
-    mgr.info(id).processor->fold_energy(retired_activity);
+  void fused(ProcId id) {
+    if (id != kNoProc) live.push_back(id);
+  }
+
+  /// Folds `id` the way the manager does as release (`fault` false) or
+  /// the fault path (`fault` true) retires it: the FSM takes its final
+  /// transition before its counters join the released totals.
+  void retire(const ScalingManager& mgr, ProcId id, bool fault) {
+    const ScaledProcessor& s = mgr.info(id);
+    s.processor->export_obs(retired);
+    s.processor->fold_energy(retired_activity);
+    ProcessorStateMachine fsm = s.fsm;
+    if (fault) {
+      fsm.fault();
+    } else {
+      if (fsm.state() == ProcState::kSleep) fsm.wake();
+      fsm.release();
+    }
+    released_transitions += fsm.transitions();
+    released_faults += fsm.faults();
+    live.erase(std::find(live.begin(), live.end(), id));
   }
 
   void expect_matches(const ScalingManager& mgr) const {
-    obs::MetricRegistry ref = [&] {
-      obs::MetricRegistry r;
-      for (const ScaledProcessor& s : mgr.slots()) {
-        if (s.processor) s.processor->export_obs(r);
-      }
-      r.merge(retired);
-      return r;
-    }();
-    std::uint64_t transitions = 0;
-    std::uint64_t faults = 0;
-    std::vector<ProcId> live;
+    obs::MetricRegistry ref = retired;
+    std::uint64_t transitions = released_transitions;
+    std::uint64_t faults = released_faults;
     cost::EnergyActivity energy = retired_activity;
-    for (const ScaledProcessor& s : mgr.slots()) {
+    for (const ProcId id : live) {
+      const ScaledProcessor& s = mgr.info(id);
+      s.processor->export_obs(ref);
+      s.processor->fold_energy(energy);
       transitions += s.fsm.transitions();
       faults += s.fsm.faults();
-      if (s.id != kNoProc) live.push_back(s.id);
-      if (s.processor) s.processor->fold_energy(energy);
     }
     energy.units[cost::kEnergyWormHop] += mgr.stats().config_packets;
     energy.units[cost::kEnergyRelocation] +=
         mgr.stats().relocations + mgr.stats().defects_handled;
 
     EXPECT_EQ(mgr.live_processors(), live);
-    EXPECT_TRUE(std::is_sorted(mgr.live_processors().begin(),
-                               mgr.live_processors().end()));
 
     obs::MetricRegistry got;
     mgr.export_obs(got);
@@ -363,7 +377,7 @@ TEST(ScalingManager, LiveWalkMatchesEverySlotWalk) {
   ScalingConfig config;
   config.ap_template.memory_blocks = 4;
   ScalingManager mgr(fabric, noc, config);
-  SlotWalkReference ref;
+  LiveWalkReference ref;
 
   std::uint64_t rng = 0xC0FFEEu;
   const auto next = [&rng](std::uint64_t bound) {
@@ -375,37 +389,39 @@ TEST(ScalingManager, LiveWalkMatchesEverySlotWalk) {
   std::size_t faults = 0;
   for (int step = 0; fuses < 1000 || releases < 1000; ++step) {
     ASSERT_LT(step, 20000) << "the chip stopped fusing";
-    const auto& live = mgr.live_processors();
+    const std::vector<ProcId> live = mgr.live_processors();
     if (live.size() < 6 && next(3) != 0) {
-      if (mgr.allocate(1 + next(4)) != kNoProc) ++fuses;
+      const ProcId id = mgr.allocate(1 + next(4));
+      ref.fused(id);
+      if (id != kNoProc) ++fuses;
     } else if (!live.empty()) {
       const ProcId victim = live[next(live.size())];
       if (next(2) == 0) {  // an activate/deactivate round trip first
         mgr.activate(victim);
         mgr.deactivate(victim);
       }
-      ref.retire(mgr, victim);
+      ref.retire(mgr, victim, /*fault=*/false);
       mgr.release(victim);
       ++releases;
     }
     if (step % 97 == 96 && faults < 8) {
-      // A cluster fault: the test retires the victim's AP first, as the
-      // manager does inside refuse_around().
+      // A cluster fault: the reference retires the victim first, as
+      // the manager does inside refuse_around().
       const auto cluster = static_cast<topology::ClusterId>(next(64));
       if (!mgr.is_defective(cluster)) {
         const auto owner = mgr.regions().owner(cluster);
         for (const ProcId id : mgr.live_processors()) {
-          if (mgr.info(id).region == owner) ref.retire(mgr, id);
+          if (mgr.info(id).region == owner) ref.retire(mgr, id, true);
         }
-        (void)mgr.refuse_around(cluster);
+        ref.fused(mgr.refuse_around(cluster).replacement);
         ++faults;
       }
     }
     if (step == 600) (void)mgr.compact();
     if (step == 900) {
-      // Save -> restore: the live list and released totals come back
-      // from the slots; retired AP probes are telemetry the snapshot
-      // does not carry, so the reference drops them too.
+      // Save -> restore: the live table and the released FSM totals
+      // come back from the snapshot; retired AP probes are telemetry
+      // the snapshot does not carry, so the reference drops them too.
       snapshot::Snapshot snap;
       snapshot::Writer w(snap);
       mgr.save(w);
@@ -419,83 +435,77 @@ TEST(ScalingManager, LiveWalkMatchesEverySlotWalk) {
   ref.expect_matches(mgr);
 }
 
-TEST(ScalingManager, RestoreRejectsInconsistentSlots) {
-  topology::STopologyFabric fabric(4, 4, topology::ClusterSpec{4, 4, 1});
-  noc::NocFabric noc(4, 4);
-  ScalingConfig config;
-  config.ap_template.memory_blocks = 4;
-  ScalingManager mgr(fabric, noc, config);
-  mgr.release(mgr.allocate(1));  // slot 0 released
-  ASSERT_EQ(mgr.allocate(1), 1u);  // slot 1 live
-  snapshot::Snapshot snap;
-  snapshot::Writer w(snap);
-  mgr.save(w);
+/// A 4x4 manager that fused processors 0..3 and released 0: ids 1, 2
+/// and 3 are live, the next id is 4 and region 0 is dead.
+struct LiveTableFixture {
+  topology::STopologyFabric fabric{4, 4, topology::ClusterSpec{4, 4, 1}};
+  noc::NocFabric noc{4, 4};
+  ScalingConfig config = [] {
+    ScalingConfig c;
+    c.ap_template.memory_blocks = 4;
+    return c;
+  }();
+  ScalingManager mgr{fabric, noc, config};
+  std::vector<std::uint8_t> bytes;
+  test_support::LiveTableAt at;
 
-  // Slot 0's record follows the slot count (u64 2) and starts with its
-  // id and region, both 0xFFFFFFFF; its has-AP flag sits 37 bytes in.
-  std::vector<std::uint8_t>& bytes = snap.bytes();
-  const std::uint8_t head[] = {2, 0, 0, 0, 0, 0, 0, 0,
-                               0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF};
-  const auto at = std::search(bytes.begin(), bytes.end(), std::begin(head),
-                              std::end(head));
-  ASSERT_NE(at, bytes.end());
-  const auto slot0 = static_cast<std::size_t>(at - bytes.begin()) + 8;
-  ASSERT_EQ(bytes[slot0 + 37], 0u);
+  LiveTableFixture() {
+    for (ProcId id = 0; id < 4; ++id) EXPECT_EQ(mgr.allocate(1), id);
+    mgr.release(0);
+    snapshot::Snapshot snap;
+    snapshot::Writer w(snap);
+    mgr.save(w);
+    bytes = snap.bytes();
+    at = test_support::locate_live_table(bytes);
+  }
 
-  const auto restore_fails = [&](const std::vector<std::uint8_t>& mutated) {
+  void restore_fails(const std::vector<std::uint8_t>& mutated) {
     snapshot::Snapshot bad;
     bad.bytes() = mutated;
     snapshot::Reader r(bad);
     ScalingManager other(fabric, noc, config);
     EXPECT_THROW(other.restore(r), snapshot::SnapshotError);
+  }
+};
+
+TEST(ScalingManager, RestoreRejectsInconsistentSlots) {
+  LiveTableFixture f;
+  ASSERT_EQ(test_support::read_u64(f.bytes, f.at.count), 3u);
+  {
+    snapshot::Snapshot snap;
+    snap.bytes() = f.bytes;
+    snapshot::Reader r(snap);
+    ScalingManager other(f.fabric, f.noc, f.config);
+    other.restore(r);
+    EXPECT_EQ(other.live_processors(), (std::vector<ProcId>{1, 2, 3}));
+  }
+  const auto mutate = [&f](std::size_t offset, std::uint32_t value) {
+    std::vector<std::uint8_t> bad = f.bytes;
+    test_support::write_u32(bad, offset, value);
+    return bad;
   };
-  std::vector<std::uint8_t> dead_with_ap = bytes;
-  dead_with_ap[slot0 + 37] = 1;
-  restore_fails(dead_with_ap);
-  std::vector<std::uint8_t> live_without_ap = bytes;
-  std::fill_n(live_without_ap.begin() + static_cast<std::ptrdiff_t>(slot0),
-              4, 0);  // id 0: live, but no AP follows
-  restore_fails(live_without_ap);
-  std::vector<std::uint8_t> holds_other_id = dead_with_ap;
-  std::fill_n(holds_other_id.begin() + static_cast<std::ptrdiff_t>(slot0),
-              4, 0);
-  holds_other_id[slot0] = 1;  // slot 0 claims live processor 1's id
-  restore_fails(holds_other_id);
+  f.restore_fails(mutate(f.at.first_record, 2));  // duplicates id 2
+  f.restore_fails(mutate(f.at.first_record, 3));  // 3 before 2: unsorted
+  f.restore_fails(mutate(f.at.next_id, 3));       // live id 3 >= next id
+  f.restore_fails(mutate(f.at.first_record + 4, 0));  // dead region 0
+  f.restore_fails(mutate(f.at.first_record + 4, 2));  // processor 2's
+  f.restore_fails(mutate(f.at.first_record + 4, 99));
 }
 
 TEST(ScalingManager, RestoreCutInsideALiveApLeavesTheLiveWalkSafe) {
-  topology::STopologyFabric fabric(4, 4, topology::ClusterSpec{4, 4, 1});
-  noc::NocFabric noc(4, 4);
-  ScalingConfig config;
-  config.ap_template.memory_blocks = 4;
-  ScalingManager mgr(fabric, noc, config);
-  mgr.release(mgr.allocate(1));  // slot 0 released
-  ASSERT_EQ(mgr.allocate(1), 1u);  // slot 1 live
-  snapshot::Snapshot snap;
-  snapshot::Writer w(snap);
-  mgr.save(w);
-
-  // Slot 0's 38-byte record follows the slot count; slot 1's AP section
-  // starts after its own 38 bytes and its u64 cluster count.
-  std::vector<std::uint8_t> bytes = snap.bytes();
-  const std::uint8_t head[] = {2, 0, 0, 0, 0, 0, 0, 0,
-                               0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF};
-  const auto at = std::search(bytes.begin(), bytes.end(), std::begin(head),
-                              std::end(head));
-  ASSERT_NE(at, bytes.end());
-  const auto slot1_ap =
-      static_cast<std::size_t>(at - bytes.begin()) + 8 + 38 + 38 + 8;
-  ASSERT_EQ(bytes[slot1_ap - 9], 1u);  // slot 1's has-AP flag
-  bytes.resize(slot1_ap + 16);
+  LiveTableFixture f;
+  // Cut 16 bytes into processor 1's AP section, which follows its
+  // 45-byte record header.
+  std::vector<std::uint8_t> bytes = f.bytes;
+  bytes.resize(f.at.first_record + 45 + 16);
 
   snapshot::Snapshot cut;
   cut.bytes() = bytes;
   snapshot::Reader r(cut);
-  ScalingManager other(fabric, noc, config);
+  ScalingManager other(f.fabric, f.noc, f.config);
   EXPECT_THROW(other.restore(r), snapshot::SnapshotError);
   for (const ProcId id : other.live_processors()) {
-    ASSERT_LT(id, other.slots().size());
-    ASSERT_NE(other.slots()[id].processor, nullptr);
+    ASSERT_NE(other.info(id).processor, nullptr);
   }
   obs::MetricRegistry reg;
   other.export_obs(reg);
@@ -504,6 +514,26 @@ TEST(ScalingManager, RestoreCutInsideALiveApLeavesTheLiveWalkSafe) {
   other.advance(8);
   EXPECT_EQ(reg.gauges().at("scaling.live_processors"),
             static_cast<double>(other.live_processors().size()));
+}
+
+TEST(ScalingManager, ChurnKeepsTheTablesAtPeakConcurrency) {
+  // Fuses and releases leave nothing behind: the region table stays at
+  // the peak number of concurrent regions and the snapshot does not
+  // grow with the number of fuses.
+  LiveTableFixture f;
+  const auto snapshot_bytes = [&f] {
+    snapshot::Snapshot snap;
+    snapshot::Writer w(snap);
+    f.mgr.save(w);
+    return snap.size();
+  };
+  for (int i = 0; i < 50; ++i) f.mgr.release(f.mgr.allocate(2));
+  const std::size_t after_50 = snapshot_bytes();
+  for (int i = 0; i < 500; ++i) f.mgr.release(f.mgr.allocate(2));
+  EXPECT_EQ(snapshot_bytes(), after_50);
+  EXPECT_EQ(f.mgr.live_processors(), (std::vector<ProcId>{1, 2, 3}));
+  const ProcId id = f.mgr.allocate(1);
+  EXPECT_EQ(id, 4u + 550u);  // ids still ascend, never reused
 }
 
 }  // namespace

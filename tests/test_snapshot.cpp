@@ -17,6 +17,7 @@
 
 #include "arch/datapath.hpp"
 #include "common/activity_set.hpp"
+#include "common/rng.hpp"
 #include "core/builder.hpp"
 #include "core/status.hpp"
 #include "core/vlsi_processor.hpp"
@@ -282,6 +283,81 @@ TEST(ChipCheckpoint, CorruptBufferSurfacesAsStatus) {
   const Status restored = chip.restore(checkpoint);
   ASSERT_FALSE(restored.ok());
   EXPECT_EQ(restored.code(), StatusCode::kCorruptSnapshot);
+}
+
+// --- chip lifetime ----------------------------------------------------------
+
+/// One step of a seeded fuse/release churn: fuse 1-8 clusters while
+/// fewer than three processors are live, otherwise release one.
+/// Returns true when it fused.
+bool churn_step(core::VlsiProcessor& chip, Xoshiro256& rng) {
+  const std::vector<scaling::ProcId> live = chip.manager().live_processors();
+  if (live.size() < 3 && rng.uniform(4) != 0) {
+    return chip.fuse(1 + rng.uniform(8)) != scaling::kNoProc;
+  }
+  if (!live.empty()) chip.release(live[rng.uniform(live.size())]);
+  return false;
+}
+
+std::vector<std::uint8_t> chip_bytes(const core::VlsiProcessor& chip) {
+  snapshot::Snapshot snap;
+  EXPECT_TRUE(chip.save(snap).ok());
+  return snap.bytes();
+}
+
+TEST(ChipCheckpoint, ChurnLeavesTheCheckpointFlat) {
+  // A chip keeps only live state: after 100 000 fuses, four cluster
+  // faults and a compaction its checkpoint is the size it was after
+  // 1 000 fuses, measured each time with every processor released.
+  core::VlsiProcessor chip{core::ChipConfig{}};
+  Xoshiro256 rng(19);
+  std::size_t fuses = 0;
+  const std::size_t fault_at[] = {500, 1200, 30000, 60000};
+  std::size_t faults = 0;
+  bool compacted = false;
+  const auto churn_until = [&](std::size_t target) {
+    while (fuses < target) {
+      if (churn_step(chip, rng)) ++fuses;
+      if (faults < 4 && fuses >= fault_at[faults]) {
+        (void)chip.manager().refuse_around(
+            static_cast<topology::ClusterId>(5 + 17 * faults));
+        ++faults;
+      }
+      if (!compacted && fuses >= 700) {
+        (void)chip.manager().compact();
+        compacted = true;
+      }
+    }
+  };
+  const auto quiesced_size = [&chip] {
+    for (const scaling::ProcId id : chip.manager().live_processors()) {
+      chip.release(id);
+    }
+    return chip_bytes(chip).size();
+  };
+
+  churn_until(1000);
+  const std::size_t at_1k = quiesced_size();
+  churn_until(1500);
+
+  // save -> restore -> continue is byte-identical to continuing.
+  ASSERT_FALSE(chip.manager().live_processors().empty());
+  snapshot::Snapshot checkpoint;
+  ASSERT_TRUE(chip.save(checkpoint).ok());
+  core::VlsiProcessor twin{core::ChipConfig{}};
+  ASSERT_TRUE(twin.restore(checkpoint).ok());
+  Xoshiro256 twin_rng = rng;
+  for (int i = 0; i < 2000; ++i) {
+    if (churn_step(chip, rng)) ++fuses;
+    churn_step(twin, twin_rng);
+  }
+  ASSERT_EQ(chip_bytes(chip), chip_bytes(twin));
+
+  churn_until(100000);
+  const std::size_t at_100k = quiesced_size();
+  EXPECT_NEAR(static_cast<double>(at_100k), static_cast<double>(at_1k),
+              static_cast<double>(at_1k) / 100);
+  EXPECT_EQ(chip.manager().defective_clusters(), 4u);
 }
 
 // --- Status facade --------------------------------------------------------

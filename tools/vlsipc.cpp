@@ -964,7 +964,7 @@ int cmd_serve(int argc, char** argv) {
     return opts.error(pack_mode ? "missing <pack-ref>" : "missing <jobs.txt>");
   }
   if (reject) cfg.block_when_full = false;
-  if (energy_budget > 0) farm.energy_budget(energy_budget);
+  if (energy_budget > 0) farm.dvs(energy_budget);
   obs.attach(farm);
 
   // --pack reads a file positional as a scenario-pack spec; its jobs
@@ -1199,9 +1199,9 @@ int cmd_worker(int argc, char** argv) {
   if (!opts.parse(argc, argv, &rc)) return rc;
   if (worker_opts.hub.empty()) return opts.error("worker needs --hub ADDR");
   if (workers != kUnset) farm.workers(workers);
-  if (ckpt_batches != kUnset) farm.checkpoint_every_batches(ckpt_batches);
+  if (ckpt_batches != kUnset) farm.checkpoint_every(ckpt_batches);
   if (dvs) farm.raw().dvs.enabled = true;
-  if (energy_budget > 0) farm.energy_budget(energy_budget);
+  if (energy_budget > 0) farm.dvs(energy_budget);
   if (p99_guardrail > 0) farm.p99_guardrail(p99_guardrail);
   farm.batch(batch_jobs);
   farm.queue(queue_capacity, /*block_when_full=*/true);
