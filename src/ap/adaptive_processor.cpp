@@ -29,6 +29,29 @@ void accumulate(ConfigStats& into, const ConfigStats& from) {
   into.stream_fetch_cycles += from.stream_fetch_cycles;
 }
 
+using PortMap = decltype(arch::Program::inputs);
+
+/// Copy-assigns a port map. std::map's own copy assignment frees the
+/// nodes a smaller map does not need, so a kernel mix whose port counts
+/// vary would allocate them again for every larger map; `spare` keeps
+/// them instead.
+void assign_ports(PortMap& to, const PortMap& from,
+                  std::vector<PortMap::node_type>& spare) {
+  spare.reserve(spare.size() + std::max(to.size(), from.size()));
+  while (!to.empty()) spare.push_back(to.extract(to.begin()));
+  for (const auto& port : from) {
+    if (spare.empty()) {
+      to.insert(to.end(), port);
+      continue;
+    }
+    auto node = std::move(spare.back());
+    spare.pop_back();
+    node.key() = port.first;
+    node.mapped() = port.second;
+    to.insert(to.end(), std::move(node));
+  }
+}
+
 }  // namespace
 
 csd::CsdConfig AdaptiveProcessor::make_csd_config(const ApConfig& config) {
@@ -68,7 +91,12 @@ ConfigStats AdaptiveProcessor::configure(const arch::Program& program) {
   // objects are loaded "from the library in the memory blocks").
   for (const auto& obj : program.library) library_.store(obj);
 
-  program_ = program;
+  // Copy into the released program's storage, reusing its buffers.
+  spare_program_.library = program.library;
+  spare_program_.stream = program.stream;
+  assign_ports(spare_program_.inputs, program.inputs, spare_ports_);
+  assign_ports(spare_program_.outputs, program.outputs, spare_ports_);
+  program_.emplace(std::move(spare_program_));
   const ConfigStats stats = pipeline_.configure(*program_);
   accumulate(stats_.config, stats);
   ++stats_.datapaths_configured;
@@ -146,9 +174,10 @@ ConfigStats AdaptiveProcessor::configure_from_memory(
   return stats;
 }
 
-void AdaptiveProcessor::feed(const std::string& input, arch::Word value) {
+void AdaptiveProcessor::feed(const std::string& input,
+                             std::span<const arch::Word> values) {
   VLSIP_REQUIRE(executor_ != nullptr, "no datapath configured");
-  executor_->feed(input, value);
+  executor_->feed(input, values);
 }
 
 ExecStats AdaptiveProcessor::run(std::size_t expected_per_output,
@@ -351,9 +380,7 @@ std::optional<arch::ObjectId> AdaptiveProcessor::handle_defective_object() {
     wsrf_.erase(*evicted);
     // Chains go dormant; the object can fault back into the shrunken
     // stack and re-route.
-    if (library_.contains(*evicted)) {
-      library_.write_back(library_.fetch(*evicted));
-    }
+    if (library_.contains(*evicted)) library_.write_back(*evicted);
   }
   chains_.refresh();
   if (trace_.enabled()) {
@@ -483,6 +510,7 @@ void AdaptiveProcessor::release_datapath() {
   }
   ++stats_.releases;
   spare_ = std::move(executor_);
+  spare_program_ = std::move(*program_);
   program_.reset();
 }
 

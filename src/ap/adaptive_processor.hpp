@@ -13,7 +13,9 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "arch/datapath.hpp"
 #include "ap/executor.hpp"
@@ -98,8 +100,13 @@ class AdaptiveProcessor {
                                     std::size_t base_address,
                                     std::size_t n_elements);
 
-  /// Injects a token into a named input of the configured datapath.
-  void feed(const std::string& input, arch::Word value);
+  /// Injects tokens into a named input of the configured datapath,
+  /// resolving the port once for the whole batch.
+  void feed(const std::string& input, std::span<const arch::Word> values);
+  /// Injects one token into a named input of the configured datapath.
+  void feed(const std::string& input, arch::Word value) {
+    feed(input, std::span<const arch::Word>(&value, 1));
+  }
 
   /// Runs the configured datapath. Scalar mode (faults allowed).
   ExecStats run(std::size_t expected_per_output, std::uint64_t max_cycles);
@@ -189,6 +196,11 @@ class AdaptiveProcessor {
   ConfigurationPipeline pipeline_;
   MemorySystem memory_;
   std::optional<arch::Program> program_;
+  /// Storage of the released program: configure() copies the next
+  /// program into it, reusing its buffers and (through spare_ports_)
+  /// its port-map nodes.
+  arch::Program spare_program_;
+  std::vector<decltype(arch::Program::inputs)::node_type> spare_ports_;
   std::unique_ptr<Executor> executor_;
   /// Released executor kept for arena reuse: the next configure()
   /// rebinds it instead of reallocating every queue and table.

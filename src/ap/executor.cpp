@@ -29,9 +29,6 @@ Executor::Executor(const arch::Program& program, const ObjectSpace& space,
 void Executor::rebind(const arch::Program& program) {
   program_ = &program;
   edges_.clear();
-  out_edges_.clear();
-  ext_.clear();
-  collected_.clear();
   wake_.clear();
   now_ = 0;
   faults_in_service_ = 0;
@@ -51,10 +48,10 @@ void Executor::rebind(const arch::Program& program) {
       ++pending_count_;
     }
   }
-  // Build edges from the configuration stream's dependencies. Out-edge
-  // lists mutate during the build (re-chaining detaches stale edges), so
-  // gather them per node first and flatten to CSR afterwards.
-  std::vector<std::vector<std::int32_t>> outs(nodes_.size());
+  // Build edges from the configuration stream's dependencies. A
+  // re-chained operand keeps only its newest chain (the per-sink
+  // replacement of §2.6.2); the stale edge stays in edges_ but leaves
+  // its source's out-list, so it cannot backpressure anyone.
   for (const auto& e : program.stream.elements()) {
     for (int s = 0; s < arch::kMaxSources; ++s) {
       const arch::ObjectId src = e.sources[s];
@@ -66,52 +63,82 @@ void Executor::rebind(const arch::Program& program) {
       auto& sink_node = nodes_[e.sink];
       VLSIP_REQUIRE(s < static_cast<int>(sink_node.arity),
                     "operand index exceeds opcode arity");
-      std::int32_t& slot = sink_node.in_edges[static_cast<std::size_t>(s)];
-      if (slot != -1) {
-        // Re-chained operand: the newest chain replaces the old one
-        // (the per-sink replacement of §2.6.2). Detach the stale edge
-        // from its source so it cannot backpressure anyone.
-        auto& stale =
-            outs[edges_[static_cast<std::size_t>(slot)].source];
-        stale.erase(std::find(stale.begin(), stale.end(), slot));
-        slot = -1;
-      }
-      slot = edge_idx;
-      outs[src].push_back(edge_idx);
+      sink_node.in_edges[static_cast<std::size_t>(s)] = edge_idx;
     }
   }
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    nodes_[i].out_begin = static_cast<std::uint32_t>(out_edges_.size());
-    nodes_[i].out_count = static_cast<std::uint32_t>(outs[i].size());
-    out_edges_.insert(out_edges_.end(), outs[i].begin(), outs[i].end());
+  // Out-edge CSR in counting passes: an edge is live iff it still holds
+  // its sink's operand slot; each source lists its live edges in
+  // creation order.
+  const auto live = [this](std::size_t e) {
+    const Edge& edge = edges_[e];
+    return nodes_[edge.sink].in_edges[static_cast<std::size_t>(
+               edge.operand)] == static_cast<std::int32_t>(e);
+  };
+  for (std::size_t e = 0; e < edges_.size(); ++e) {
+    if (live(e)) ++nodes_[edges_[e].source].out_count;
+  }
+  std::uint32_t offset = 0;
+  for (auto& n : nodes_) {
+    n.out_begin = offset;
+    offset += n.out_count;
+    n.out_count = 0;  // refilled as the placement cursor below
+  }
+  out_edges_.resize(offset);
+  for (std::size_t e = 0; e < edges_.size(); ++e) {
+    if (!live(e)) continue;
+    Node& src = nodes_[edges_[e].source];
+    out_edges_[src.out_begin + src.out_count++] = static_cast<std::int32_t>(e);
   }
   edge_slots_.assign(
       edges_.size() * static_cast<std::size_t>(config_.edge_capacity),
       Word{});
-  // External injection queues: one slot per distinct input object.
+  // External injection queues: one per distinct input object; then
+  // collection buckets: one per sink object.
+  std::size_t n_ext = 0;
   for (const auto& [name, id] : program.inputs) {
     (void)name;
     VLSIP_REQUIRE(id < nodes_.size(), "input maps to unknown object");
     if (nodes_[id].ext_index < 0) {
-      nodes_[id].ext_index = static_cast<std::int32_t>(ext_.size());
-      ext_.emplace_back();
+      nodes_[id].ext_index = static_cast<std::int32_t>(n_ext++);
     }
   }
-  // Collection buckets: one per sink object.
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    if (nodes_[i].object->config.opcode == Opcode::kSink) {
-      nodes_[i].sink_slot = static_cast<std::int32_t>(collected_.size());
-      collected_.emplace_back();
+  std::size_t n_sinks = 0;
+  for (auto& n : nodes_) {
+    if (n.object->config.opcode == Opcode::kSink) {
+      n.sink_slot = static_cast<std::int32_t>(n_sinks++);
     }
   }
+  refit(ext_, n_ext, [](ExtQueue& q) -> std::vector<Word>& { return q.buf; });
+  for (auto& q : ext_) q.head = 0;
+  refit(collected_, n_sinks,
+        [](std::vector<Word>& c) -> std::vector<Word>& { return c; });
   active_.reset(nodes_.size());
 }
 
-void Executor::feed(const std::string& input, Word value) {
+template <typename Slot, typename BufferOf>
+void Executor::refit(std::vector<Slot>& slots, std::size_t n,
+                     BufferOf buffer_of) {
+  for (std::size_t i = n; i < slots.size(); ++i) {
+    std::vector<Word>& buffer = buffer_of(slots[i]);
+    if (buffer.capacity() > 0) word_pool_.push_back(std::move(buffer));
+  }
+  const std::size_t kept = std::min(n, slots.size());
+  slots.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    std::vector<Word>& buffer = buffer_of(slots[i]);
+    if (i >= kept && !word_pool_.empty()) {
+      buffer = std::move(word_pool_.back());
+      word_pool_.pop_back();
+    }
+    buffer.clear();
+  }
+}
+
+void Executor::feed(const std::string& input, std::span<const Word> values) {
   const auto it = program_->inputs.find(input);
   VLSIP_REQUIRE(it != program_->inputs.end(), "unknown input: " + input);
-  ext_[static_cast<std::size_t>(nodes_[it->second].ext_index)].buf.push_back(
-      value);
+  auto& buf = ext_[static_cast<std::size_t>(nodes_[it->second].ext_index)].buf;
+  buf.insert(buf.end(), values.begin(), values.end());
 }
 
 const std::vector<Word>& Executor::output(const std::string& name) const {
@@ -689,34 +716,34 @@ std::uint64_t Executor::release_wave_depth() const {
   // Longest path in the chain DAG via Kahn's algorithm; nodes on
   // feedback cycles join the wave one step after the acyclic frontier
   // reaches them.
-  std::vector<int> indegree(nodes_.size(), 0);
+  wave_.assign(nodes_.size(), WaveNode{0, 1});
   for (std::size_t n = 0; n < nodes_.size(); ++n) {
     for (int s = 0; s < static_cast<int>(nodes_[n].arity); ++s) {
       if (nodes_[n].in_edges[static_cast<std::size_t>(s)] >= 0) {
-        ++indegree[n];
+        ++wave_[n].indegree;
       }
     }
   }
-  std::vector<std::uint64_t> level(nodes_.size(), 1);
-  std::vector<std::size_t> queue;
+  wave_queue_.clear();
   for (std::size_t n = 0; n < nodes_.size(); ++n) {
-    if (indegree[n] == 0) queue.push_back(n);
+    if (wave_[n].indegree == 0) {
+      wave_queue_.push_back(static_cast<std::uint32_t>(n));
+    }
   }
   std::uint64_t depth = nodes_.empty() ? 0 : 1;
-  std::size_t processed = 0;
-  for (std::size_t q = 0; q < queue.size(); ++q) {
-    const auto n = queue[q];
-    ++processed;
-    depth = std::max(depth, level[n]);
+  for (std::size_t q = 0; q < wave_queue_.size(); ++q) {
+    const auto n = wave_queue_[q];
+    const std::uint64_t level = wave_[n].level;
+    depth = std::max(depth, level);
     for (std::uint32_t k = 0; k < nodes_[n].out_count; ++k) {
       const auto sink =
           edges_[static_cast<std::size_t>(out_edges_[nodes_[n].out_begin + k])]
               .sink;
-      level[sink] = std::max(level[sink], level[n] + 1);
-      if (--indegree[sink] == 0) queue.push_back(sink);
+      wave_[sink].level = std::max(wave_[sink].level, level + 1);
+      if (--wave_[sink].indegree == 0) wave_queue_.push_back(sink);
     }
   }
-  if (processed < nodes_.size()) ++depth;  // cycle members join late
+  if (wave_queue_.size() < nodes_.size()) ++depth;  // cycle members join late
   return depth;
 }
 

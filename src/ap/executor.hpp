@@ -29,6 +29,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -120,8 +121,13 @@ class Executor {
     fault_handler_ = std::move(handler);
   }
 
+  /// Appends tokens to a named input port's injection queue; the port
+  /// name is resolved once for the whole batch.
+  void feed(const std::string& input, std::span<const arch::Word> values);
   /// Injects one token into a named input port.
-  void feed(const std::string& input, arch::Word value);
+  void feed(const std::string& input, arch::Word value) {
+    feed(input, std::span<const arch::Word>(&value, 1));
+  }
 
   /// Runs until every output has collected `expected_per_output` tokens,
   /// the datapath quiesces (expected == 0), or `max_cycles` pass.
@@ -225,6 +231,12 @@ class Executor {
   void process_node(std::uint32_t id, ExecStats& stats, bool& progress,
                     bool event);
   bool outputs_done(std::size_t expected_per_output) const;
+  /// Resizes the injection queues or collection buckets to `n` slots,
+  /// all empty, without freeing storage: slots past `n` park their
+  /// buffers in word_pool_, new slots draw from it. `buffer_of` maps a
+  /// slot to its word buffer.
+  template <typename Slot, typename BufferOf>
+  void refit(std::vector<Slot>& slots, std::size_t n, BufferOf buffer_of);
 
   bool try_push_pending(Node& node, std::uint64_t now, ExecStats& stats);
   FireResult try_fire(arch::ObjectId id, Node& node, std::uint64_t now,
@@ -265,6 +277,9 @@ class Executor {
   std::vector<ExtQueue> ext_;
   std::vector<std::vector<arch::Word>> collected_;  // by Node::sink_slot
   std::vector<std::uint8_t> dirty_;
+  /// Spare buffers of injection queues / collection buckets a previous
+  /// binding had more of (see refit).
+  std::vector<std::vector<arch::Word>> word_pool_;
   std::uint64_t now_ = 0;
   int faults_in_service_ = 0;
 
@@ -277,6 +292,14 @@ class Executor {
   std::size_t pending_count_ = 0;
   std::size_t iota_count_ = 0;
   std::uint64_t max_busy_ = 0;
+
+  /// release_wave_depth() scratch, kept so a release allocates nothing.
+  struct WaveNode {
+    int indegree;
+    std::uint64_t level;
+  };
+  mutable std::vector<WaveNode> wave_;
+  mutable std::vector<std::uint32_t> wave_queue_;
 };
 
 }  // namespace vlsip::ap

@@ -1,6 +1,7 @@
 #include "ap/memory_block.hpp"
 
 #include <algorithm>
+#include <string>
 
 #include "arch/serialize.hpp"
 #include "common/require.hpp"
@@ -120,24 +121,21 @@ ObjectLibrary::ObjectLibrary(int load_latency) : load_latency_(load_latency) {
 
 void ObjectLibrary::store(const arch::LogicalObject& object) {
   VLSIP_REQUIRE(object.id != arch::kNoObject, "object must have an id");
-  objects_[object.id] = object;
-}
-
-bool ObjectLibrary::contains(arch::ObjectId id) const {
-  return objects_.contains(id);
+  VLSIP_REQUIRE(object.id < arch::kMaxEncodedObjects,
+                "object id beyond the encodable ids");
+  if (object.id >= objects_.size()) objects_.resize(object.id + 1);
+  arch::LogicalObject& slot = objects_[object.id];
+  if (slot.id != object.id) ++size_;
+  slot = object;
 }
 
 const arch::LogicalObject& ObjectLibrary::fetch(arch::ObjectId id) const {
-  const auto it = objects_.find(id);
-  VLSIP_REQUIRE(it != objects_.end(), "object not in library");
-  return it->second;
+  VLSIP_REQUIRE(contains(id), "object not in library");
+  return objects_[id];
 }
 
-void ObjectLibrary::write_back(const arch::LogicalObject& object) {
-  const auto it = objects_.find(object.id);
-  VLSIP_REQUIRE(it != objects_.end(),
-                "write-back of object the library never held");
-  it->second = object;
+void ObjectLibrary::write_back(arch::ObjectId id) {
+  VLSIP_REQUIRE(contains(id), "write-back of object the library never held");
   ++write_backs_;
 }
 
@@ -199,24 +197,38 @@ void MemorySystem::restore(snapshot::Reader& r) {
 void ObjectLibrary::save(snapshot::Writer& w) const {
   w.section("ap.object_library");
   w.i32(load_latency_);
-  w.u64(objects_.size());
-  for (const auto& [id, object] : objects_) {
-    arch::save_object(w, object);
+  w.u64(size_);
+  for (arch::ObjectId id = 0; id < objects_.size(); ++id) {
+    if (contains(id)) arch::save_object(w, objects_[id]);
   }
   w.u64(write_backs_);
 }
 
 void ObjectLibrary::restore(snapshot::Reader& r) {
   r.section("ap.object_library");
-  load_latency_ = r.i32();
-  objects_.clear();
+  const int load_latency = r.i32();
   const std::uint64_t n = r.count(27);
+  std::vector<arch::LogicalObject> objects;
   for (std::uint64_t i = 0; i < n; ++i) {
     arch::LogicalObject object = arch::restore_object(r);
     const arch::ObjectId id = object.id;
-    objects_.emplace(id, std::move(object));
+    if (id >= arch::kMaxEncodedObjects) {
+      throw snapshot::SnapshotError("object library holds id " +
+                                    std::to_string(id) +
+                                    ", which no program can name");
+    }
+    if (id >= objects.size()) objects.resize(id + 1);
+    if (objects[id].id == id) {
+      throw snapshot::SnapshotError("object library holds id " +
+                                    std::to_string(id) + " twice");
+    }
+    objects[id] = std::move(object);
   }
-  write_backs_ = r.u64();
+  const std::uint64_t write_backs = r.u64();
+  load_latency_ = load_latency;
+  objects_ = std::move(objects);
+  size_ = static_cast<std::size_t>(n);
+  write_backs_ = static_cast<std::size_t>(write_backs);
 }
 
 }  // namespace vlsip::ap

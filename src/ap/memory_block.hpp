@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <vector>
 
@@ -124,6 +123,11 @@ class MemorySystem {
 /// The logical-object library, stored across the AP's memory blocks.
 /// Loading an object costs the memory access latency plus a transfer
 /// cost; the configuration pipeline overlaps up to CFB-many loads.
+///
+/// Program ids are dense (library index == id, as ObjectSpace relies
+/// on), so the library is one id-indexed table: re-storing a program
+/// that is already held copies into the existing slots and allocates
+/// nothing.
 class ObjectLibrary {
  public:
   /// `load_latency`: cycles to fetch one logical object (SRAM access +
@@ -132,26 +136,34 @@ class ObjectLibrary {
 
   int load_latency() const { return load_latency_; }
 
+  /// Requires id != kNoObject and id < arch::kMaxEncodedObjects.
   void store(const arch::LogicalObject& object);
-  bool contains(arch::ObjectId id) const;
+  bool contains(arch::ObjectId id) const {
+    return id < objects_.size() && objects_[id].id == id;
+  }
   const arch::LogicalObject& fetch(arch::ObjectId id) const;
-  std::size_t size() const { return objects_.size(); }
+  std::size_t size() const { return size_; }
 
-  /// Write-back of a replaced object (§2.5). The library keeps the most
-  /// recent state; write-backs of unknown objects are precondition
-  /// errors.
-  void write_back(const arch::LogicalObject& object);
+  /// Write-back of a replaced object (§2.5). The library already holds
+  /// the object's logical image, so only the write-back is counted;
+  /// write-backs of unknown objects are precondition errors.
+  void write_back(arch::ObjectId id);
 
   std::size_t write_backs() const { return write_backs_; }
 
-  /// Checkpoint codec: objects serialize via arch::save_object in map
-  /// (ascending id) order — deterministic bytes for identical state.
+  /// Checkpoint codec: objects serialize via arch::save_object in
+  /// ascending id order — deterministic bytes for identical state.
+  /// restore() throws snapshot::SnapshotError on a duplicate id or an
+  /// id no program can name (arch::kMaxEncodedObjects).
   void save(snapshot::Writer& w) const;
   void restore(snapshot::Reader& r);
 
  private:
   int load_latency_;
-  std::map<arch::ObjectId, arch::LogicalObject> objects_;
+  /// objects_[id] holds object `id`; a slot whose id differs (the
+  /// default kNoObject) is empty.
+  std::vector<arch::LogicalObject> objects_;
+  std::size_t size_ = 0;
   std::size_t write_backs_ = 0;
 };
 

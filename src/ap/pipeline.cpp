@@ -185,7 +185,7 @@ std::uint64_t ConfigurationPipeline::ensure_resident(
           scheduler_.schedule_write_back(victim, t);
       stats.write_back_stalls += proceed - t;
       t = proceed;
-      library_.write_back(library_.fetch(victim));
+      library_.write_back(victim);
       ++stats.write_backs;
     }
     wsrf_.erase(victim);

@@ -1,5 +1,9 @@
 #include "ap/wsrf.hpp"
 
+#include <algorithm>
+#include <string>
+
+#include "arch/serialize.hpp"
 #include "common/require.hpp"
 #include "snapshot/snapshot.hpp"
 
@@ -7,63 +11,87 @@ namespace vlsip::ap {
 
 Wsrf::Wsrf(int capacity) : capacity_(capacity) {
   VLSIP_REQUIRE(capacity >= 1, "WSRF needs at least one register");
-}
-
-const WsrfEntry* Wsrf::lookup(arch::ObjectId id) const {
-  const auto it = index_.find(id);
-  return it == index_.end() ? nullptr : &*it->second;
+  regs_.resize(static_cast<std::size_t>(capacity));
 }
 
 bool Wsrf::insert(arch::ObjectId id) {
-  auto it = index_.find(id);
-  if (it != index_.end()) {
-    // Refresh: move to the back (youngest).
-    entries_.splice(entries_.end(), entries_, it->second);
+  VLSIP_REQUIRE(id < arch::kMaxEncodedObjects,
+                "WSRF tag beyond the encodable object ids");
+  if (const int reg = register_of(id); reg >= 0) {
+    // Refresh: the entry becomes the youngest.
+    regs_[static_cast<std::size_t>(reg)].stamp = next_stamp_++;
     return true;
   }
-  if (size() == capacity_) {
+  if (size_ == capacity_) {
     // Retire the oldest inactive entry.
-    auto victim = entries_.begin();
-    while (victim != entries_.end() && victim->active) ++victim;
-    if (victim == entries_.end()) return false;  // all pinned
-    index_.erase(victim->id);
-    entries_.erase(victim);
+    int victim = -1;
+    for (int i = 0; i < size_; ++i) {
+      const Register& r = regs_[static_cast<std::size_t>(i)];
+      if (!r.entry.active &&
+          (victim < 0 ||
+           r.stamp < regs_[static_cast<std::size_t>(victim)].stamp)) {
+        victim = i;
+      }
+    }
+    if (victim < 0) return false;  // all pinned
+    vacate(victim);
     ++retirements_;
   }
-  entries_.push_back(WsrfEntry{id, std::nullopt, false});
-  index_[id] = std::prev(entries_.end());
+  if (id >= index_.size()) index_.resize(std::size_t{id} + 1, -1);
+  regs_[static_cast<std::size_t>(size_)] =
+      Register{WsrfEntry{id, std::nullopt, false}, next_stamp_++};
+  index_[id] = size_++;
   return true;
 }
 
+void Wsrf::vacate(int reg) {
+  const auto hole = static_cast<std::size_t>(reg);
+  index_[regs_[hole].entry.id] = -1;
+  const auto last = static_cast<std::size_t>(--size_);
+  if (hole != last) {
+    regs_[hole] = regs_[last];
+    index_[regs_[hole].entry.id] = reg;
+  }
+}
+
 void Wsrf::set_channel(arch::ObjectId id, std::uint32_t channel) {
-  auto it = index_.find(id);
-  VLSIP_REQUIRE(it != index_.end(), "no WSRF entry for object");
-  it->second->channel = channel;
+  const int reg = register_of(id);
+  VLSIP_REQUIRE(reg >= 0, "no WSRF entry for object");
+  regs_[static_cast<std::size_t>(reg)].entry.channel = channel;
 }
 
 void Wsrf::set_active(arch::ObjectId id, bool active) {
-  auto it = index_.find(id);
-  VLSIP_REQUIRE(it != index_.end(), "no WSRF entry for object");
-  it->second->active = active;
+  const int reg = register_of(id);
+  VLSIP_REQUIRE(reg >= 0, "no WSRF entry for object");
+  regs_[static_cast<std::size_t>(reg)].entry.active = active;
 }
 
 void Wsrf::erase(arch::ObjectId id) {
-  auto it = index_.find(id);
-  if (it == index_.end()) return;
-  entries_.erase(it->second);
-  index_.erase(it);
+  if (const int reg = register_of(id); reg >= 0) vacate(reg);
 }
 
 void Wsrf::clear() {
-  entries_.clear();
-  index_.clear();
+  for (int i = 0; i < size_; ++i) {
+    index_[regs_[static_cast<std::size_t>(i)].entry.id] = -1;
+  }
+  size_ = 0;
 }
 
 void Wsrf::save(snapshot::Writer& w) const {
   w.section("ap.wsrf");
   w.i32(capacity_);
-  w.u64(entries_.size());
-  for (const auto& e : entries_) {
+  std::vector<const Register*> oldest_first;
+  oldest_first.reserve(static_cast<std::size_t>(size_));
+  for (int i = 0; i < size_; ++i) {
+    oldest_first.push_back(&regs_[static_cast<std::size_t>(i)]);
+  }
+  std::sort(oldest_first.begin(), oldest_first.end(),
+            [](const Register* a, const Register* b) {
+              return a->stamp < b->stamp;
+            });
+  w.u64(oldest_first.size());
+  for (const Register* r : oldest_first) {
+    const WsrfEntry& e = r->entry;
     w.u32(e.id);
     w.b(e.channel.has_value());
     w.u32(e.channel.value_or(0));
@@ -74,9 +102,19 @@ void Wsrf::save(snapshot::Writer& w) const {
 
 void Wsrf::restore(snapshot::Reader& r) {
   r.section("ap.wsrf");
-  capacity_ = r.i32();
-  clear();
+  const int capacity = r.i32();
+  if (capacity < 1 || capacity != capacity_) {
+    throw snapshot::SnapshotError(
+        "WSRF capacity " + std::to_string(capacity) + " does not match " +
+        std::to_string(capacity_) + " registers");
+  }
   const std::uint64_t n = r.count(10);
+  if (n > static_cast<std::uint64_t>(capacity)) {
+    throw snapshot::SnapshotError("WSRF holds more entries than registers");
+  }
+  std::vector<WsrfEntry> entries;
+  entries.reserve(static_cast<std::size_t>(n));
+  std::vector<std::int32_t> index;
   for (std::uint64_t i = 0; i < n; ++i) {
     WsrfEntry e;
     e.id = r.u32();
@@ -84,10 +122,27 @@ void Wsrf::restore(snapshot::Reader& r) {
     const std::uint32_t channel = r.u32();
     if (has_channel) e.channel = channel;
     e.active = r.b();
-    entries_.push_back(e);
-    index_[e.id] = std::prev(entries_.end());
+    if (e.id >= arch::kMaxEncodedObjects) {
+      throw snapshot::SnapshotError("WSRF holds id " + std::to_string(e.id) +
+                                    ", which no program can name");
+    }
+    if (e.id >= index.size()) index.resize(std::size_t{e.id} + 1, -1);
+    if (index[e.id] != -1) {
+      throw snapshot::SnapshotError("WSRF holds id " + std::to_string(e.id) +
+                                    " twice");
+    }
+    index[e.id] = static_cast<std::int32_t>(i);
+    entries.push_back(e);
   }
-  retirements_ = r.u64();
+  const std::uint64_t retirements = r.u64();
+  // Oldest first: stamps 0 .. n-1 reproduce the saved age order.
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    regs_[i] = Register{entries[i], i};
+  }
+  size_ = static_cast<int>(entries.size());
+  next_stamp_ = entries.size();
+  index_ = std::move(index);
+  retirements_ = static_cast<std::size_t>(retirements);
 }
 
 }  // namespace vlsip::ap

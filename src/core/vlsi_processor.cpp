@@ -71,7 +71,7 @@ RunResult VlsiProcessor::run_program(
   RunResult result;
   result.config = ap.configure(program);
   for (const auto& [name, words] : inputs) {
-    for (const auto& w : words) ap.feed(name, w);
+    ap.feed(name, words);
   }
   if (was_inactive) manager_.activate(id);
   result.exec = ap.run(expected_per_output, max_cycles);

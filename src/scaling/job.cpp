@@ -31,7 +31,7 @@ JobOutcome run_job_on(ScalingManager& manager, ProcId proc, const Job& job,
   auto& ap = manager.processor(proc);
   const auto config_stats = ap.configure(job.program);
   for (const auto& [name, words] : job.inputs) {
-    for (const auto& w : words) ap.feed(name, w);
+    ap.feed(name, words);
   }
   manager.activate(proc);
   ap::ExecStats exec;

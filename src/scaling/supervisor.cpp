@@ -156,7 +156,7 @@ SupervisorResult Supervisor::run(std::uint64_t max_cycles_per_task) {
 
       // Feed direct inputs, activate, run.
       for (const auto& [name, words] : spec.direct_inputs) {
-        for (const auto& w : words) ap.feed(name, w);
+        ap.feed(name, words);
       }
       manager_.activate(proc);
       auto& outcome = result.outcomes[t];

@@ -2,6 +2,11 @@
 // pipeline, dataflow executor and the AP facade (paper §2).
 #include <gtest/gtest.h>
 
+#include <list>
+#include <string>
+#include <unordered_map>
+#include <vector>
+
 #include "ap/adaptive_processor.hpp"
 #include "ap/executor.hpp"
 #include "ap/memory_block.hpp"
@@ -132,10 +137,9 @@ TEST(ObjectLibrary, WriteBackCounts) {
   arch::LogicalObject o;
   o.id = 1;
   lib.store(o);
-  lib.write_back(o);
+  lib.write_back(1);
   EXPECT_EQ(lib.write_backs(), 1u);
-  o.id = 2;
-  EXPECT_THROW(lib.write_back(o), vlsip::PreconditionError);
+  EXPECT_THROW(lib.write_back(2), vlsip::PreconditionError);
 }
 
 // ---- ObjectSpace (stack, §2.4) -------------------------------------------------
@@ -395,6 +399,144 @@ TEST(Wsrf, EraseAndClear) {
   w.erase(99);  // erasing absent id is a no-op
   w.clear();
   EXPECT_EQ(w.size(), 0);
+}
+
+/// The list-based WSRF the flat register file replaced: insertion-ordered
+/// entries (front = oldest) with an id index. Kept as the reference
+/// model for the differential test below.
+class ListWsrf {
+ public:
+  explicit ListWsrf(int capacity) : capacity_(capacity) {}
+
+  const WsrfEntry* lookup(arch::ObjectId id) const {
+    const auto it = index_.find(id);
+    return it == index_.end() ? nullptr : &*it->second;
+  }
+  bool insert(arch::ObjectId id) {
+    if (const auto it = index_.find(id); it != index_.end()) {
+      entries_.splice(entries_.end(), entries_, it->second);
+      return true;
+    }
+    if (static_cast<int>(entries_.size()) == capacity_) {
+      auto victim = entries_.begin();
+      while (victim != entries_.end() && victim->active) ++victim;
+      if (victim == entries_.end()) return false;
+      index_.erase(victim->id);
+      entries_.erase(victim);
+      ++retirements_;
+    }
+    entries_.push_back(WsrfEntry{id, std::nullopt, false});
+    index_[id] = std::prev(entries_.end());
+    return true;
+  }
+  void set_channel(arch::ObjectId id, std::uint32_t channel) {
+    index_.at(id)->channel = channel;
+  }
+  void set_active(arch::ObjectId id, bool active) {
+    index_.at(id)->active = active;
+  }
+  void erase(arch::ObjectId id) {
+    if (const auto it = index_.find(id); it != index_.end()) {
+      entries_.erase(it->second);
+      index_.erase(it);
+    }
+  }
+  void clear() {
+    entries_.clear();
+    index_.clear();
+  }
+  int size() const { return static_cast<int>(entries_.size()); }
+  std::size_t retirements() const { return retirements_; }
+  void save(snapshot::Writer& w) const {
+    w.section("ap.wsrf");
+    w.i32(capacity_);
+    w.u64(entries_.size());
+    for (const auto& e : entries_) {
+      w.u32(e.id);
+      w.b(e.channel.has_value());
+      w.u32(e.channel.value_or(0));
+      w.b(e.active);
+    }
+    w.u64(retirements_);
+  }
+
+ private:
+  int capacity_;
+  std::list<WsrfEntry> entries_;
+  std::unordered_map<arch::ObjectId, std::list<WsrfEntry>::iterator> index_;
+  std::size_t retirements_ = 0;
+};
+
+template <typename W>
+std::vector<std::uint8_t> wsrf_bytes(const W& wsrf) {
+  snapshot::Snapshot snap;
+  snapshot::Writer w(snap);
+  wsrf.save(w);
+  return snap.bytes();
+}
+
+TEST(Wsrf, MatchesListModelUnderRandomOperations) {
+  for (const int capacity : {1, 2, 40}) {
+    SCOPED_TRACE("capacity " + std::to_string(capacity));
+    Xoshiro256 rng(static_cast<std::uint64_t>(capacity) * 7919);
+    const auto ids = static_cast<std::uint64_t>(2 * capacity + 4);
+    ListWsrf model(capacity);
+    Wsrf flat(capacity);
+    constexpr int kOps = 10000;
+    for (int op = 0; op < kOps; ++op) {
+      if (op == kOps / 2) {
+        // Save -> restore -> continue: the restored register file must
+        // keep matching the model.
+        snapshot::Snapshot snap;
+        snapshot::Writer w(snap);
+        flat.save(w);
+        Wsrf restored(capacity);
+        snapshot::Reader r(snap);
+        restored.restore(r);
+        flat = restored;
+        ASSERT_EQ(wsrf_bytes(flat), wsrf_bytes(model));
+      }
+      const auto id = static_cast<arch::ObjectId>(rng.uniform(ids));
+      const std::uint64_t kind = rng.uniform(100);
+      if (kind < 45) {
+        ASSERT_EQ(flat.insert(id), model.insert(id)) << "op " << op;
+      } else if (kind < 70) {
+        if (model.lookup(id) != nullptr) {
+          const bool active = rng.bernoulli(0.6);
+          flat.set_active(id, active);
+          model.set_active(id, active);
+        }
+      } else if (kind < 80) {
+        if (model.lookup(id) != nullptr) {
+          const auto channel = static_cast<std::uint32_t>(rng.uniform(64));
+          flat.set_channel(id, channel);
+          model.set_channel(id, channel);
+        }
+      } else if (kind < 99) {
+        flat.erase(id);
+        model.erase(id);
+      } else {
+        flat.clear();
+        model.clear();
+      }
+      ASSERT_EQ(flat.size(), model.size()) << "op " << op;
+      ASSERT_EQ(flat.retirements(), model.retirements()) << "op " << op;
+      for (arch::ObjectId probe = 0; probe < ids; ++probe) {
+        const WsrfEntry* a = flat.lookup(probe);
+        const WsrfEntry* b = model.lookup(probe);
+        ASSERT_EQ(a != nullptr, b != nullptr) << "op " << op;
+        if (a == nullptr) continue;
+        ASSERT_EQ(a->id, b->id);
+        ASSERT_EQ(a->channel, b->channel);
+        ASSERT_EQ(a->active, b->active);
+      }
+      if (op % 97 == 0) {
+        ASSERT_EQ(wsrf_bytes(flat), wsrf_bytes(model)) << "op " << op;
+      }
+    }
+    EXPECT_EQ(wsrf_bytes(flat), wsrf_bytes(model));
+    EXPECT_GT(flat.retirements(), 0u);
+  }
 }
 
 // ---- End-to-end: configure + execute small programs ---------------------------------

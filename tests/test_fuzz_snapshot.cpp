@@ -10,11 +10,15 @@
 // sanitize job's Fuzz filter picks these tests up by name).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <string_view>
 #include <utility>
 #include <vector>
 
+#include "arch/datapath.hpp"
+#include "arch/serialize.hpp"
 #include "common/rng.hpp"
 #include "core/vlsi_processor.hpp"
 #include "fault/fault_plan.hpp"
@@ -150,6 +154,86 @@ std::vector<snapshot::Snapshot> malformed_live_tables() {
 TEST(FuzzSnapshot, MalformedLiveTablesFailTyped) {
   const auto inputs = malformed_live_tables();
   ASSERT_EQ(inputs.size(), 10u);
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    core::VlsiProcessor chip{core::ChipConfig{}};
+    Status restored = Status::Ok();
+    ASSERT_NO_THROW(restored = chip.restore(inputs[i])) << "input " << i;
+    EXPECT_EQ(restored.code(), StatusCode::kCorruptSnapshot)
+        << "input " << i << ": " << restored.message();
+  }
+}
+
+/// Byte offset just past the first section tag `tag` in `bytes`.
+std::size_t after_tag(const std::vector<std::uint8_t>& bytes,
+                      std::string_view tag) {
+  const auto at = std::search(bytes.begin(), bytes.end(), tag.begin(),
+                              tag.end());
+  EXPECT_NE(at, bytes.end()) << tag;
+  return static_cast<std::size_t>(at - bytes.begin()) + tag.size();
+}
+
+/// WSRF and object-library sections no AP produces, each planted in an
+/// otherwise valid chip snapshot whose one processor holds a configured
+/// datapath (so both sections list several objects).
+std::vector<snapshot::Snapshot> malformed_wsrf_and_library() {
+  core::VlsiProcessor chip{core::ChipConfig{}};
+  const scaling::ProcId proc = chip.fuse(1);
+  EXPECT_NE(proc, scaling::kNoProc);
+  const auto run = chip.run_program(proc, arch::linear_pipeline_program(3),
+                                    {{"in", {arch::make_word_i(4)}}}, 1,
+                                    10000);
+  EXPECT_TRUE(run.exec.completed);
+  snapshot::Snapshot pristine;
+  EXPECT_TRUE(chip.save(pristine).ok());
+  const std::vector<std::uint8_t>& bytes = pristine.bytes();
+
+  // "ap.wsrf": i32 capacity, u64 count, then 10-byte entries (u32 id,
+  // channel flag, u32 channel, active flag).
+  const std::size_t wsrf = after_tag(bytes, "ap.wsrf");
+  std::int32_t capacity = 0;
+  std::memcpy(&capacity, bytes.data() + wsrf, 4);
+  EXPECT_GE(test_support::read_u64(bytes, wsrf + 4), 2u);
+  const std::size_t entry0 = wsrf + 12;
+  std::uint32_t id0 = 0;
+  std::memcpy(&id0, bytes.data() + entry0, 4);
+
+  // "ap.object_library": i32 load latency, u64 count, then objects
+  // (u32 id, u8 opcode, u64 immediate, latency flag, i32 latency,
+  // initial-token flag, u64 initial, u64-length name).
+  const std::size_t library = after_tag(bytes, "ap.object_library");
+  EXPECT_GE(test_support::read_u64(bytes, library + 4), 2u);
+  const std::size_t object0 = library + 12;
+  const std::size_t object1 =
+      object0 + 35 + test_support::read_u64(bytes, object0 + 27);
+  std::uint32_t object_id0 = 0;
+  std::memcpy(&object_id0, bytes.data() + object0, 4);
+
+  const auto count_plant = [&](std::uint64_t count) {
+    snapshot::Snapshot bad = pristine;
+    std::memcpy(bad.bytes().data() + wsrf + 4, &count, 8);
+    return bad;
+  };
+  std::vector<snapshot::Snapshot> out;
+  out.push_back(count_plant(static_cast<std::uint64_t>(capacity) + 1));
+  const std::pair<std::size_t, std::uint32_t> plants[] = {
+      {wsrf, 0},                                  // no registers
+      {wsrf, static_cast<std::uint32_t>(capacity + 1)},  // not the AP's
+      {entry0 + 10, id0},                         // duplicate WSRF id
+      {entry0, arch::kMaxEncodedObjects},         // unnameable WSRF id
+      {object1, object_id0},                      // duplicate library id
+      {object0, arch::kMaxEncodedObjects},        // unnameable library id
+  };
+  for (const auto& [offset, value] : plants) {
+    snapshot::Snapshot bad = pristine;
+    test_support::write_u32(bad.bytes(), offset, value);
+    out.push_back(std::move(bad));
+  }
+  return out;
+}
+
+TEST(FuzzSnapshot, MalformedWsrfAndLibraryFailTyped) {
+  const auto inputs = malformed_wsrf_and_library();
+  ASSERT_EQ(inputs.size(), 7u);
   for (std::size_t i = 0; i < inputs.size(); ++i) {
     core::VlsiProcessor chip{core::ChipConfig{}};
     Status restored = Status::Ok();

@@ -4,9 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <deque>
 #include <future>
+#include <string>
+#include <vector>
 
 #include "common/require.hpp"
+#include "common/rng.hpp"
 #include "runtime/admission_queue.hpp"
 #include "runtime/batcher.hpp"
 #include "runtime/chip_farm.hpp"
@@ -71,6 +75,95 @@ TEST(Batcher, RespectsMaxJobsAndGroupingOff) {
   fcfs.max_jobs = 1;  // strict FCFS: no grouping past the head
   EXPECT_EQ(take_batch(queue, fcfs).size(), 1u);
   EXPECT_EQ(queue.size(), 1u);
+}
+
+/// The batcher before it became one pass: one mid-deque erase per
+/// match. The reference for the equivalence test below.
+std::vector<PendingJob> take_batch_by_erase(std::deque<PendingJob>& queue,
+                                            const BatchPolicy& policy) {
+  std::vector<PendingJob> batch;
+  if (queue.empty()) return batch;
+  batch.push_back(std::move(queue.front()));
+  queue.pop_front();
+  const std::size_t clusters = batch.front().job.requested_clusters;
+  for (auto it = queue.begin();
+       it != queue.end() && batch.size() < policy.max_jobs;) {
+    if (it->job.requested_clusters == clusters) {
+      batch.push_back(std::move(*it));
+      it = queue.erase(it);
+    } else {
+      ++it;
+    }
+  }
+  return batch;
+}
+
+std::vector<std::string> names(const std::vector<PendingJob>& jobs) {
+  std::vector<std::string> out;
+  for (const auto& p : jobs) out.push_back(p.job.name);
+  return out;
+}
+
+std::vector<std::string> names(const std::deque<PendingJob>& jobs) {
+  std::vector<std::string> out;
+  for (const auto& p : jobs) out.push_back(p.job.name);
+  return out;
+}
+
+TEST(Batcher, OnePassMatchesEraseLoopOnRandomQueues) {
+  Xoshiro256 rng(20);
+  const std::size_t cluster_choices[] = {1, 2, 4};
+  for (int trial = 0; trial < 300; ++trial) {
+    const auto length = static_cast<std::size_t>(rng.uniform(24));
+    BatchPolicy policy;
+    policy.max_jobs = 1 + static_cast<std::size_t>(rng.uniform(10));
+    std::deque<PendingJob> fast;
+    std::deque<PendingJob> reference;
+    for (std::size_t i = 0; i < length; ++i) {
+      const std::size_t clusters = cluster_choices[rng.uniform(3)];
+      const std::string name = "j" + std::to_string(i);
+      fast.push_back(pending(name, clusters));
+      reference.push_back(pending(name, clusters));
+    }
+    // Drain both queues batch by batch: every batch and every leftover
+    // queue must agree in content and order.
+    while (!reference.empty()) {
+      const auto want = take_batch_by_erase(reference, policy);
+      const auto got = take_batch(fast, policy);
+      ASSERT_EQ(names(got), names(want)) << "trial " << trial;
+      ASSERT_EQ(names(fast), names(reference)) << "trial " << trial;
+    }
+    EXPECT_TRUE(take_batch(fast, policy).empty());
+  }
+}
+
+TEST(Batcher, DeepQueueLeavesTheTailInPlace) {
+  // A deterministic farm stages every submission before serving, so the
+  // batcher sees deep queues. Taking a batch must move only the short
+  // front part of the queue: the job at the back is never moved (a
+  // pass that closed up the whole queue would move it every call), so
+  // draining N jobs costs O(N), not O(N^2).
+  constexpr std::size_t kDepth = 50000;
+  for (const std::size_t max_jobs : {std::size_t{1}, std::size_t{8}}) {
+    std::deque<PendingJob> queue;
+    for (std::size_t i = 0; i < kDepth; ++i) {
+      PendingJob p;
+      p.id = i;
+      p.job.requested_clusters = std::size_t{1} << (i % 3);
+      queue.push_back(std::move(p));
+    }
+    BatchPolicy policy;
+    policy.max_jobs = max_jobs;
+    const PendingJob* back = &queue.back();
+    std::size_t taken = 0;
+    while (queue.size() > 64) {
+      taken += take_batch(queue, policy).size();
+      ASSERT_EQ(&queue.back(), back) << "max_jobs " << max_jobs;
+      ASSERT_EQ(queue.back().id, kDepth - 1);
+    }
+    while (!queue.empty()) taken += take_batch(queue, policy).size();
+    EXPECT_EQ(taken, kDepth) << "max_jobs " << max_jobs;
+  }
 }
 
 // --- admission queue ----------------------------------------------------
