@@ -83,6 +83,33 @@ AdaptiveProcessor::AdaptiveProcessor(ApConfig config)
   VLSIP_REQUIRE(config.memory_blocks >= 1, "an AP needs a memory block");
 }
 
+void AdaptiveProcessor::reset(const ApConfig& config) {
+  VLSIP_REQUIRE(config.capacity >= 2, "an AP needs at least two objects");
+  VLSIP_REQUIRE(config.memory_blocks >= 1, "an AP needs a memory block");
+  if (program_) {
+    spare_program_ = std::move(*program_);
+    program_.reset();
+  }
+  if (executor_) spare_ = std::move(executor_);
+  // An executor keeps its settings and trace sink across rebinds.
+  if (config.exec != config_.exec ||
+      config.enable_trace != config_.enable_trace) {
+    spare_.reset();
+  }
+  config_ = config;
+  obs::TraceSink* trace = config.enable_trace ? &trace_ : nullptr;
+  trace_.reset(config.enable_trace);
+  space_.reset(config.capacity);
+  wsrf_.reset(config.wsrf_capacity);
+  library_.reset(config.library_load_latency);
+  network_.reset(make_csd_config(config), trace);
+  chains_.reset();
+  scheduler_.reset(config.replacement);
+  pipeline_.reset(config.pipeline, trace);
+  memory_.reset(config.memory_blocks, config.memory);
+  stats_ = {};
+}
+
 ConfigStats AdaptiveProcessor::configure(const arch::Program& program) {
   VLSIP_REQUIRE(!program.stream.empty(), "program has an empty stream");
   if (program_) release_datapath();

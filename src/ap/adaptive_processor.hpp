@@ -73,6 +73,16 @@ class AdaptiveProcessor {
  public:
   explicit AdaptiveProcessor(ApConfig config = {});
 
+  /// Returns the AP to exactly the state the constructor builds for
+  /// `config` — same save() bytes, same behaviour from the next
+  /// configure() on — while keeping its heap storage: object-space,
+  /// WSRF and library tables, CSD claim words, program storage and the
+  /// released executor's arenas. Any datapath is dropped without firing
+  /// release tokens, written memory blocks free their backing, and
+  /// every defect, dead segment and lifetime counter is forgotten. A
+  /// recycled processor's first job configures on the warm path.
+  void reset(const ApConfig& config);
+
   int capacity() const { return config_.capacity; }
   const ApConfig& config() const { return config_; }
 

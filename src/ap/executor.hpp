@@ -66,6 +66,8 @@ struct ExecConfig {
   /// Off falls back to the dense every-object-every-cycle reference
   /// scan. The two are bit-identical.
   bool event_driven = true;
+
+  friend bool operator==(const ExecConfig&, const ExecConfig&) = default;
 };
 
 struct ExecStats {

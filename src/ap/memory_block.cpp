@@ -9,9 +9,14 @@
 
 namespace vlsip::ap {
 
-MemoryBlock::MemoryBlock(MemoryBlockConfig config) : config_(config) {
+MemoryBlock::MemoryBlock(MemoryBlockConfig config) { reset(config); }
+
+void MemoryBlock::reset(MemoryBlockConfig config) {
   VLSIP_REQUIRE(config.words > 0, "memory block must be non-empty");
   VLSIP_REQUIRE(config.access_latency >= 1, "latency must be positive");
+  config_ = config;
+  std::vector<arch::Word>().swap(data_);
+  poisoned_ = false;
 }
 
 void MemoryBlock::materialise() {
@@ -48,12 +53,18 @@ void MemoryBlock::fill(std::size_t base,
             data_.begin() + static_cast<std::ptrdiff_t>(base));
 }
 
-MemorySystem::MemorySystem(int blocks, MemoryBlockConfig config)
-    : config_(config) {
+MemorySystem::MemorySystem(int blocks, MemoryBlockConfig config) {
+  reset(blocks, config);
+}
+
+void MemorySystem::reset(int blocks, MemoryBlockConfig config) {
   VLSIP_REQUIRE(blocks >= 1, "need at least one memory block");
-  blocks_.reserve(static_cast<std::size_t>(blocks));
-  for (int i = 0; i < blocks; ++i) blocks_.emplace_back(config);
-  bank_busy_until_.assign(static_cast<std::size_t>(blocks), 0);
+  config_ = config;
+  const auto n = static_cast<std::size_t>(blocks);
+  blocks_.resize(n, MemoryBlock(config));
+  for (auto& b : blocks_) b.reset(config);
+  bank_busy_until_.assign(n, 0);
+  conflicts_ = 0;
 }
 
 std::size_t MemorySystem::size() const {
@@ -115,8 +126,16 @@ std::uint64_t MemorySystem::access_at(std::size_t address,
   return done;
 }
 
-ObjectLibrary::ObjectLibrary(int load_latency) : load_latency_(load_latency) {
+ObjectLibrary::ObjectLibrary(int load_latency) { reset(load_latency); }
+
+void ObjectLibrary::reset(int load_latency) {
   VLSIP_REQUIRE(load_latency >= 1, "load latency must be positive");
+  load_latency_ = load_latency;
+  // An empty slot is one whose id differs from its index; the object's
+  // buffers stay for the next store() to copy into.
+  for (auto& slot : objects_) slot.id = arch::kNoObject;
+  size_ = 0;
+  write_backs_ = 0;
 }
 
 void ObjectLibrary::store(const arch::LogicalObject& object) {
@@ -163,7 +182,7 @@ void MemoryBlock::restore(snapshot::Reader& r) {
                 "snapshot memory-block geometry mismatch");
   const std::uint64_t nonzero = r.count(16);
   if (nonzero == 0) {
-    data_ = {};  // an all-zero block needs no storage
+    std::vector<arch::Word>().swap(data_);  // an all-zero block needs none
   } else {
     data_.assign(config_.words, arch::make_word_u(0));
   }

@@ -38,6 +38,10 @@ class MemoryBlock {
  public:
   explicit MemoryBlock(MemoryBlockConfig config = {});
 
+  /// Returns to the constructed state: never written (the storage is
+  /// freed), not poisoned.
+  void reset(MemoryBlockConfig config);
+
   std::size_t size() const { return config_.words; }
   int access_latency() const { return config_.access_latency; }
 
@@ -81,6 +85,10 @@ class MemoryBlock {
 class MemorySystem {
  public:
   MemorySystem(int blocks, MemoryBlockConfig config = {});
+
+  /// Returns to the constructed state for `blocks` banks: every bank
+  /// never written and unpoisoned, no bank busy, no conflicts counted.
+  void reset(int blocks, MemoryBlockConfig config);
 
   int block_count() const { return static_cast<int>(blocks_.size()); }
   /// Total words across all banks.
@@ -134,6 +142,10 @@ class ObjectLibrary {
   /// configuration-word transfer).
   explicit ObjectLibrary(int load_latency = 8);
 
+  /// Returns to the constructed state (empty, no write-backs), keeping
+  /// every slot's storage for the next store().
+  void reset(int load_latency);
+
   int load_latency() const { return load_latency_; }
 
   /// Requires id != kNoObject and id < arch::kMaxEncodedObjects.
@@ -159,7 +171,7 @@ class ObjectLibrary {
   void restore(snapshot::Reader& r);
 
  private:
-  int load_latency_;
+  int load_latency_ = 0;
   /// objects_[id] holds object `id`; a slot whose id differs (the
   /// default kNoObject) is empty.
   std::vector<arch::LogicalObject> objects_;

@@ -9,9 +9,15 @@
 
 namespace vlsip::ap {
 
-ObjectSpace::ObjectSpace(int capacity) : capacity_(capacity) {
+ObjectSpace::ObjectSpace(int capacity) { reset(capacity); }
+
+void ObjectSpace::reset(int capacity) {
   VLSIP_REQUIRE(capacity >= 1, "capacity must be positive");
+  capacity_ = capacity;
+  stack_.clear();
   stack_.reserve(static_cast<std::size_t>(capacity));
+  std::fill(index_.begin(), index_.end(), kAbsent);
+  version_ = 0;
 }
 
 int ObjectSpace::position_of(arch::ObjectId id) const {

@@ -33,6 +33,10 @@ class ObjectSpace {
   /// `capacity` is C, the array size of this (possibly scaled) AP.
   explicit ObjectSpace(int capacity);
 
+  /// Returns to the constructed state for `capacity` (empty stack,
+  /// version 0), keeping the stack and index storage.
+  void reset(int capacity);
+
   int capacity() const { return capacity_; }
   int size() const { return static_cast<int>(stack_.size()); }
   bool full() const { return size() == capacity_; }
@@ -101,7 +105,7 @@ class ObjectSpace {
   /// Re-records the positions of stack_[from, to).
   void reindex(std::size_t from, std::size_t to);
 
-  int capacity_;
+  int capacity_ = 0;
   std::vector<arch::ObjectId> stack_;  // [0] = top
   /// index_[id] = position of `id`, or kAbsent. Program ids are dense
   /// (library index == id), so a flat vector beats hashing on the

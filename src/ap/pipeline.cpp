@@ -35,6 +35,15 @@ void ChainSet::clear() {
   chains_dirty_ = true;
 }
 
+void ChainSet::reset() {
+  chains_.clear();
+  rebuilds_ = 0;
+  chains_dirty_ = true;
+  seen_space_version_ = 0;
+  seen_net_version_ = 0;
+  last_failures_ = 0;
+}
+
 void ChainSet::shift_prefix(int k) {
   const auto torn = network_.shift_prefix(static_cast<csd::Position>(k));
   for (const csd::RouteId id : torn) {

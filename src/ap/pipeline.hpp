@@ -68,6 +68,10 @@ class ChainSet {
 
   void clear();
 
+  /// Returns to the constructed state: no chains, no refresh history.
+  /// Releases nothing on the network; the owner resets it too.
+  void reset();
+
   /// Mirrors ObjectSpace's stack shift of positions [0, k) to [1, k] on
   /// the network. A route the shift tears (its moved claim landed on a
   /// dead segment) leaves its chain unrouted, so refresh() re-handshakes
@@ -205,6 +209,13 @@ class ConfigurationPipeline {
   /// the library image. Unset = conservatively always dirty.
   using DirtyProbe = std::function<bool(arch::ObjectId)>;
   void set_dirty_probe(DirtyProbe probe) { dirty_probe_ = std::move(probe); }
+
+  /// Returns to the constructed state for `config` (no dirty probe).
+  void reset(PipelineConfig config, obs::TraceSink* trace) {
+    config_ = config;
+    trace_ = trace;
+    dirty_probe_ = nullptr;
+  }
 
  private:
   struct MissLoad {

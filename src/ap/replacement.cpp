@@ -7,12 +7,18 @@
 
 namespace vlsip::ap {
 
-ReplacementScheduler::ReplacementScheduler(ReplacementConfig config)
-    : config_(config),
-      port_free_at_(static_cast<std::size_t>(config.ports), 0) {
+ReplacementScheduler::ReplacementScheduler(ReplacementConfig config) {
+  reset(config);
+}
+
+void ReplacementScheduler::reset(ReplacementConfig config) {
   VLSIP_REQUIRE(config.ports >= 1, "need at least one write-back port");
   VLSIP_REQUIRE(config.write_back_latency >= 1,
                 "write-back latency must be positive");
+  config_ = config;
+  port_free_at_.assign(static_cast<std::size_t>(config.ports), 0);
+  scheduled_ = 0;
+  stall_cycles_ = 0;
 }
 
 std::uint64_t ReplacementScheduler::schedule_write_back(

@@ -34,6 +34,10 @@ class ReplacementScheduler {
  public:
   explicit ReplacementScheduler(ReplacementConfig config = {});
 
+  /// Returns to the constructed state: every port free, nothing
+  /// scheduled.
+  void reset(ReplacementConfig config);
+
   /// Schedules the victim's write-back at (or after) cycle `now`.
   /// Returns the cycle at which the pipeline may proceed: `now` if a
   /// port was free, later if it had to wait for one. The write-back

@@ -9,9 +9,16 @@
 
 namespace vlsip::ap {
 
-Wsrf::Wsrf(int capacity) : capacity_(capacity) {
+Wsrf::Wsrf(int capacity) { reset(capacity); }
+
+void Wsrf::reset(int capacity) {
   VLSIP_REQUIRE(capacity >= 1, "WSRF needs at least one register");
-  regs_.resize(static_cast<std::size_t>(capacity));
+  capacity_ = capacity;
+  regs_.assign(static_cast<std::size_t>(capacity), Register{});
+  std::fill(index_.begin(), index_.end(), -1);
+  size_ = 0;
+  next_stamp_ = 0;
+  retirements_ = 0;
 }
 
 bool Wsrf::insert(arch::ObjectId id) {

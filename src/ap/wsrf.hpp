@@ -48,6 +48,10 @@ class Wsrf {
  public:
   explicit Wsrf(int capacity = 40);
 
+  /// Returns to the constructed state for `capacity` (no entries, stamps
+  /// and retirements from zero), keeping the register and index storage.
+  void reset(int capacity);
+
   int capacity() const { return capacity_; }
   int size() const { return size_; }
 
@@ -97,7 +101,7 @@ class Wsrf {
   /// hole so registers [0, size_) stay the occupied ones.
   void vacate(int reg);
 
-  int capacity_;
+  int capacity_ = 0;
   int size_ = 0;
   /// capacity_ registers; [0, size_) are occupied, in no particular
   /// order (age lives in the stamps).

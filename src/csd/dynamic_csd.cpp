@@ -10,16 +10,32 @@
 
 namespace vlsip::csd {
 
-DynamicCsdNetwork::DynamicCsdNetwork(CsdConfig config, obs::TraceSink* trace)
-    : config_(config),
-      words_per_segment_((static_cast<std::size_t>(config.channels) + 63) /
-                         64),
-      trace_(trace) {
-  VLSIP_REQUIRE(config_.positions >= 2, "need at least two positions");
-  VLSIP_REQUIRE(config_.channels >= 1, "need at least one channel");
+DynamicCsdNetwork::DynamicCsdNetwork(CsdConfig config, obs::TraceSink* trace) {
+  reset(config, trace);
+}
+
+void DynamicCsdNetwork::reset(CsdConfig config, obs::TraceSink* trace) {
+  VLSIP_REQUIRE(config.positions >= 2, "need at least two positions");
+  VLSIP_REQUIRE(config.channels >= 1, "need at least one channel");
+  config_ = config;
+  words_per_segment_ = (static_cast<std::size_t>(config.channels) + 63) / 64;
   blocked_.assign((config_.positions - 1) * words_per_segment_, 0ull);
   dead_.assign(blocked_.size(), 0ull);
+  dead_count_ = 0;
   claimed_per_channel_.assign(config_.channels, 0);
+  claimed_total_ = 0;
+  routes_.clear();
+  free_slots_.clear();
+  active_routes_ = 0;
+  trace_ = trace;
+  now_ = 0;
+  version_ = 0;
+  requests_ = 0;
+  grants_ = 0;
+  rejects_ = 0;
+  segments_killed_ = 0;
+  kill_reroutes_ = 0;
+  kill_drops_ = 0;
 }
 
 bool DynamicCsdNetwork::span_free(ChannelId channel, Position lo,

@@ -87,6 +87,11 @@ class DynamicCsdNetwork {
  public:
   explicit DynamicCsdNetwork(CsdConfig config, obs::TraceSink* trace = nullptr);
 
+  /// Returns to the constructed state for `config`: no routes, no dead
+  /// segments, every counter at zero. The claim words and route table
+  /// keep their storage.
+  void reset(CsdConfig config, obs::TraceSink* trace);
+
   Position positions() const { return config_.positions; }
   ChannelId channel_count() const { return config_.channels; }
 
@@ -234,7 +239,7 @@ class DynamicCsdNetwork {
 
   CsdConfig config_;
   /// Channel bitwords per hop segment: ceil(channels / 64).
-  std::size_t words_per_segment_;
+  std::size_t words_per_segment_ = 0;
   /// Segment-major channel masks: bit c of word_of(s, c) is set when
   /// hop segment s of channel c is claimed by a route or dead. A span's
   /// masks OR together into the set of channels it is blocked on, so
@@ -252,7 +257,7 @@ class DynamicCsdNetwork {
   std::vector<Route> routes_;        // slot reuse via free list
   std::vector<RouteId> free_slots_;
   std::size_t active_routes_ = 0;
-  obs::TraceSink* trace_;
+  obs::TraceSink* trace_ = nullptr;
   std::uint64_t now_ = 0;  // advanced by handshake latencies for tracing
   std::uint64_t version_ = 0;
   // Lifetime handshake counters (see route_requests()).

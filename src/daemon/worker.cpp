@@ -71,9 +71,23 @@ WorkerDaemon::Exit WorkerDaemon::run() {
       case net::MsgType::kAssignJob: {
         auto assign = net::decode_payload<net::AssignJobMsg>(*frame);
         if (!assign.ok()) break;  // hostile assign: drop, stay up
+        bool crash = false;
         {
           std::lock_guard<std::mutex> lock(mu_);
           pending_.push_back(std::move(*assign));
+          // Fault injection: die like a killed process — no goodbye,
+          // no drain — holding the assignment just received, so the
+          // hub always has work of ours to requeue.
+          crash = options_.crash_after_jobs > 0 &&
+                  served_ >= options_.crash_after_jobs;
+          if (crash) {
+            stopping_ = true;
+            exit_ = Exit::kCrashed;
+          }
+        }
+        if (crash) {
+          sock_.shutdown_both();
+          goto out;
         }
         cv_.notify_all();
         break;
@@ -267,25 +281,8 @@ bool WorkerDaemon::send_result(std::uint64_t job_id,
       return false;
     }
   }
-  std::uint64_t sent_so_far = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    sent_so_far = ++served_;
-  }
-  if (options_.crash_after_jobs > 0 &&
-      sent_so_far >= options_.crash_after_jobs) {
-    // Fault injection: die like a killed process — no goodbye, no
-    // drain, the connection just stops. The hub's health loop (or the
-    // immediate read error) requeues whatever we still held.
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      stopping_ = true;
-      exit_ = Exit::kCrashed;
-    }
-    sock_.shutdown_both();
-    cv_.notify_all();
-    return false;
-  }
+  std::lock_guard<std::mutex> lock(mu_);
+  ++served_;
   return true;
 }
 

@@ -19,9 +19,11 @@
 // ordinary farm service — degraded determinism, but nothing is lost.
 //
 // Fault injection: crash_after_jobs > 0 makes the daemon die abruptly
-// (socket torn down mid-protocol, no goodbye) once that many results
-// have been sent — the deterministic stand-in for `kill -9` in the
-// worker-loss tests. The hub must requeue whatever was in flight.
+// (socket torn down mid-protocol, no goodbye) on the first assignment
+// it receives after that many results have been sent — the
+// deterministic stand-in for `kill -9` in the worker-loss tests. The
+// daemon dies holding that assignment, so the hub always has in-flight
+// work of it to requeue.
 #pragma once
 
 #include <condition_variable>
@@ -48,8 +50,9 @@ struct WorkerOptions {
   runtime::FarmConfig farm;
   /// Heartbeat period.
   std::uint64_t heartbeat_ms = 200;
-  /// Fault injection: die abruptly (no goodbye, socket torn down)
-  /// after sending this many results. 0 = never.
+  /// Fault injection: die abruptly (no goodbye, socket torn down) on
+  /// the first assignment received after sending this many results.
+  /// 0 = never.
   std::uint64_t crash_after_jobs = 0;
   /// Frame payload cap enforced on every receive.
   std::size_t max_payload = net::kMaxFramePayload;

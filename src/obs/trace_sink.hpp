@@ -62,6 +62,14 @@ class TraceSink {
   bool enabled() const { return enabled_; }
   void set_enabled(bool on) { enabled_ = on; }
 
+  /// Returns to the constructed state: no events, no cap, dropped() 0.
+  void reset(bool enabled) {
+    enabled_ = enabled;
+    capacity_ = 0;
+    dropped_ = 0;
+    entries_.clear();
+  }
+
   /// Caps the sink at `max_entries` (0 = unlimited, the default).
   /// When full, recording evicts the oldest event. Shrinking below the
   /// current size evicts immediately.

@@ -71,14 +71,18 @@ std::vector<PendingJob> AdmissionQueue::pop_batch(const BatchPolicy& policy) {
   return batch;
 }
 
+// wait_idle() waits for an empty queue with nothing in flight, so
+// finish_batch() and cancel() wake it only on that transition, not
+// once per batch.
 void AdmissionQueue::finish_batch() {
+  bool idle = false;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     VLSIP_INVARIANT(in_flight_batches_ > 0,
                     "finish_batch without a popped batch");
-    --in_flight_batches_;
+    idle = --in_flight_batches_ == 0 && queue_.empty();
   }
-  idle_.notify_all();
+  if (idle) idle_.notify_all();
 }
 
 bool AdmissionQueue::cancel(std::uint64_t id, PendingJob& out) {
@@ -88,7 +92,7 @@ bool AdmissionQueue::cancel(std::uint64_t id, PendingJob& out) {
       out = std::move(*it);
       queue_.erase(it);
       not_full_.notify_one();
-      idle_.notify_all();
+      if (queue_.empty() && in_flight_batches_ == 0) idle_.notify_all();
       return true;
     }
   }

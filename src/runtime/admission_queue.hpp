@@ -69,7 +69,8 @@ class AdmissionQueue {
   /// batch until finish_batch().
   std::vector<PendingJob> pop_batch(const BatchPolicy& policy);
 
-  /// Marks one popped batch complete (wakes wait_idle()).
+  /// Marks one popped batch complete (wakes wait_idle() when that
+  /// leaves the queue empty with nothing in flight).
   void finish_batch();
 
   /// Removes a still-queued job and hands its PendingJob back to the

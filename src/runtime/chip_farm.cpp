@@ -681,10 +681,11 @@ void ChipFarm::maybe_checkpoint(Worker& worker) {
 }
 
 void ChipFarm::publish_obs(Worker& worker) {
-  obs::MetricRegistry fresh = worker.retired_obs;
-  worker.chip->export_obs(fresh);
+  // Copy-assignment reuses the previous publication's storage.
+  worker.chip_obs_next = worker.retired_obs;
+  worker.chip->export_obs(worker.chip_obs_next);
   std::lock_guard<std::mutex> lock(metrics_mutex_);
-  worker.chip_obs = std::move(fresh);
+  std::swap(worker.chip_obs, worker.chip_obs_next);
 }
 
 void ChipFarm::trace_event(obs::Layer layer, std::int64_t id,

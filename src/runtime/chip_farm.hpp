@@ -270,6 +270,9 @@ class ChipFarm {
     /// by the owning worker at each health check / quarantine; guarded
     /// by ChipFarm::metrics_mutex_.
     obs::MetricRegistry chip_obs;
+    /// Worker-thread-private storage publish_obs() builds the next
+    /// chip_obs in, then swaps with it.
+    obs::MetricRegistry chip_obs_next;
     /// Layer probes of chips this slot already retired to quarantine —
     /// worker-thread private (only the owning worker reads or writes).
     obs::MetricRegistry retired_obs;

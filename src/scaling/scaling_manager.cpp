@@ -116,6 +116,7 @@ void ScalingManager::retire(ScaledProcessor& p) {
   retire_ap(p);
   released_transitions_ += p.fsm.transitions();
   released_fsm_faults_ += p.fsm.faults();
+  spare_aps_.push_back(std::move(p.processor));
   procs_.erase(procs_.begin() + (&p - procs_.data()));
 }
 
@@ -133,14 +134,25 @@ std::vector<ProcId> ScalingManager::live_processors() const {
   return ids;
 }
 
-std::unique_ptr<ap::AdaptiveProcessor> ScalingManager::make_ap(
-    std::size_t clusters) const {
+ap::ApConfig ScalingManager::ap_config(std::size_t clusters) const {
   ap::ApConfig cfg = config_.ap_template;
   cfg.capacity = static_cast<int>(clusters) *
                  fabric_.cluster_spec().stack_capacity();
   cfg.memory_blocks = static_cast<int>(clusters) *
                       fabric_.cluster_spec().memory_objects;
-  return std::make_unique<ap::AdaptiveProcessor>(cfg);
+  return cfg;
+}
+
+std::unique_ptr<ap::AdaptiveProcessor> ScalingManager::make_ap(
+    std::size_t clusters) {
+  if (spare_aps_.empty()) {
+    return std::make_unique<ap::AdaptiveProcessor>(ap_config(clusters));
+  }
+  std::unique_ptr<ap::AdaptiveProcessor> processor =
+      std::move(spare_aps_.back());
+  spare_aps_.pop_back();
+  processor->reset(ap_config(clusters));
+  return processor;
 }
 
 ProcId ScalingManager::allocate(std::size_t clusters) {
@@ -229,11 +241,11 @@ bool ScalingManager::upscale(ProcId id, std::size_t extra) {
   for (const auto c : extension) regions_.extend(p.region, c);
   clear_path_reservations(worm_path);
 
-  // Scaling changes C: re-instantiate the AP simulator (any configured
-  // datapath must be reconfigured, as a real AP would re-request its
-  // objects over the grown stack).
+  // Scaling changes C: reset the AP simulator to the new size (any
+  // configured datapath must be reconfigured, as a real AP would
+  // re-request its objects over the grown stack).
   retire_ap(p);
-  p.processor = make_ap(regions_.region(p.region).cluster_count());
+  p.processor->reset(ap_config(regions_.region(p.region).cluster_count()));
   ++stats_.upscales;
   if (trace_) {
     trace_->event(now_, obs::Layer::kScaling, "scaling",
@@ -262,7 +274,7 @@ void ScalingManager::downscale(ProcId id, std::size_t keep_clusters) {
   send_config_worm(tail);
   regions_.shrink(p.region, keep_clusters - 1);
   retire_ap(p);
-  p.processor = make_ap(keep_clusters);
+  p.processor->reset(ap_config(keep_clusters));
   ++stats_.downscales;
   if (trace_) {
     trace_->event(now_, obs::Layer::kScaling, "scaling",
@@ -415,7 +427,7 @@ ProcId ScalingManager::mark_defective(topology::ClusterId cluster) {
   regions_.shrink(p.region, k - 1);
   regions_.form({cluster});
   retire_ap(p);
-  p.processor = make_ap(k);
+  p.processor->reset(ap_config(k));
   if (trace_) {
     trace_->event(now_, obs::Layer::kScaling, "scaling",
                   static_cast<std::int64_t>(victim),
@@ -774,6 +786,9 @@ void ScalingManager::save(snapshot::Writer& w) const {
 void ScalingManager::restore(snapshot::Reader& r) {
   r.section("scaling.manager");
   regions_.restore(r);
+  for (ScaledProcessor& p : procs_) {
+    spare_aps_.push_back(std::move(p.processor));
+  }
   procs_.clear();
   next_id_ = r.u32();
   released_transitions_ = r.u64();

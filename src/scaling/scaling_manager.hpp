@@ -10,6 +10,19 @@
 // hand-off between processors uses the inactive state: the preceding
 // processor writes operands into the follower's memory block, then
 // activates it (fig. 7 d).
+//
+// Released processors are recycled, not rebuilt. A release (or a fault
+// release) folds the AP's metrics and energy into the retired totals,
+// then keeps the AP on a spare list; the next fuse takes the most
+// recently released spare and resets it to the new size
+// (AdaptiveProcessor::reset equals construction but keeps the heap
+// storage), so the first job on every processor configures on the warm
+// path. Up-, down-scaling and a defect shrink reset the AP in place.
+// A fuse builds a new AP only when the list is empty, so live plus
+// spare APs never exceed the peak number of live processors, and the
+// list holds at most that many. The list is host storage, not machine
+// state: snapshots never see it, and a restore moves the replaced
+// processors' APs onto it.
 #pragma once
 
 #include <cstdint>
@@ -194,6 +207,9 @@ class ScalingManager {
   std::size_t relocations() const { return stats_.relocations; }
   std::size_t compact();
 
+  /// Released APs kept for the next fuse (see the file comment).
+  std::size_t spare_processors() const { return spare_aps_.size(); }
+
   /// Longest contiguous free run in serpentine order — the largest
   /// processor allocate() can currently satisfy.
   std::size_t largest_free_run() const;
@@ -208,7 +224,7 @@ class ScalingManager {
   /// Publishes scaling counters, fuse/compaction wormhole durations,
   /// state-machine transition totals, and the AP-layer metrics of every
   /// processor — live ones plus the accumulated totals of simulators
-  /// already torn down — into `registry`. Scaling metrics go under
+  /// already released or reset — into `registry`. Scaling metrics go under
   /// "scaling."; AP-layer metrics keep their own "ap." prefix. Walks
   /// live processors only: released ones were folded in at release.
   void export_obs(obs::MetricRegistry& registry) const;
@@ -216,8 +232,8 @@ class ScalingManager {
   /// Folds the scaling layer's lifetime activity into `a` (energy
   /// spine): worm programming and compaction from ScalingStats, every
   /// live processor's AP fold, plus the serialized accumulator of
-  /// processors already torn down (retire_ap folds an AP's activity
-  /// into retired_activity_ before its simulator is destroyed, so
+  /// processors already released (retire_ap folds an AP's activity
+  /// into retired_activity_ before its simulator is reset, so
   /// release/upscale/fault never lose energy history).
   void fold_energy(cost::EnergyActivity& a) const;
 
@@ -247,7 +263,11 @@ class ScalingManager {
   /// the cycles. Returns false if the NoC failed to drain.
   bool send_config_worm(const std::vector<topology::ClusterId>& path);
 
-  std::unique_ptr<ap::AdaptiveProcessor> make_ap(std::size_t clusters) const;
+  /// The AP configuration of a processor over `clusters` clusters.
+  ap::ApConfig ap_config(std::size_t clusters) const;
+  /// A processor's AP: a spare reset to `clusters`, or a new one when
+  /// no spare is left.
+  std::unique_ptr<ap::AdaptiveProcessor> make_ap(std::size_t clusters);
 
   /// The live processor `id`, or null.
   ScaledProcessor* find(ProcId id);
@@ -262,7 +282,7 @@ class ScalingManager {
   ProcId owner_of(topology::RegionId region) const;
 
   /// Folds a processor's AP-layer lifetime counters into retired_obs_
-  /// before its simulator is torn down or replaced — without this, every
+  /// before its simulator is reset or kept as a spare — without this, every
   /// release/upscale/fault would silently discard the AP's history.
   void retire_ap(ScaledProcessor& p);
 
@@ -287,9 +307,12 @@ class ScalingManager {
   /// relocate) and per compaction sweep.
   RunningStats worm_cycles_;
   RunningStats compaction_cycles_;
-  /// AP-layer metrics of simulators already torn down; see retire_ap().
+  /// AP-layer metrics of simulators already reset; see retire_ap().
   obs::MetricRegistry retired_obs_;
-  /// Energy activity of simulators already torn down. Unlike
+  /// Released APs, most recently released last; make_ap() resets one
+  /// instead of building a new one. Host storage only: never saved.
+  std::vector<std::unique_ptr<ap::AdaptiveProcessor>> spare_aps_;
+  /// Energy activity of simulators already reset. Unlike
   /// retired_obs_ this IS serialized: per-chip energy totals must
   /// survive checkpoint/resume bit-exactly, and a resumed chip cannot
   /// re-derive activity from APs that no longer exist.

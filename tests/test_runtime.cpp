@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <deque>
 #include <future>
 #include <string>
@@ -199,6 +200,73 @@ TEST(AdmissionQueue, CloseDrainsThenStopsWorkers) {
   EXPECT_EQ(q.pop_batch(policy).size(), 1u);  // backlog still served
   q.finish_batch();
   EXPECT_TRUE(q.pop_batch(policy).empty());  // then workers exit
+}
+
+// drain() is wait_idle(): it must return once the queue is empty with
+// no batch in flight, however the last job leaves.
+
+/// Runs wait_idle() on its own thread.
+std::future<void> wait_idle_async(AdmissionQueue& q) {
+  return std::async(std::launch::async, [&q] { q.wait_idle(); });
+}
+
+bool returns(std::future<void>& idle) {
+  return idle.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+}
+
+bool still_waiting(std::future<void>& idle) {
+  return idle.wait_for(std::chrono::milliseconds(20)) ==
+         std::future_status::timeout;
+}
+
+TEST(AdmissionQueue, DrainReturnsAfterLastBatch) {
+  AdmissionQueue q(8);
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(q.try_push(pending("a", 1)));
+  BatchPolicy one;
+  one.max_jobs = 1;
+  auto idle = wait_idle_async(q);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_TRUE(still_waiting(idle)) << "batch " << i;
+    ASSERT_EQ(q.pop_batch(one).size(), 1u);
+    q.finish_batch();
+  }
+  EXPECT_TRUE(returns(idle));
+}
+
+TEST(AdmissionQueue, DrainReturnsAfterRequeuedRetryIsServed) {
+  AdmissionQueue q(8);
+  ASSERT_TRUE(q.try_push(pending("a", 1)));
+  BatchPolicy policy;
+  auto idle = wait_idle_async(q);
+  auto batch = q.pop_batch(policy);
+  ASSERT_EQ(batch.size(), 1u);
+  // The last batch faults and requeues its job for a retry.
+  q.requeue(std::move(batch.front()));
+  q.finish_batch();
+  EXPECT_TRUE(still_waiting(idle));
+  ASSERT_EQ(q.pop_batch(policy).size(), 1u);
+  EXPECT_TRUE(still_waiting(idle));
+  q.finish_batch();
+  EXPECT_TRUE(returns(idle));
+}
+
+TEST(AdmissionQueue, DrainReturnsWhenLastQueuedJobIsCancelled) {
+  AdmissionQueue q(8);
+  for (std::uint64_t id = 1; id <= 3; ++id) {
+    auto p = pending("a", 1);
+    p.id = id;
+    ASSERT_TRUE(q.try_push(std::move(p)));
+  }
+  BatchPolicy one;
+  one.max_jobs = 1;
+  auto idle = wait_idle_async(q);
+  ASSERT_EQ(q.pop_batch(one).size(), 1u);
+  PendingJob out;
+  ASSERT_TRUE(q.cancel(2, out));  // a batch is still in flight
+  q.finish_batch();
+  EXPECT_TRUE(still_waiting(idle));
+  ASSERT_TRUE(q.cancel(3, out));  // the last queued job
+  EXPECT_TRUE(returns(idle));
 }
 
 // --- farm ---------------------------------------------------------------

@@ -13,6 +13,9 @@
 #include <vector>
 
 #include "ap/adaptive_processor.hpp"
+#include "noc/noc_fabric.hpp"
+#include "scaling/scaling_manager.hpp"
+#include "topology/s_topology.hpp"
 #include "workload/kernels.hpp"
 
 namespace {
@@ -103,8 +106,8 @@ TEST(WarmAlloc, RepeatedKernelAllocatesNothing) {
   }
 }
 
-TEST(WarmAlloc, KernelMixAveragesAtMostTwoPerJob) {
-  // A fixed 20-kernel mix over every family, widths 2..8.
+/// A fixed 20-kernel mix over every family, widths 2..8.
+std::vector<scaling::Job> kernel_mix() {
   Xoshiro256 rng(11);
   std::vector<scaling::Job> mix;
   for (int i = 0; i < 20; ++i) {
@@ -112,6 +115,11 @@ TEST(WarmAlloc, KernelMixAveragesAtMostTwoPerJob) {
         static_cast<std::size_t>(i) % workload::kKernelKinds);
     mix.push_back(kernel_job(kind, 2 + (i * 3) % 7, rng));
   }
+  return mix;
+}
+
+TEST(WarmAlloc, KernelMixAveragesAtMostTwoPerJob) {
+  const std::vector<scaling::Job> mix = kernel_mix();
   AdaptiveProcessor ap(c64());
   for (const auto& job : mix) serve(ap, job);  // warm-up round
 
@@ -134,6 +142,67 @@ TEST(WarmAlloc, KernelMixAveragesAtMostTwoPerJob) {
   EXPECT_EQ(sum.feed, 0u);
   EXPECT_EQ(sum.run, 0u);
   EXPECT_EQ(sum.release, 0u);
+}
+
+TEST(WarmAlloc, FirstJobOnRecycledProcessor) {
+  // One job per processor, the paper's fuse -> serve -> release cycle:
+  // each job of the mix gets its own fuse over k = 1..8 clusters. The
+  // fuse hands back a released AP reset to k clusters, so the job's
+  // configure runs on the warm path even though the processor is new.
+  const std::vector<scaling::Job> mix = kernel_mix();
+  topology::STopologyFabric fabric(8, 8, topology::ClusterSpec{});
+  noc::NocFabric noc(8, 8);
+  scaling::ScalingManager manager(fabric, noc);
+  const auto serve_fused = [&](const scaling::Job& job, std::size_t k) {
+    const scaling::ProcId id = manager.allocate(k);
+    EXPECT_NE(id, scaling::kNoProc);
+    AdaptiveProcessor& ap = manager.processor(id);
+    JobAllocations a;
+    AllocationWindow window;
+    ap.configure(job.program);
+    a.configure = window.take();
+    for (const auto& [port, words] : job.inputs) ap.feed(port, words);
+    a.feed = window.take();
+    const ExecStats exec = ap.run(job.expected_per_output, 200000);
+    a.run = window.take();
+    manager.release(id);
+    a.release = window.take();
+    EXPECT_TRUE(exec.completed) << job.name;
+    return a;
+  };
+  std::size_t k = 0;
+  for (const auto& job : mix) serve_fused(job, 1 + k++ % 8);  // warm-up
+
+  constexpr int kRounds = 3;
+  JobAllocations sum;
+  for (int round = 0; round < kRounds; ++round) {
+    for (const auto& job : mix) {
+      const JobAllocations a = serve_fused(job, 1 + k++ % 8);
+      sum.configure += a.configure;
+      sum.feed += a.feed;
+      sum.run += a.run;
+      sum.release += a.release;
+    }
+  }
+  EXPECT_EQ(manager.spare_processors(), 1u);
+  const double jobs = kRounds * static_cast<double>(mix.size());
+  EXPECT_LE(static_cast<double>(sum.total()) / jobs, 2.0)
+      << "configure " << sum.configure / jobs << ", feed "
+      << sum.feed / jobs << ", run " << sum.run / jobs << ", release "
+      << sum.release / jobs << " per job";
+
+  // The reset itself is free once the AP has been every size.
+  const scaling::ProcId id = manager.allocate(1);
+  AdaptiveProcessor& ap = manager.processor(id);
+  const topology::ClusterSpec spec;
+  AllocationWindow window;
+  for (int clusters = 8; clusters >= 1; --clusters) {
+    ApConfig cfg;
+    cfg.capacity = clusters * spec.stack_capacity();
+    cfg.memory_blocks = clusters * spec.memory_objects;
+    ap.reset(cfg);
+  }
+  EXPECT_EQ(window.take(), 0u);
 }
 
 }  // namespace
