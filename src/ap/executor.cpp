@@ -38,13 +38,21 @@ void Executor::rebind(const arch::Program& program) {
   nodes_.assign(program.library.size(), Node{});
   dirty_.assign(program.library.size(), 0);
   for (std::size_t i = 0; i < program.library.size(); ++i) {
-    nodes_[i].object = &program.library[i];
-    nodes_[i].arity = static_cast<std::uint8_t>(
-        arch::op_arity(program.library[i].config.opcode));
-    if (program.library[i].config.initial_token) {
-      nodes_[i].has_pending = true;
-      nodes_[i].pending_value = program.library[i].initial;
-      nodes_[i].pending_produces = true;
+    const arch::LogicalObject& object = program.library[i];
+    const arch::LocalConfig& config = object.config;
+    Node& node = nodes_[i];
+    node.object = &object;
+    node.immediate = config.immediate;
+    node.op = config.opcode;
+    node.op_class = arch::op_class(config.opcode);
+    node.produces = arch::op_produces(config.opcode);
+    node.initial_token = config.initial_token;
+    node.arity = static_cast<std::uint8_t>(arch::op_arity(config.opcode));
+    node.latency = config.latency();
+    if (node.initial_token) {
+      node.has_pending = true;
+      node.pending_value = object.initial;
+      node.pending_produces = true;
       ++pending_count_;
     }
   }
@@ -64,6 +72,7 @@ void Executor::rebind(const arch::Program& program) {
       VLSIP_REQUIRE(s < static_cast<int>(sink_node.arity),
                     "operand index exceeds opcode arity");
       sink_node.in_edges[static_cast<std::size_t>(s)] = edge_idx;
+      sink_node.in_sources[static_cast<std::size_t>(s)] = src;
     }
   }
   // Out-edge CSR in counting passes: an edge is live iff it still holds
@@ -87,7 +96,8 @@ void Executor::rebind(const arch::Program& program) {
   for (std::size_t e = 0; e < edges_.size(); ++e) {
     if (!live(e)) continue;
     Node& src = nodes_[edges_[e].source];
-    out_edges_[src.out_begin + src.out_count++] = static_cast<std::int32_t>(e);
+    out_edges_[src.out_begin + src.out_count++] =
+        OutEdge{static_cast<std::int32_t>(e), edges_[e].sink};
   }
   edge_slots_.assign(
       edges_.size() * static_cast<std::size_t>(config_.edge_capacity),
@@ -104,9 +114,14 @@ void Executor::rebind(const arch::Program& program) {
   }
   std::size_t n_sinks = 0;
   for (auto& n : nodes_) {
-    if (n.object->config.opcode == Opcode::kSink) {
+    if (n.op == Opcode::kSink) {
       n.sink_slot = static_cast<std::int32_t>(n_sinks++);
     }
+  }
+  output_slots_.clear();
+  for (const auto& [name, id] : program.outputs) {
+    (void)name;
+    output_slots_.push_back(id < nodes_.size() ? nodes_[id].sink_slot : -1);
   }
   refit(ext_, n_ext, [](ExtQueue& q) -> std::vector<Word>& { return q.buf; });
   for (auto& q : ext_) q.head = 0;
@@ -150,10 +165,14 @@ const std::vector<Word>& Executor::output(const std::string& name) const {
   return slot < 0 ? kEmpty : collected_[static_cast<std::size_t>(slot)];
 }
 
-bool Executor::inputs_ready(const Node& node) const {
-  const Opcode op = node.object->config.opcode;
-  if (op == Opcode::kConst) return true;
-  if (op == Opcode::kMerge) {
+// The fire path below (inputs_ready .. try_fire) runs once per object
+// visit; it is forced inline into process_node so each engine compiles
+// it as one unit.
+
+[[gnu::always_inline]] inline bool Executor::inputs_ready(
+    const Node& node) const {
+  if (node.op == Opcode::kConst) return true;
+  if (node.op == Opcode::kMerge) {
     for (int s = 0; s < static_cast<int>(node.arity); ++s) {
       const auto e = node.in_edges[static_cast<std::size_t>(s)];
       if (e >= 0 && edges_[static_cast<std::size_t>(e)].len > 0) return true;
@@ -176,16 +195,18 @@ bool Executor::inputs_ready(const Node& node) const {
   return true;
 }
 
-bool Executor::outputs_have_space(const Node& node) const {
-  const auto cap = static_cast<std::uint32_t>(config_.edge_capacity);
+[[gnu::always_inline]] inline bool Executor::outputs_have_space(
+    const Node& node) const {
+  const std::uint32_t cap = capacity();
   for (std::uint32_t k = 0; k < node.out_count; ++k) {
-    const auto e = out_edges_[node.out_begin + k];
+    const auto e = out_edges_[node.out_begin + k].edge;
     if (edges_[static_cast<std::size_t>(e)].len >= cap) return false;
   }
   return true;
 }
 
-Word Executor::pop_operand(Node& node, int operand) {
+[[gnu::always_inline]] inline Word Executor::pop_operand(Node& node,
+                                                         int operand) {
   const auto e = node.in_edges[static_cast<std::size_t>(operand)];
   if (e >= 0) {
     VLSIP_INVARIANT(edges_[static_cast<std::size_t>(e)].len > 0,
@@ -202,11 +223,14 @@ Word Executor::pop_operand(Node& node, int operand) {
   return w;
 }
 
-bool Executor::compute(const Node& node, const Word* args, Word& result,
-                       bool& produces, ExecStats& stats) {
-  const Opcode op = node.object->config.opcode;
-  produces = arch::op_produces(op);
-  switch (arch::op_class(op)) {
+[[gnu::always_inline]] inline bool Executor::compute(const Node& node,
+                                                     const Word* args,
+                                                     Word& result,
+                                                     bool& produces,
+                                                     ExecStats& stats) {
+  const Opcode op = node.op;
+  produces = node.produces;
+  switch (node.op_class) {
     case arch::OpClass::kIntAlu:
     case arch::OpClass::kIntMul:
     case arch::OpClass::kIntDiv:
@@ -276,7 +300,7 @@ bool Executor::compute(const Node& node, const Word* args, Word& result,
       result = args[0];  // caller passes the arrived token as args[0]
       return true;
     case Opcode::kConst:
-      result = node.object->config.immediate;
+      result = node.immediate;
       return true;
     case Opcode::kBuff:
       result = args[0];
@@ -302,14 +326,14 @@ bool Executor::compute(const Node& node, const Word* args, Word& result,
   return false;
 }
 
-bool Executor::try_push_pending(Node& node, std::uint64_t now,
-                                ExecStats& stats) {
+[[gnu::always_inline]] inline bool Executor::try_push_pending(
+    Node& node, std::uint64_t now, ExecStats& stats) {
   // Sequencer emission: one token per cycle while the hardware loop
   // runs (kIota).
   if (node.iota_remaining > 0 && now >= node.busy_until) {
     if (!outputs_have_space(node)) return false;
     for (std::uint32_t k = 0; k < node.out_count; ++k) {
-      push_edge(out_edges_[node.out_begin + k],
+      push_edge(out_edges_[node.out_begin + k].edge,
                 arch::make_word_u(node.iota_next));
       ++stats.tokens_moved;
     }
@@ -326,7 +350,7 @@ bool Executor::try_push_pending(Node& node, std::uint64_t now,
   }
   if (!outputs_have_space(node)) return false;
   for (std::uint32_t k = 0; k < node.out_count; ++k) {
-    push_edge(out_edges_[node.out_begin + k], node.pending_value);
+    push_edge(out_edges_[node.out_begin + k].edge, node.pending_value);
     ++stats.tokens_moved;
   }
   node.has_pending = false;
@@ -334,15 +358,15 @@ bool Executor::try_push_pending(Node& node, std::uint64_t now,
   return true;
 }
 
-Executor::FireResult Executor::try_fire(arch::ObjectId id, Node& node,
-                                        std::uint64_t now, ExecStats& stats) {
+[[gnu::always_inline]] inline Executor::FireResult Executor::try_fire(
+    arch::ObjectId id, Node& node, std::uint64_t now, ExecStats& stats) {
   if (node.has_pending || now < node.busy_until) return FireResult::kBlocked;
   if (node.iota_remaining > 0) return FireResult::kBlocked;  // still emitting
   if (!inputs_ready(node)) return FireResult::kBlocked;
-  const Opcode op = node.object->config.opcode;
+  const Opcode op = node.op;
   // Result production needs queue space eventually; requiring it at fire
   // time keeps tokens from being consumed into a stuck object.
-  if (arch::op_produces(op) && node.out_count > 0 &&
+  if (node.produces && node.out_count > 0 &&
       !outputs_have_space(node)) {
     return FireResult::kBlocked;
   }
@@ -407,8 +431,8 @@ Executor::FireResult Executor::try_fire(arch::ObjectId id, Node& node,
   const bool has_result = compute(node, args.data(), result, produces, stats);
   ++stats.firings;
 
-  int latency = node.object->config.latency();
-  if (arch::op_class(op) == arch::OpClass::kMemory) {
+  int latency = node.latency;
+  if (node.op_class == arch::OpClass::kMemory) {
     // Bank port model: the access occupies the addressed bank; a busy
     // bank delays completion (conflict), interleaved banks overlap.
     const auto addr =
@@ -431,26 +455,25 @@ Executor::FireResult Executor::try_fire(arch::ObjectId id, Node& node,
     node.pending_produces = true;
     ++pending_count_;
   }
-  if (op == Opcode::kBuff && node.object->config.initial_token) {
+  if (op == Opcode::kBuff && node.initial_token) {
     dirty_[id] = 1;  // delay-line state evolves
   }
   if (op == Opcode::kStore) dirty_[id] = 1;
   return FireResult::kFired;
 }
 
+template <bool kEvent>
 void Executor::process_node(std::uint32_t id, ExecStats& stats,
-                            bool& progress, bool event) {
+                            bool& progress) {
   Node& node = nodes_[id];
   if (try_push_pending(node, now_, stats)) {
     progress = true;
-    if (event) {
+    if constexpr (kEvent) {
       // Tokens landed downstream: sinks may be able to fire. An id
       // ahead of the drain cursor is scanned this same cycle, one
       // behind it next cycle — exactly the dense scan's visibility.
       for (std::uint32_t k = 0; k < node.out_count; ++k) {
-        active_.insert(
-            edges_[static_cast<std::size_t>(out_edges_[node.out_begin + k])]
-                .sink);
+        active_.insert(out_edges_[node.out_begin + k].sink);
       }
       if (node.iota_remaining > 0) active_.insert(id);  // emits again
     }
@@ -458,14 +481,13 @@ void Executor::process_node(std::uint32_t id, ExecStats& stats,
   const FireResult fr = try_fire(static_cast<arch::ObjectId>(id), node, now_,
                                  stats);
   if (fr == FireResult::kFired) progress = true;
-  if (!event) return;
+  if constexpr (!kEvent) return;
   switch (fr) {
     case FireResult::kFired:
       // Operand slots freed: upstream producers may push now.
       for (int s = 0; s < static_cast<int>(node.arity); ++s) {
-        const auto e = node.in_edges[static_cast<std::size_t>(s)];
-        if (e >= 0) {
-          active_.insert(edges_[static_cast<std::size_t>(e)].source);
+        if (node.in_edges[static_cast<std::size_t>(s)] >= 0) {
+          active_.insert(node.in_sources[static_cast<std::size_t>(s)]);
         }
       }
       // Earliest next action: push/refire once the latency elapses (a
@@ -504,17 +526,15 @@ void Executor::process_node(std::uint32_t id, ExecStats& stats,
 }
 
 bool Executor::outputs_done(std::size_t expected_per_output) const {
-  if (expected_per_output == 0) return false;
-  for (const auto& [name, id] : program_->outputs) {
-    (void)name;
-    const auto slot = id < nodes_.size() ? nodes_[id].sink_slot : -1;
+  if (expected_per_output == 0 || output_slots_.empty()) return false;
+  for (const std::int32_t slot : output_slots_) {
     if (slot < 0 ||
         collected_[static_cast<std::size_t>(slot)].size() <
             expected_per_output) {
       return false;
     }
   }
-  return !program_->outputs.empty();
+  return true;
 }
 
 ExecStats Executor::run(std::size_t expected_per_output,
@@ -539,8 +559,7 @@ ExecStats Executor::run_dense(std::size_t expected_per_output,
   while (now_ - start < max_cycles) {
     bool progress = false;
     for (std::size_t id = 0; id < nodes_.size(); ++id) {
-      process_node(static_cast<std::uint32_t>(id), stats, progress,
-                   /*event=*/false);
+      process_node<false>(static_cast<std::uint32_t>(id), stats, progress);
     }
     ++now_;
 
@@ -588,7 +607,7 @@ ExecStats Executor::run_event(std::size_t expected_per_output,
     stats.wakes += wake_.pop_due(now_, active_);
     bool progress = false;
     active_.drain_in_order([&](std::uint32_t id) {
-      process_node(id, stats, progress, /*event=*/true);
+      process_node<true>(id, stats, progress);
     });
     ++now_;
 
@@ -663,18 +682,18 @@ std::vector<std::string> Executor::diagnose() const {
   std::vector<std::string> report;
   for (std::size_t id = 0; id < nodes_.size(); ++id) {
     const Node& node = nodes_[id];
-    const Opcode op = node.object->config.opcode;
+    const Opcode op = node.op;
     if (op == Opcode::kNop) continue;
     const std::string who =
         node.object->name + " (#" + std::to_string(id) + ")";
 
-    if (node.has_pending && arch::op_produces(op) &&
+    if (node.has_pending && node.produces &&
         !outputs_have_space(node)) {
       // Find a full downstream edge to name.
       for (std::uint32_t k = 0; k < node.out_count; ++k) {
-        const auto& edge =
-            edges_[static_cast<std::size_t>(out_edges_[node.out_begin + k])];
-        if (edge.len >= static_cast<std::uint32_t>(config_.edge_capacity)) {
+        const auto& edge = edges_[static_cast<std::size_t>(
+            out_edges_[node.out_begin + k].edge)];
+        if (edge.len >= capacity()) {
           report.push_back(who + " holds a result but operand " +
                            std::to_string(edge.operand) + " queue of #" +
                            std::to_string(edge.sink) + " is full");
@@ -736,9 +755,7 @@ std::uint64_t Executor::release_wave_depth() const {
     const std::uint64_t level = wave_[n].level;
     depth = std::max(depth, level);
     for (std::uint32_t k = 0; k < nodes_[n].out_count; ++k) {
-      const auto sink =
-          edges_[static_cast<std::size_t>(out_edges_[nodes_[n].out_begin + k])]
-              .sink;
+      const auto sink = out_edges_[nodes_[n].out_begin + k].sink;
       wave_[sink].level = std::max(wave_[sink].level, level + 1);
       if (--wave_[sink].indegree == 0) wave_queue_.push_back(sink);
     }
@@ -765,7 +782,7 @@ std::uint64_t Executor::release() {
     n.fault_in_service = false;
     n.iota_remaining = 0;
     n.iota_next = 0;
-    if (n.object->config.initial_token) {
+    if (n.initial_token) {
       n.has_pending = true;
       n.pending_value = n.object->initial;
       n.pending_produces = true;
@@ -841,6 +858,10 @@ void Executor::restore(snapshot::Reader& r) {
   for (auto& e : edges_) {
     e.head = r.u32();
     e.len = r.u32();
+    // The rings wrap by compare, so a cursor past the capacity would
+    // index outside the edge's span.
+    VLSIP_REQUIRE(e.head < capacity() && e.len <= capacity(),
+                  "snapshot executor ring cursor out of range");
   }
   const std::uint64_t n_slots = r.u64();
   VLSIP_REQUIRE(n_slots == edge_slots_.size(),

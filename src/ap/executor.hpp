@@ -175,7 +175,7 @@ class Executor {
  private:
   /// Token chain between two objects. The queue is a fixed-capacity
   /// ring inside the shared `edge_slots_` arena — no per-token heap
-  /// traffic on the hot path.
+  /// traffic on the hot path. The ring wraps by compare, not division.
   struct Edge {
     arch::ObjectId source;
     arch::ObjectId sink;
@@ -184,15 +184,33 @@ class Executor {
     std::uint32_t len = 0;
   };
 
+  /// One out-list entry: the edge and the object it feeds side by side,
+  /// so waking sinks never loads the edge itself.
+  struct OutEdge {
+    std::int32_t edge;
+    arch::ObjectId sink;
+  };
+
+  /// One object's execution state. `rebind` decodes the hot fields of
+  /// the object's configuration once per datapath, so the fire path
+  /// never reads `object` or calls the out-of-line opcode tables; those
+  /// fields are derived, not checkpointed.
   struct Node {
-    const arch::LogicalObject* object = nullptr;
-    /// Chained operand edge per position, -1 if unchained; `arity`
-    /// entries are meaningful.
-    std::array<std::int32_t, arch::kMaxSources> in_edges{{-1, -1, -1}};
+    const arch::LogicalObject* object = nullptr;  // name, initial data
+    arch::Word immediate{};  // kConst value
+    arch::Opcode op = arch::Opcode::kNop;
+    arch::OpClass op_class = arch::OpClass::kNone;
+    bool produces = false;  // arch::op_produces(op)
+    bool initial_token = false;
     std::uint8_t arity = 0;
     bool has_pending = false;   // completed result awaiting push
     bool pending_produces = false;
     bool fault_in_service = false;
+    std::int32_t latency = 0;  // fabric latency, override applied
+    /// Chained operand edge per position, -1 if unchained, and the
+    /// object that edge comes from; `arity` entries are meaningful.
+    std::array<std::int32_t, arch::kMaxSources> in_edges{{-1, -1, -1}};
+    std::array<arch::ObjectId, arch::kMaxSources> in_sources{};
     arch::Word pending_value{};
     std::uint32_t out_begin = 0;  // CSR span into out_edges_
     std::uint32_t out_count = 0;
@@ -229,9 +247,10 @@ class Executor {
   ExecStats run_event(std::size_t expected_per_output,
                       std::uint64_t max_cycles);
   /// One object's slice of a cycle: push then fire, with event-mode
-  /// wake bookkeeping when `event` is set.
-  void process_node(std::uint32_t id, ExecStats& stats, bool& progress,
-                    bool event);
+  /// wake bookkeeping when `kEvent` is set. The push, fire and compute
+  /// steps below are inlined into it.
+  template <bool kEvent>
+  void process_node(std::uint32_t id, ExecStats& stats, bool& progress);
   bool outputs_done(std::size_t expected_per_output) const;
   /// Resizes the injection queues or collection buckets to `n` slots,
   /// all empty, without freeing storage: slots past `n` park their
@@ -249,18 +268,23 @@ class Executor {
   bool compute(const Node& node, const arch::Word* args, arch::Word& result,
                bool& produces, ExecStats& stats);
 
+  std::uint32_t capacity() const {
+    return static_cast<std::uint32_t>(config_.edge_capacity);
+  }
   void push_edge(std::int32_t e, arch::Word w) {
     Edge& edge = edges_[static_cast<std::size_t>(e)];
-    const std::uint32_t cap = static_cast<std::uint32_t>(config_.edge_capacity);
-    edge_slots_[static_cast<std::size_t>(e) * cap + (edge.head + edge.len) % cap] = w;
+    const std::uint32_t cap = capacity();
+    std::uint32_t at = edge.head + edge.len;
+    if (at >= cap) at -= cap;
+    edge_slots_[static_cast<std::size_t>(e) * cap + at] = w;
     ++edge.len;
   }
   arch::Word pop_edge(std::int32_t e) {
     Edge& edge = edges_[static_cast<std::size_t>(e)];
-    const std::uint32_t cap = static_cast<std::uint32_t>(config_.edge_capacity);
+    const std::uint32_t cap = capacity();
     const arch::Word w =
         edge_slots_[static_cast<std::size_t>(e) * cap + edge.head];
-    edge.head = (edge.head + 1) % cap;
+    if (++edge.head == cap) edge.head = 0;
     --edge.len;
     return w;
   }
@@ -275,7 +299,10 @@ class Executor {
   std::vector<Edge> edges_;
   std::vector<arch::Word> edge_slots_;  // edges x edge_capacity ring arena
   std::vector<Node> nodes_;
-  std::vector<std::int32_t> out_edges_;  // CSR payload for Node::out_*
+  std::vector<OutEdge> out_edges_;  // CSR payload for Node::out_*
+  /// Collection bucket of each named output in program order, -1 for an
+  /// output with no sink; outputs_done reads this, not the name map.
+  std::vector<std::int32_t> output_slots_;
   std::vector<ExtQueue> ext_;
   std::vector<std::vector<arch::Word>> collected_;  // by Node::sink_slot
   std::vector<std::uint8_t> dirty_;

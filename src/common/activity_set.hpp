@@ -6,9 +6,11 @@
 // WakeQueue turn those scans into work proportional to the *active*
 // component count:
 //
-//  - ActivitySet is a dense bitword set over ids [0, n): O(1) insert
-//    with free deduplication, cache-friendly ascending-order iteration
-//    (one 64-bit word covers 64 ids), and an ordered drain that visits
+//  - ActivitySet is a dense bitword set over ids [0, n): O(1)
+//    branch-free insert with free deduplication (no member count is
+//    kept; an insert sets its bit and its summary bit), cache-friendly
+//    ascending-order iteration (one 64-bit word covers 64 ids), and an
+//    ordered drain that visits
 //    ids exactly in the order a dense `for (id = 0; id < n; ++id)` scan
 //    would — including ids inserted *during* the drain, which are
 //    visited in the same pass iff they lie ahead of the cursor. That
@@ -50,23 +52,27 @@ class ActivitySet {
     size_ = n;
     words_.assign((n + 63) / 64, 0);
     summary_.assign((words_.size() + 63) / 64, 0);
-    count_ = 0;
   }
 
   std::size_t size() const { return size_; }
-  std::size_t count() const { return count_; }
-  bool empty() const { return count_ == 0; }
+  /// O(size / 64): members are not counted as they come and go.
+  std::size_t count() const {
+    return simd::popcount_words(words_.data(), words_.size());
+  }
+  /// O(size / 4096): reads the summary level only.
+  bool empty() const {
+    return simd::first_nonzero_word(summary_.data(), summary_.size()) >=
+           summary_.size();
+  }
 
   /// O(1). Returns true if `id` was newly inserted.
   bool insert(std::uint32_t id) {
     const std::uint64_t bit = 1ull << (id & 63);
     const std::size_t wi = id >> 6;
-    std::uint64_t& w = words_[wi];
-    if (w & bit) return false;
-    if (w == 0) summary_[wi >> 6] |= 1ull << (wi & 63);
-    w |= bit;
-    ++count_;
-    return true;
+    const std::uint64_t w = words_[wi];
+    words_[wi] = w | bit;
+    summary_[wi >> 6] |= 1ull << (wi & 63);
+    return (w & bit) == 0;
   }
 
   bool contains(std::uint32_t id) const {
@@ -81,14 +87,12 @@ class ActivitySet {
     if (!(w & bit)) return false;
     w &= ~bit;
     if (w == 0) summary_[wi >> 6] &= ~(1ull << (wi & 63));
-    --count_;
     return true;
   }
 
   void clear() {
     std::fill(words_.begin(), words_.end(), 0ull);
     std::fill(summary_.begin(), summary_.end(), 0ull);
-    count_ = 0;
   }
 
   /// Marks every id in [0, size) active — used to prime a run so the
@@ -102,7 +106,6 @@ class ActivitySet {
     std::fill(summary_.begin(), summary_.end(), ~0ull);
     const std::size_t stail = words_.size() & 63;
     if (stail) summary_.back() = (1ull << stail) - 1;
-    count_ = size_;
   }
 
   /// Ordered drain with the dense-scan insertion semantics: visits
@@ -110,33 +113,35 @@ class ActivitySet {
   /// `fn(id)`. `fn` may insert ids; an id inserted at position > the
   /// current cursor is visited in this same drain, an id <= the cursor
   /// stays set for the next drain — exactly how a dense ascending scan
-  /// sees same-cycle mutations.
+  /// sees same-cycle mutations. The drain takes a bitword at a time, so
+  /// inside `fn` the members still ahead of the cursor in the current
+  /// word read as absent to contains() and erase().
   ///
   /// The word cursor advances through the summary level, so sparse
   /// drains skip 4096 quiescent ids per summary word probe (and the
   /// probe itself tests several summary words per SIMD compare).
   template <typename Fn>
   void drain_in_order(Fn&& fn) {
-    if (count_ == 0) return;
     std::size_t wi = next_active_word(0);
     while (wi < words_.size()) {
-      // Mask of bits not yet passed by the cursor within this word.
-      std::uint64_t mask = ~0ull;
-      while (std::uint64_t cur = words_[wi] & mask) {
+      // Take the whole word; the cursor then walks its bits in a
+      // register. After each call, ids `fn` inserted strictly ahead of
+      // the cursor in this word join the walk; ids at or behind it stay
+      // in the set for the next drain.
+      std::uint64_t cur = words_[wi];
+      words_[wi] = 0;
+      summary_[wi >> 6] &= ~(1ull << (wi & 63));
+      while (cur != 0) {
         const int b = __builtin_ctzll(cur);
-        std::uint64_t& w = words_[wi];
-        w &= ~(1ull << b);
-        if (w == 0) summary_[wi >> 6] &= ~(1ull << (wi & 63));
-        --count_;
-        // The cursor moves past bit b: re-inserted bits <= b wait for
-        // the next drain.
-        mask = (b == 63) ? 0ull : ~((2ull << b) - 1);
+        cur &= cur - 1;
         fn(static_cast<std::uint32_t>(wi * 64 + static_cast<unsigned>(b)));
-        if (mask == 0) break;
+        // ~((2 << b) - 1) keeps the bits above b (none for b == 63).
+        if (const std::uint64_t ahead = words_[wi] & ~((2ull << b) - 1)) {
+          cur |= ahead;
+          words_[wi] &= ~ahead;
+          if (words_[wi] == 0) summary_[wi >> 6] &= ~(1ull << (wi & 63));
+        }
       }
-      // Bits inserted at or behind the word cursor (including back into
-      // this word under the bit cursor) wait for the next drain; the
-      // summary keeps them without further bookkeeping.
       if (wi + 1 >= words_.size()) break;
       // Dense fast path: the next word is live, so the summary walk
       // would land right back on it — one load keeps the saturated case
@@ -162,12 +167,11 @@ class ActivitySet {
   const std::vector<std::uint64_t>& words() const { return words_; }
 
   /// Restores membership from bitwords previously taken via words()
-  /// for a set of the same size; count and the summary level are
-  /// recomputed from the bits.
+  /// for a set of the same size; the summary level is recomputed from
+  /// the bits.
   void restore_words(std::size_t size, std::vector<std::uint64_t> words) {
     size_ = size;
     words_ = std::move(words);
-    count_ = simd::popcount_words(words_.data(), words_.size());
     summary_.assign((words_.size() + 63) / 64, 0);
     for (std::size_t wi = 0; wi < words_.size(); ++wi) {
       if (words_[wi] != 0) summary_[wi >> 6] |= 1ull << (wi & 63);
@@ -199,7 +203,6 @@ class ActivitySet {
   /// summary_[k] bit j = words_[k * 64 + j] != 0.
   std::vector<std::uint64_t> summary_;
   std::size_t size_ = 0;
-  std::size_t count_ = 0;
 };
 
 /// Min-heap of (cycle, id) wake-ups feeding an ActivitySet.

@@ -79,7 +79,7 @@ WorkerDaemon::Exit WorkerDaemon::run() {
           // no drain — holding the assignment just received, so the
           // hub always has work of ours to requeue.
           crash = options_.crash_after_jobs > 0 &&
-                  served_ >= options_.crash_after_jobs;
+                  ++assigned_ > options_.crash_after_jobs;
           if (crash) {
             stopping_ = true;
             exit_ = Exit::kCrashed;

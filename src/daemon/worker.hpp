@@ -20,10 +20,11 @@
 //
 // Fault injection: crash_after_jobs > 0 makes the daemon die abruptly
 // (socket torn down mid-protocol, no goodbye) on the first assignment
-// it receives after that many results have been sent — the
-// deterministic stand-in for `kill -9` in the worker-loss tests. The
-// daemon dies holding that assignment, so the hub always has in-flight
-// work of it to requeue.
+// it receives after that many assignments — the deterministic stand-in
+// for `kill -9` in the worker-loss tests. The daemon dies holding that
+// assignment, so the hub always has in-flight work of it to requeue.
+// Counting assignments, not results, keeps the crash reachable for a
+// daemon starved of CPU: the hub keeps its assignment window full.
 #pragma once
 
 #include <condition_variable>
@@ -51,7 +52,7 @@ struct WorkerOptions {
   /// Heartbeat period.
   std::uint64_t heartbeat_ms = 200;
   /// Fault injection: die abruptly (no goodbye, socket torn down) on
-  /// the first assignment received after sending this many results.
+  /// the first assignment received after this many assignments.
   /// 0 = never.
   std::uint64_t crash_after_jobs = 0;
   /// Frame payload cap enforced on every receive.
@@ -112,6 +113,7 @@ class WorkerDaemon {
   bool draining_ = false;
   bool stopping_ = false;
   std::uint64_t served_ = 0;
+  std::uint64_t assigned_ = 0;  // assignments received, for crash_after_jobs
   Exit exit_ = Exit::kLost;
 
   std::thread service_thread_;

@@ -118,6 +118,15 @@ class MetricRegistry {
            sketches_.empty();
   }
 
+  /// Exchanges contents without touching the heap (std::swap would
+  /// move-construct a temporary, and a moved-from deque allocates).
+  void swap(MetricRegistry& other) noexcept {
+    counters_.swap(other.counters_);
+    gauges_.swap(other.gauges_);
+    histograms_.swap(other.histograms_);
+    sketches_.swap(other.sketches_);
+  }
+
   /// Exact parallel reduction: counters add, gauges take the other's
   /// value (last writer wins), histograms and sketches merge.
   void merge(const MetricRegistry& other);
@@ -157,6 +166,11 @@ class MetricRegistry {
     std::size_t size() const { return ids_.size(); }
     MetricId id_at(std::size_t k) const { return ids_[k]; }
     const T& value_at(std::size_t k) const { return values_[k]; }
+    void swap(Table& other) noexcept {
+      slot_.swap(other.slot_);
+      ids_.swap(other.ids_);
+      values_.swap(other.values_);
+    }
 
    private:
     std::vector<std::uint32_t> slot_;

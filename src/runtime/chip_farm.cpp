@@ -685,7 +685,7 @@ void ChipFarm::publish_obs(Worker& worker) {
   worker.chip_obs_next = worker.retired_obs;
   worker.chip->export_obs(worker.chip_obs_next);
   std::lock_guard<std::mutex> lock(metrics_mutex_);
-  std::swap(worker.chip_obs, worker.chip_obs_next);
+  worker.chip_obs.swap(worker.chip_obs_next);
 }
 
 void ChipFarm::trace_event(obs::Layer layer, std::int64_t id,

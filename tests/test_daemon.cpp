@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <initializer_list>
 #include <map>
 #include <string>
 #include <thread>
@@ -52,6 +53,37 @@ struct WorkerThread {
   std::thread thread;
   daemon::WorkerDaemon::Exit exit = daemon::WorkerDaemon::Exit::kLost;
 };
+
+/// Stops the hub, then joins the workers, when a test leaves its scope:
+/// on the normal path and on a failed ASSERT's early return alike.
+/// Declared after the workers, so it runs before their destructors; a
+/// joinable std::thread destroyed mid-return would call std::terminate
+/// and take every later test in the binary with it. Stopping the hub
+/// closes the workers' connections, which ends their serving loops.
+class StopOnExit {
+ public:
+  StopOnExit(daemon::Hub& hub, std::initializer_list<WorkerThread*> workers)
+      : hub_(hub), workers_(workers) {}
+  StopOnExit(const StopOnExit&) = delete;
+  StopOnExit& operator=(const StopOnExit&) = delete;
+  ~StopOnExit() {
+    hub_.stop();
+    for (WorkerThread* w : workers_) w->join();
+  }
+
+ private:
+  daemon::Hub& hub_;
+  std::vector<WorkerThread*> workers_;
+};
+
+/// A hub counter, 0 if the hub never created it: a missing counter
+/// fails the comparison instead of throwing out of the test.
+std::uint64_t counter(const obs::MetricRegistry& metrics,
+                      const std::string& name) {
+  const auto counters = metrics.counters();
+  const auto it = counters.find(name);
+  return it == counters.end() ? 0 : it->second;
+}
 
 daemon::WorkerOptions worker_options(const std::string& hub,
                                      const std::string& name) {
@@ -117,6 +149,7 @@ TEST(Daemon, HubServesJobsAcrossTwoWorkers) {
 
   WorkerThread a(worker_options(hub.address(), "a"));
   WorkerThread b(worker_options(hub.address(), "b"));
+  const StopOnExit stop_on_exit(hub, {&a, &b});
   ASSERT_TRUE(a.start().ok());
   ASSERT_TRUE(b.start().ok());
 
@@ -149,12 +182,15 @@ TEST(Daemon, WorkerKillMidRunLosesNoJob) {
   ASSERT_TRUE(hub.start().ok());
 
   auto victim_options = worker_options(hub.address(), "victim");
-  // Die abruptly — no goodbye, no drain — after 20 results, with
+  // Die abruptly — no goodbye, no drain — on the 13th assignment, with
   // assignments still in flight: the deterministic stand-in for
-  // `kill -9` mid-batch.
-  victim_options.crash_after_jobs = 20;
+  // `kill -9` mid-batch. Past the first assignment window (8), so the
+  // victim has served some jobs; counted in assignments, so a victim
+  // starved of CPU still gets there.
+  victim_options.crash_after_jobs = 12;
   WorkerThread victim(std::move(victim_options));
   WorkerThread survivor(worker_options(hub.address(), "survivor"));
+  const StopOnExit stop_on_exit(hub, {&victim, &survivor});
   ASSERT_TRUE(victim.start().ok());
   ASSERT_TRUE(survivor.start().ok());
 
@@ -173,12 +209,13 @@ TEST(Daemon, WorkerKillMidRunLosesNoJob) {
   for (std::size_t i = 0; i < seqs.size(); ++i) EXPECT_EQ(seqs[i], i);
 
   const auto metrics = hub.metrics();
-  EXPECT_EQ(metrics.counters().at("hub.workers_dead"), 1u);
-  EXPECT_GT(metrics.counters().at("hub.jobs_requeued"), 0u);
+  EXPECT_EQ(counter(metrics, "hub.workers_dead"), 1u);
+  EXPECT_GT(counter(metrics, "hub.jobs_requeued"), 0u);
 
   // Semantically identical to the single-process deterministic run.
   const auto reference = reference_outcomes(jobs);
   for (const auto& r : *results) {
+    ASSERT_TRUE(reference.count(r.outcome.name)) << r.outcome.name;
     EXPECT_TRUE(canonical(r.outcome) == reference.at(r.outcome.name))
         << r.outcome.name;
   }
@@ -203,6 +240,8 @@ TEST(Daemon, DrainMigratesCheckpointByteIdentically) {
   // on fast hosts).
   drainee_options.farm.chip_hz = 50'000.0;
   WorkerThread drainee(std::move(drainee_options));
+  WorkerThread peer(worker_options(hub.address(), "peer"));
+  const StopOnExit stop_on_exit(hub, {&drainee, &peer});
   ASSERT_TRUE(drainee.start().ok());
 
   const auto jobs = mixed_jobs(40, 31);
@@ -214,7 +253,6 @@ TEST(Daemon, DrainMigratesCheckpointByteIdentically) {
 
   // Bring up the migration target only now, so every unserved job is
   // parked on the drainee when the drain lands.
-  WorkerThread peer(worker_options(hub.address(), "peer"));
   ASSERT_TRUE(peer.start().ok());
   ASSERT_TRUE(client->drain_worker(drainee.daemon.id()).ok());
 
@@ -295,6 +333,8 @@ TEST(Daemon, TruncatedSnapshotMigrationFallsBackWithZeroJobLoss) {
   drainee_options.farm.chip_hz = 50'000.0;
   drainee_options.farm.checkpoint_every_batches = 1;
   WorkerThread drainee(std::move(drainee_options));
+  WorkerThread peer(worker_options(hub.address(), "peer"));
+  const StopOnExit stop_on_exit(hub, {&drainee, &peer});
   ASSERT_TRUE(drainee.start().ok());
 
   const auto jobs = mixed_jobs(40, 59);
@@ -304,7 +344,6 @@ TEST(Daemon, TruncatedSnapshotMigrationFallsBackWithZeroJobLoss) {
   auto first = client->collect(2);
   ASSERT_TRUE(first.ok());
 
-  WorkerThread peer(worker_options(hub.address(), "peer"));
   ASSERT_TRUE(peer.start().ok());
   ASSERT_TRUE(client->drain_worker(drainee.daemon.id()).ok());
 
@@ -321,7 +360,7 @@ TEST(Daemon, TruncatedSnapshotMigrationFallsBackWithZeroJobLoss) {
   for (std::size_t i = 0; i < seqs.size(); ++i) EXPECT_EQ(seqs[i], i);
 
   const auto metrics = hub.metrics();
-  EXPECT_GE(metrics.counters().at("hub.migrations"), 1u);
+  EXPECT_GE(counter(metrics, "hub.migrations"), 1u);
 
   // The blob the peer received fails restore with a typed status.
   const auto blob = hub.last_migration();
@@ -354,6 +393,7 @@ TEST(Daemon, ClientWindowBoundsInFlightSubmissions) {
   daemon::Hub hub;
   ASSERT_TRUE(hub.start().ok());
   WorkerThread w(worker_options(hub.address(), "w"));
+  const StopOnExit stop_on_exit(hub, {&w});
   ASSERT_TRUE(w.start().ok());
 
   net::HubClient::Options copts{hub.address(), "test"};
@@ -384,9 +424,10 @@ TEST(Daemon, FiveHundredJobSweepSurvivesWorkerLoss) {
   ASSERT_TRUE(hub.start().ok());
 
   auto victim_options = worker_options(hub.address(), "victim");
-  victim_options.crash_after_jobs = 50;
+  victim_options.crash_after_jobs = 24;
   WorkerThread victim(std::move(victim_options));
   WorkerThread survivor(worker_options(hub.address(), "survivor"));
+  const StopOnExit stop_on_exit(hub, {&victim, &survivor});
   ASSERT_TRUE(victim.start().ok());
   ASSERT_TRUE(survivor.start().ok());
 
@@ -405,9 +446,9 @@ TEST(Daemon, FiveHundredJobSweepSurvivesWorkerLoss) {
   EXPECT_EQ(completed, jobs.size());
 
   const auto metrics = hub.metrics();
-  EXPECT_EQ(metrics.counters().at("hub.jobs_submitted"), 500u);
-  EXPECT_EQ(metrics.counters().at("hub.jobs_completed"), 500u);
-  EXPECT_EQ(metrics.counters().at("hub.workers_dead"), 1u);
+  EXPECT_EQ(counter(metrics, "hub.jobs_submitted"), 500u);
+  EXPECT_EQ(counter(metrics, "hub.jobs_completed"), 500u);
+  EXPECT_EQ(counter(metrics, "hub.workers_dead"), 1u);
 
   ASSERT_TRUE(client->shutdown_hub().ok());
   hub.wait();
@@ -491,6 +532,7 @@ TEST(Daemon, MetricsReportIsWellFormedJson) {
   daemon::Hub hub;
   ASSERT_TRUE(hub.start().ok());
   WorkerThread w(worker_options(hub.address(), "w"));
+  const StopOnExit stop_on_exit(hub, {&w});
   ASSERT_TRUE(w.start().ok());
 
   auto client = net::HubClient::connect({hub.address(), "test"});

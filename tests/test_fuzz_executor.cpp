@@ -135,20 +135,24 @@ std::vector<std::int64_t> reference_wave(
   return out;
 }
 
-class ExecutorFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+/// Token ring depths the sweeps cover: a single slot, the default
+/// double buffer, and odd sizes whose rings wrap mid-stream.
+constexpr int kEdgeCapacities[] = {1, 2, 3, 5};
 
-TEST_P(ExecutorFuzz, MatchesReferenceOverWaves) {
-  const auto seed = GetParam();
-  const auto dag = make_dag(seed);
-
+/// Feeds `waves` random input waves into `dag` on an AP with the given
+/// object-space and edge capacities, runs it to completion and checks
+/// every output of every wave against reference_wave.
+void expect_matches_reference(const FuzzDag& dag, std::uint64_t input_seed,
+                              int capacity, int edge_capacity,
+                              std::size_t waves) {
   ap::ApConfig cfg;
-  cfg.capacity = 64;
+  cfg.capacity = capacity;
   cfg.memory_blocks = 4;
+  cfg.exec.edge_capacity = edge_capacity;
   ap::AdaptiveProcessor ap(cfg);
   ap.configure(dag.program);
 
-  Xoshiro256 rng(seed ^ 0xABCDEF);
-  const std::size_t waves = 4;
+  Xoshiro256 rng(input_seed);
   std::vector<std::vector<std::int64_t>> wave_inputs(waves);
   for (auto& wave : wave_inputs) {
     for (std::size_t i = 0; i < dag.n_inputs; ++i) {
@@ -160,8 +164,9 @@ TEST_P(ExecutorFuzz, MatchesReferenceOverWaves) {
       ap.feed("in" + std::to_string(i), arch::make_word_i(wave[i]));
     }
   }
-  const auto exec = ap.run(waves, 200000);
-  ASSERT_TRUE(exec.completed) << "seed " << seed;
+  const auto exec = ap.run(waves, 2000000);
+  ASSERT_TRUE(exec.completed)
+      << "capacity " << capacity << " edge capacity " << edge_capacity;
 
   for (std::size_t w = 0; w < waves; ++w) {
     const auto expected = reference_wave(dag, wave_inputs[w]);
@@ -169,7 +174,22 @@ TEST_P(ExecutorFuzz, MatchesReferenceOverWaves) {
       const auto& got = ap.output("out" + std::to_string(o));
       ASSERT_GT(got.size(), w);
       EXPECT_EQ(got[w].i, expected[o])
-          << "seed " << seed << " wave " << w << " output " << o;
+          << "capacity " << capacity << " edge capacity " << edge_capacity
+          << " wave " << w << " output " << o;
+    }
+  }
+}
+
+class ExecutorFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(ExecutorFuzz, MatchesReferenceOverWaves) {
+  const auto seed = GetParam();
+  const auto dag = make_dag(seed);
+  for (const int capacity : {64, 6}) {
+    for (const int edge_capacity : kEdgeCapacities) {
+      SCOPED_TRACE("seed " + std::to_string(seed));
+      expect_matches_reference(dag, seed ^ 0xABCDEF, capacity, edge_capacity,
+                               4);
     }
   }
 }
@@ -179,27 +199,12 @@ INSTANTIATE_TEST_SUITE_P(Sweep, ExecutorFuzz,
 
 TEST(ExecutorFuzz, TinyCapacityStillMatches) {
   // The same DAGs squeezed through a 6-slot object space: virtual
-  // hardware must not change any value.
+  // hardware must not change any value, at any ring depth.
   for (std::uint64_t seed : {3ull, 7ull, 11ull}) {
     const auto dag = make_dag(seed);
-    ap::ApConfig cfg;
-    cfg.capacity = 6;
-    cfg.memory_blocks = 4;
-    ap::AdaptiveProcessor ap(cfg);
-    ap.configure(dag.program);
-    std::vector<std::int64_t> wave;
-    Xoshiro256 rng(seed * 99);
-    for (std::size_t i = 0; i < dag.n_inputs; ++i) {
-      const auto v = rng.uniform_range(-50, 50);
-      wave.push_back(v);
-      ap.feed("in" + std::to_string(i), arch::make_word_i(v));
-    }
-    const auto exec = ap.run(1, 2000000);
-    ASSERT_TRUE(exec.completed) << "seed " << seed;
-    const auto expected = reference_wave(dag, wave);
-    for (std::size_t o = 0; o < dag.output_nodes.size(); ++o) {
-      EXPECT_EQ(ap.output("out" + std::to_string(o))[0].i, expected[o])
-          << "seed " << seed;
+    for (const int edge_capacity : kEdgeCapacities) {
+      SCOPED_TRACE("seed " + std::to_string(seed));
+      expect_matches_reference(dag, seed * 99, 6, edge_capacity, 1);
     }
   }
 }

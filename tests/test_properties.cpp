@@ -4,8 +4,11 @@
 
 #include <chrono>
 #include <cstdint>
+#include <fstream>
 #include <future>
 #include <memory>
+#include <sstream>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -404,12 +407,13 @@ void expect_energy_identical(const cost::EnergyActivity& a,
 
 DiffRun run_engine(const DiffDag& dag, std::uint64_t seed, bool event,
                    int capacity, std::size_t waves,
-                   std::size_t starve_inputs) {
+                   std::size_t starve_inputs, int edge_capacity = 2) {
   ap::ApConfig cfg;
   cfg.capacity = capacity;
   cfg.memory_blocks = 4;
   cfg.enable_trace = true;
   cfg.exec.event_driven = event;
+  cfg.exec.edge_capacity = edge_capacity;
   cfg.exec.deadlock_window = 600;
   ap::AdaptiveProcessor ap(cfg);
   ap.configure(dag.program);
@@ -544,6 +548,102 @@ TEST(EventEngineEquivalenceTest, DeadlockDiagnosisIdentical) {
   EXPECT_TRUE(dense.exec.deadlocked);
   EXPECT_FALSE(dense.exec.blocked_report.empty());
   expect_identical(dense, event, 0);
+}
+
+// ---- Golden: executor timing is pinned, not only engine-vs-engine ------------
+//
+// The dense and event engines share one fire path, so the wall above
+// cannot see a change to it. This test pins every ExecStats count of the
+// event engine, plus digests of the outputs, the blocked report and the
+// trace, over the same 100 DAGs in a roomy (64) and a starved (6) object
+// space at edge capacities 1, 2 and 3, against tests/golden/
+// exec_stats.txt. Any moved count fails; on a mismatch the produced
+// table is written to exec_stats_actual.txt in the working directory.
+
+std::uint64_t fnv1a(std::uint64_t h, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (v >> (8 * i)) & 0xFF;
+    h *= 0x100000001B3ull;
+  }
+  return h;
+}
+
+std::uint64_t fnv1a(std::uint64_t h, const std::string& bytes) {
+  for (const unsigned char c : bytes) {
+    h ^= c;
+    h *= 0x100000001B3ull;
+  }
+  return fnv1a(h, bytes.size());
+}
+
+constexpr std::uint64_t kFnvBasis = 0xCBF29CE484222325ull;
+
+std::string exec_stats_line(std::uint64_t seed, int capacity, int ec,
+                            const DiffRun& run) {
+  const auto& x = run.exec;
+  std::uint64_t blocked = kFnvBasis;
+  for (const auto& line : x.blocked_report) blocked = fnv1a(blocked, line);
+  std::uint64_t outputs = kFnvBasis;
+  for (const auto& [name, values] : run.outputs) {
+    outputs = fnv1a(outputs, name);
+    for (const auto v : values) {
+      outputs = fnv1a(outputs, static_cast<std::uint64_t>(v));
+    }
+    outputs = fnv1a(outputs, values.size());
+  }
+  std::uint64_t trace = kFnvBasis;
+  for (const auto& e : run.trace) {
+    trace = fnv1a(fnv1a(fnv1a(trace, e.cycle), e.category), e.message);
+  }
+  std::ostringstream out;
+  out << "seed=" << seed << " cap=" << capacity << " ec=" << ec
+      << " cycles=" << x.cycles << " firings=" << x.firings
+      << " tokens=" << x.tokens_moved << " int=" << x.int_ops
+      << " float=" << x.float_ops << " mem=" << x.mem_ops
+      << " transport=" << x.transport_ops << " faults=" << x.faults
+      << " fault_cycles=" << x.fault_cycles
+      << " release=" << x.release_tokens << " idle=" << x.idle_cycles
+      << " wakes=" << x.wakes << " skips=" << x.quiescence_skips
+      << " deadlocked=" << x.deadlocked << " completed=" << x.completed
+      << std::hex << " blocked=" << blocked << " outputs=" << outputs
+      << " trace=" << trace << std::dec << "\n";
+  return out.str();
+}
+
+TEST(ExecStatsGolden, EventEngineCountsMatchRecorded) {
+  std::string actual;
+  for (std::uint64_t seed = 1; seed <= 100; ++seed) {
+    const auto dag = make_diff_dag(seed);
+    const std::size_t starve = (seed % 7 == 0) ? 1 : 0;
+    for (const int capacity : {6, 64}) {
+      for (const int ec : {1, 2, 3}) {
+        const auto run =
+            run_engine(dag, seed, true, capacity, 3, starve, ec);
+        actual += exec_stats_line(seed, capacity, ec, run);
+      }
+    }
+  }
+  std::ifstream in(std::string(VLSIP_GOLDEN_DIR) + "/exec_stats.txt",
+                   std::ios::binary);
+  std::ostringstream golden;
+  golden << in.rdbuf();
+  EXPECT_FALSE(golden.str().empty()) << "missing golden file exec_stats.txt";
+  if (actual != golden.str()) {
+    std::ofstream("exec_stats_actual.txt", std::ios::binary) << actual;
+    std::istringstream want(golden.str());
+    std::istringstream got(actual);
+    std::string w;
+    std::string g;
+    int shown = 0;
+    while (std::getline(want, w) && std::getline(got, g) && shown < 5) {
+      if (w != g) {
+        ADD_FAILURE() << "expected " << w << "\n     got " << g;
+        ++shown;
+      }
+    }
+    ADD_FAILURE() << "exec stats differ from tests/golden/exec_stats.txt; "
+                     "actual table written to exec_stats_actual.txt";
+  }
 }
 
 // ---- Property: checkpoint/restore is invisible to the simulation --------------

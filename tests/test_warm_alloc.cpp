@@ -13,7 +13,9 @@
 #include <vector>
 
 #include "ap/adaptive_processor.hpp"
+#include "core/vlsi_processor.hpp"
 #include "noc/noc_fabric.hpp"
+#include "obs/metrics.hpp"
 #include "scaling/scaling_manager.hpp"
 #include "topology/s_topology.hpp"
 #include "workload/kernels.hpp"
@@ -203,6 +205,39 @@ TEST(WarmAlloc, FirstJobOnRecycledProcessor) {
     ap.reset(cfg);
   }
   EXPECT_EQ(window.take(), 0u);
+}
+
+TEST(WarmAlloc, ChipObsPublicationAllocatesNothing) {
+  // The farm's post-batch publication (ChipFarm::publish_obs): copy the
+  // probes of retired chips, usually none, into the spare registry,
+  // export the live chip on top, swap it with the published one. Once
+  // both registries have held a full export, publishing must not touch
+  // the heap.
+  const std::vector<scaling::Job> mix = kernel_mix();
+  core::VlsiProcessor chip{core::ChipConfig{}};
+  std::size_t k = 0;
+  for (const auto& job : mix) {
+    const scaling::ProcId id = chip.fuse(1 + k++ % 8);
+    ASSERT_NE(id, scaling::kNoProc);
+    const auto result = chip.run_program(id, job.program, job.inputs,
+                                         job.expected_per_output, 200000);
+    EXPECT_TRUE(result.exec.completed) << job.name;
+    chip.release(id);
+  }
+  const obs::MetricRegistry retired;
+  obs::MetricRegistry published;
+  obs::MetricRegistry next;
+  const auto publish = [&] {
+    next = retired;
+    chip.export_obs(next);
+    published.swap(next);
+  };
+  publish();
+  publish();
+  AllocationWindow window;
+  for (int batch = 0; batch < 8; ++batch) publish();
+  EXPECT_EQ(window.take(), 0u);
+  EXPECT_FALSE(published.empty());
 }
 
 }  // namespace
