@@ -910,12 +910,19 @@ void Executor::restore(snapshot::Reader& r) {
   const std::uint64_t active_size = r.u64();
   VLSIP_REQUIRE(active_size == nodes_.size(),
                 "snapshot executor activity-set mismatch");
-  active_.restore_words(static_cast<std::size_t>(active_size), r.vec_u64());
+  if (!active_.restore_words(static_cast<std::size_t>(active_size),
+                             r.vec_u64())) {
+    throw snapshot::SnapshotError("snapshot executor activity words corrupt");
+  }
   wake_.clear();
   const std::uint64_t n_wakes = r.count(12);
   for (std::uint64_t i = 0; i < n_wakes; ++i) {
     const std::uint64_t when = r.u64();
     const std::uint32_t id = r.u32();
+    // A drain inserts every woken id into the activity set unchecked.
+    if (id >= nodes_.size()) {
+      throw snapshot::SnapshotError("snapshot executor wake names no node");
+    }
     wake_.push_raw(when, id);
   }
   pending_count_ = static_cast<std::size_t>(r.u64());

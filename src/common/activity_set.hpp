@@ -167,15 +167,21 @@ class ActivitySet {
   const std::vector<std::uint64_t>& words() const { return words_; }
 
   /// Restores membership from bitwords previously taken via words()
-  /// for a set of the same size; the summary level is recomputed from
-  /// the bits.
-  void restore_words(std::size_t size, std::vector<std::uint64_t> words) {
+  /// for a set of `size` ids; the summary level is recomputed from the
+  /// bits. Returns false, leaving the set as it was, when no such set
+  /// has these words: a word count other than ceil(size / 64), or a
+  /// bit at an id >= size.
+  [[nodiscard]] bool restore_words(std::size_t size,
+                                   std::vector<std::uint64_t> words) {
+    if (words.size() != (size + 63) / 64) return false;
+    if (size % 64 != 0 && (words.back() >> (size % 64)) != 0) return false;
     size_ = size;
     words_ = std::move(words);
     summary_.assign((words_.size() + 63) / 64, 0);
     for (std::size_t wi = 0; wi < words_.size(); ++wi) {
       if (words_[wi] != 0) summary_[wi >> 6] |= 1ull << (wi & 63);
     }
+    return true;
   }
 
  private:

@@ -203,11 +203,8 @@ bool WorkerDaemon::handle_resume(net::CheckpointMsg checkpoint) {
   std::vector<scaling::JobOutcome> outcomes;
   try {
     core::VlsiProcessor chip(options_.farm.chip);
-    runtime::ReplayOptions replay_options;
-    replay_options.default_max_cycles = options_.farm.default_max_cycles;
-    outcomes =
-        runtime::replay_from(chip, checkpoint.chip, checkpoint.log,
-                             replay_options);
+    outcomes = runtime::replay_from(chip, checkpoint.chip, checkpoint.log,
+                                    options_.farm.default_max_cycles);
   } catch (const snapshot::SnapshotError&) {
     // Corrupt blob or geometry mismatch: the checkpointed chip state is
     // unusable, but the jobs themselves are intact — serve them as

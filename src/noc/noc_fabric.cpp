@@ -396,11 +396,15 @@ void NocFabric::restore(snapshot::Reader& r) {
     for (std::uint64_t i = 0; i < len; ++i) q.buf.push_back(restore_flit(r));
     q.head = static_cast<std::size_t>(r.u64());
   }
-  const std::uint64_t feed_nodes_size = r.u64();
-  feed_nodes_.restore_words(static_cast<std::size_t>(feed_nodes_size),
-                            r.vec_u64());
-  const std::uint64_t active_size = r.u64();
-  active_.restore_words(static_cast<std::size_t>(active_size), r.vec_u64());
+  // Both sets index the router table; a drain visits their ids
+  // unchecked.
+  for (ActivitySet* set : {&feed_nodes_, &active_}) {
+    const std::uint64_t size = r.u64();
+    if (size != routers_.size() ||
+        !set->restore_words(routers_.size(), r.vec_u64())) {
+      throw snapshot::SnapshotError("snapshot NoC activity set corrupt");
+    }
+  }
   flows_.clear();
   const std::uint64_t n_flows = r.count(40);
   flows_.reserve(static_cast<std::size_t>(n_flows));

@@ -118,19 +118,16 @@ void ReplayLog::restore(snapshot::Reader& r) {
 
 std::vector<scaling::JobOutcome> replay_from(
     core::VlsiProcessor& chip, const snapshot::Snapshot& checkpoint,
-    const ReplayLog& log, const ReplayOptions& options) {
+    const ReplayLog& log, std::uint64_t default_max_cycles) {
   {
     snapshot::Reader r(checkpoint);
     chip.restore(r);
   }
-  scaling::RunJobOptions run_options;
-  run_options.compact_on_fragmentation = options.compact_on_fragmentation;
-  run_options.default_max_cycles = options.default_max_cycles;
   std::vector<scaling::JobOutcome> outcomes;
   outcomes.reserve(log.jobs.size() - log.next_job);
   for (std::size_t i = log.next_job; i < log.jobs.size(); ++i) {
     scaling::JobOutcome outcome =
-        scaling::run_job(chip.manager(), log.jobs[i], run_options);
+        scaling::run_job(chip.manager(), log.jobs[i], default_max_cycles);
     outcome.resumed_from_cycle = log.checkpoint_tick;
     outcomes.push_back(std::move(outcome));
   }

@@ -5,10 +5,11 @@
 // job stream (program, inputs, placement, budgets) plus the index of
 // the first job not yet served when the checkpoint was taken; the pair
 // (chip snapshot, replay log) is a complete resumable session. Both
-// halves serialise through the same snapshot::Writer/Reader codecs, so
-// a .vsnap file written by `vlsipc snapshot` carries them side by side
-// and `vlsipc resume` picks up exactly where the interrupted run
-// stopped.
+// halves serialise through the same snapshot::Writer/Reader codecs; a
+// draining worker ships them side by side in one net::CheckpointMsg and
+// the peer replays them (docs/DISTRIBUTED.md). `vlsipc snapshot` and
+// `resume` carry no ReplayLog: their .vsnap is a "vlsipc.session" (one
+// program, its budgets and stats, and the AP checkpoint).
 //
 // replay_from() is the driver: restore the checkpoint into a chip, then
 // serve jobs [log.next_job ..) sequentially — single-threaded, virtual
@@ -54,19 +55,14 @@ scaling::Job restore_job(snapshot::Reader& r);
 void save_outcome(snapshot::Writer& w, const scaling::JobOutcome& outcome);
 scaling::JobOutcome restore_outcome(snapshot::Reader& r);
 
-struct ReplayOptions {
-  /// Cycle budget for jobs that don't carry their own.
-  std::uint64_t default_max_cycles = 1u << 22;
-  /// Compact the chip when an allocation attempt fails fragmented.
-  bool compact_on_fragmentation = true;
-};
-
 /// Restores `checkpoint` into `chip` (which must be constructed with
 /// the geometry the checkpoint was saved from) and serves
-/// log.jobs[log.next_job ..] in admission order. Throws
-/// snapshot::SnapshotError on a corrupt or mismatched checkpoint.
+/// log.jobs[log.next_job ..] in admission order through
+/// scaling::run_job, with `default_max_cycles` for jobs that carry no
+/// budget of their own. Throws snapshot::SnapshotError on a corrupt or
+/// mismatched checkpoint.
 std::vector<scaling::JobOutcome> replay_from(
     core::VlsiProcessor& chip, const snapshot::Snapshot& checkpoint,
-    const ReplayLog& log, const ReplayOptions& options = {});
+    const ReplayLog& log, std::uint64_t default_max_cycles = 1u << 22);
 
 }  // namespace vlsip::runtime

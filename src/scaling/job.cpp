@@ -70,19 +70,11 @@ JobOutcome run_job_on(ScalingManager& manager, ProcId proc, const Job& job,
 }
 
 JobOutcome run_job(ScalingManager& manager, const Job& job,
-                   const RunJobOptions& options, bool* compacted_out) {
-  const std::size_t clusters =
-      options.clusters != 0 ? options.clusters : job.requested_clusters;
-  if (compacted_out != nullptr) *compacted_out = false;
-
+                   std::uint64_t default_max_cycles) {
+  const std::size_t clusters = job.requested_clusters;
   ProcId proc = manager.allocate(clusters);
-  if (proc == kNoProc && options.compact_on_fragmentation) {
-    if (manager.compact() > 0) {
-      proc = manager.allocate(clusters);
-      if (proc != kNoProc && compacted_out != nullptr) {
-        *compacted_out = true;
-      }
-    }
+  if (proc == kNoProc && manager.compact() > 0) {
+    proc = manager.allocate(clusters);
   }
   if (proc == kNoProc) {
     JobOutcome outcome;
@@ -94,8 +86,7 @@ JobOutcome run_job(ScalingManager& manager, const Job& job,
     return outcome;
   }
 
-  JobOutcome outcome =
-      run_job_on(manager, proc, job, options.default_max_cycles);
+  JobOutcome outcome = run_job_on(manager, proc, job, default_max_cycles);
   manager.release(proc);
   return outcome;
 }

@@ -11,7 +11,7 @@
 // on an already-fused processor, without allocating or releasing it —
 // callers own placement, so a batcher can amortise one configuration
 // wormhole over many jobs. run_job() is the convenience wrapper that
-// also allocates (with optional compaction) and releases.
+// also allocates (compacting on fragmentation) and releases.
 #pragma once
 
 #include <cstdint>
@@ -96,21 +96,10 @@ struct JobOutcome {
 JobOutcome run_job_on(ScalingManager& manager, ProcId proc, const Job& job,
                       std::uint64_t default_max_cycles);
 
-struct RunJobOptions {
-  /// Allocation size; 0 = job.requested_clusters (static-CMP baselines
-  /// pass their fixed processor size instead).
-  std::size_t clusters = 0;
-  /// Compact the chip when the first allocation attempt fails.
-  bool compact_on_fragmentation = true;
-  std::uint64_t default_max_cycles = 1u << 22;
-};
-
-/// Allocate (compacting on fragmentation if allowed) + run_job_on +
-/// release. On allocation failure returns status kNoAllocation. If
-/// `compacted_out` is non-null it is set when a compaction rescued the
-/// allocation.
+/// Allocate job.requested_clusters (compacting the chip when the first
+/// attempt fails) + run_job_on + release. On allocation failure returns
+/// status kNoAllocation.
 JobOutcome run_job(ScalingManager& manager, const Job& job,
-                   const RunJobOptions& options = {},
-                   bool* compacted_out = nullptr);
+                   std::uint64_t default_max_cycles = 1u << 22);
 
 }  // namespace vlsip::scaling

@@ -175,19 +175,6 @@ std::string render_report(const JobStream& stream,
   return out.str();
 }
 
-/// Pairs each stream job with its outcome (null = never served).
-std::string render_local(const JobStream& stream, const Served& served) {
-  std::map<std::string, const JobOutcome*> by_name;
-  for (const auto& outcome : served.log) by_name[outcome.name] = &outcome;
-  std::vector<const JobOutcome*> outcomes;
-  outcomes.reserve(stream.jobs.size());
-  for (const TimedJob& timed : stream.jobs) {
-    const auto it = by_name.find(timed.job.name);
-    outcomes.push_back(it == by_name.end() ? nullptr : it->second);
-  }
-  return render_report(stream, outcomes, served.final_tick);
-}
-
 /// Manifest and synthetic jobs: arrival 0, no deadline, no kernel.
 JobStream untimed(std::vector<scaling::Job> jobs) {
   JobStream stream;
@@ -198,15 +185,21 @@ JobStream untimed(std::vector<scaling::Job> jobs) {
   return stream;
 }
 
+constexpr const char* kSynthetic = "@synthetic:";
+
 const Status kEmptyStream(StatusCode::kInvalidArgument,
                           "the job stream is empty — build it from a pack "
                           "first");
 
 }  // namespace
 
+bool is_pack_ref(const std::string& ref, bool pack_files) {
+  return ref.rfind(kSynthetic, 0) != 0 &&
+         (pack_files || ref.rfind("@preset:", 0) == 0);
+}
+
 StatusOr<JobStream> load_jobs(const std::string& ref, bool pack_files,
                               std::uint64_t seed, std::size_t jobs) {
-  constexpr const char* kSynthetic = "@synthetic:";
   if (ref.rfind(kSynthetic, 0) == 0) {
     // @synthetic:N[:seed]
     const auto fields = ref_integers(ref, std::strlen(kSynthetic), 2);
@@ -216,7 +209,7 @@ StatusOr<JobStream> load_jobs(const std::string& ref, bool pack_files,
     if (fields->size() == 2) spec.seed = (*fields)[1];
     return untimed(runtime::synthetic_jobs(spec));
   }
-  if (pack_files || ref.rfind("@preset:", 0) == 0) {
+  if (is_pack_ref(ref, pack_files)) {
     auto pack = load_pack(ref);
     if (!pack.ok()) return pack.status();
     JobStreamBuilder builder;
@@ -314,24 +307,26 @@ StatusOr<RemoteServed> serve_remote(const JobStream& stream,
   return remote;
 }
 
-StatusOr<std::string> run_pack(const JobStream& stream,
-                               const runtime::FarmConfig& config) {
+StatusOr<std::string> pack_report(const JobStream& stream,
+                                  const Served& served) {
   if (stream.jobs.empty()) return kEmptyStream;
-  try {
-    return render_local(stream, serve(stream, config));
-  } catch (const std::exception& e) {
-    return Status(StatusCode::kInvalidArgument,
-                  std::string("pack run failed: ") + e.what());
-  }
-}
-
-StatusOr<std::string> run_pack(const JobStream& stream, const HubTarget& hub) {
-  if (stream.jobs.empty()) return kEmptyStream;
-  auto remote = serve_remote(stream, hub);
-  if (!remote.ok()) return remote.status();
+  std::map<std::string, const JobOutcome*> by_name;
+  for (const auto& outcome : served.log) by_name[outcome.name] = &outcome;
   std::vector<const JobOutcome*> outcomes;
   outcomes.reserve(stream.jobs.size());
-  for (const auto& outcome : remote->outcomes) {
+  for (const TimedJob& timed : stream.jobs) {
+    const auto it = by_name.find(timed.job.name);
+    outcomes.push_back(it == by_name.end() ? nullptr : it->second);
+  }
+  return render_report(stream, outcomes, served.final_tick);
+}
+
+StatusOr<std::string> pack_report(const JobStream& stream,
+                                  const RemoteServed& remote) {
+  if (stream.jobs.empty()) return kEmptyStream;
+  std::vector<const JobOutcome*> outcomes;
+  outcomes.reserve(stream.jobs.size());
+  for (const auto& outcome : remote.outcomes) {
     outcomes.push_back(outcome ? &*outcome : nullptr);
   }
   return render_report(stream, outcomes, 0);
@@ -398,8 +393,7 @@ JobStream restore_stream(snapshot::Reader& r) {
   return stream;
 }
 
-StatusOr<std::string> run_pack_replay(const JobStream& stream,
-                                      const runtime::FarmConfig& config) {
+StatusOr<JobStream> replay_stream(const JobStream& stream) {
   try {
     snapshot::Snapshot snap;
     snapshot::Writer w(snap);
@@ -407,7 +401,7 @@ StatusOr<std::string> run_pack_replay(const JobStream& stream,
     snapshot::Reader r(snap);
     JobStream restored = restore_stream(r);
     VLSIP_REQUIRE(r.done(), "trailing bytes after the encoded stream");
-    return run_pack(restored, config);
+    return restored;
   } catch (const snapshot::SnapshotError& e) {
     return Status(StatusCode::kCorruptSnapshot, e.what());
   } catch (const std::exception& e) {

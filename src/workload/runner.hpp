@@ -5,15 +5,15 @@
 // verb renders the Served result. serve_remote() is the same stream
 // through net::HubClient.
 //
-// run_pack() renders a pack stream's schema-versioned workload-pack
+// pack_report() renders a pack stream's schema-versioned workload-pack
 // report (per-kernel latency/energy percentiles and outcome counts)
 // from either serve. Served locally in deterministic mode it is
 // byte-identical per seed: timestamps come from the virtual cycle
 // clock and every aggregate is exact integer math. Remote timestamps
 // are worker wall clocks, so byte-identity is local-only.
-// run_pack_replay() serves a stream after a round trip through the
-// snapshot codec (save_stream()/restore_stream()); its report must
-// equal a direct run_pack() byte for byte.
+// replay_stream() round-trips a stream through the snapshot codec
+// (save_stream()/restore_stream()); serving that copy must give the
+// same report byte for byte.
 #pragma once
 
 #include <cstdint>
@@ -43,6 +43,10 @@ inline constexpr std::uint64_t kPackReportVersion = 1;
 /// a malformed ref or manifest, kIoError on an unreadable pack spec.
 StatusOr<JobStream> load_jobs(const std::string& ref, bool pack_files = false,
                               std::uint64_t seed = 0, std::size_t jobs = 0);
+
+/// True when load_jobs(ref, pack_files) reads a scenario pack, the one
+/// kind of ref whose seed and job count `seed` / `jobs` replace.
+bool is_pack_ref(const std::string& ref, bool pack_files);
 
 /// Everything one local serve produced.
 struct Served {
@@ -99,11 +103,14 @@ StatusOr<RemoteServed> serve_remote(const JobStream& stream,
                                     const HubTarget& hub,
                                     const HubControl& control = {});
 
-/// Serves a pack stream locally and returns the rendered JSON report.
-StatusOr<std::string> run_pack(const JobStream& stream,
-                               const runtime::FarmConfig& config);
-/// The same report from a serve through the hub at `hub`.
-StatusOr<std::string> run_pack(const JobStream& stream, const HubTarget& hub);
+/// The pack report of a finished serve of `stream`: a local Served
+/// (timestamps on the farm clock) or a RemoteServed (final_tick 0).
+/// kInvalidArgument on an empty stream.
+StatusOr<std::string> pack_report(const JobStream& stream,
+                                  const Served& served);
+StatusOr<std::string> pack_report(const JobStream& stream,
+                                  const RemoteServed& remote);
+
 
 /// Snapshot codec for a stream: the pack fields, then every timed job
 /// through runtime::save_job.
@@ -111,9 +118,8 @@ void save_stream(snapshot::Writer& w, const JobStream& stream);
 /// Throws snapshot::SnapshotError on malformed bytes.
 JobStream restore_stream(snapshot::Reader& r);
 
-/// run_pack() on the save_stream()/restore_stream() round trip of
-/// `stream`.
-StatusOr<std::string> run_pack_replay(const JobStream& stream,
-                                      const runtime::FarmConfig& config);
+/// `stream` after a save_stream()/restore_stream() round trip: what
+/// `--mode replay` serves. kCorruptSnapshot when the codec fails.
+StatusOr<JobStream> replay_stream(const JobStream& stream);
 
 }  // namespace vlsip::workload

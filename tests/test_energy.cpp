@@ -182,7 +182,7 @@ scaling::Job tiny_job(const std::string& name, int stages = 3,
 std::uint64_t run_one_job(core::VlsiProcessor& chip) {
   const auto before = chip.energy_total_fj();
   const auto outcome =
-      scaling::run_job(chip.manager(), tiny_job("meter"), {});
+      scaling::run_job(chip.manager(), tiny_job("meter"));
   EXPECT_TRUE(outcome.completed);
   return chip.energy_total_fj() - before;
 }

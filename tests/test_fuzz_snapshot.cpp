@@ -23,6 +23,7 @@
 #include "core/vlsi_processor.hpp"
 #include "fault/fault_plan.hpp"
 #include "live_table.hpp"
+#include "noc/noc_fabric.hpp"
 #include "runtime/chip_farm.hpp"
 #include "runtime/farm_config_builder.hpp"
 #include "runtime/manifest.hpp"
@@ -238,6 +239,183 @@ TEST(FuzzSnapshot, MalformedWsrfAndLibraryFailTyped) {
     core::VlsiProcessor chip{core::ChipConfig{}};
     Status restored = Status::Ok();
     ASSERT_NO_THROW(restored = chip.restore(inputs[i])) << "input " << i;
+    EXPECT_EQ(restored.code(), StatusCode::kCorruptSnapshot)
+        << "input " << i << ": " << restored.message();
+  }
+}
+
+/// Offsets inside one snapshot of the activity state that drains visit
+/// unchecked: each ActivitySet's u64 size (its u64 word count and words
+/// follow) and the executor's u64 wake count.
+struct ActivityAt {
+  std::size_t exec_active = 0;  // "ap.executor" node set
+  std::size_t wakes = 0;        // then (u64 when, u32 id) entries
+  std::size_t noc_feeds = 0;    // "noc.fabric" feed-node set
+  std::size_t noc_active = 0;   // "noc.fabric" router set
+};
+
+/// Byte offset just past a u64-counted vector of `elem`-byte entries.
+std::size_t skip_vec(const std::vector<std::uint8_t>& bytes, std::size_t at,
+                     std::size_t elem) {
+  return at + 8 + elem * test_support::read_u64(bytes, at);
+}
+
+/// Walks the executor section (edges, slots, nodes, input and output
+/// queues, dirty flags, clock, faults) and the NoC section (routers of
+/// 23-byte flit rings and 5 ports x 4 VCs of cursors, clock, packet id,
+/// feed queues) to their activity sets.
+ActivityAt locate_activity(const std::vector<std::uint8_t>& bytes) {
+  ActivityAt at;
+  std::size_t p = after_tag(bytes, "ap.executor");
+  p = skip_vec(bytes, p, 8);          // edge cursors (u32 head, u32 len)
+  p = skip_vec(bytes, p, 8);          // ring slots
+  p = skip_vec(bytes, p, 3 + 5 * 8);  // nodes
+  for (int queues = 0; queues < 2; ++queues) {
+    const std::uint64_t n = test_support::read_u64(bytes, p);
+    p += 8;
+    for (std::uint64_t i = 0; i < n; ++i) {
+      p = skip_vec(bytes, p, 8) + (queues == 0 ? 8 : 0);  // inputs: + head
+    }
+  }
+  p = skip_vec(bytes, p, 1) + 8 + 4;  // dirty flags, now, faults
+  at.exec_active = p;
+  at.wakes = skip_vec(bytes, p + 8, 8);
+
+  p = after_tag(bytes, "noc.fabric");
+  std::int32_t width = 0;
+  std::int32_t height = 0;
+  std::memcpy(&width, bytes.data() + p, 4);
+  std::memcpy(&height, bytes.data() + p + 4, 4);
+  p += 8;
+  for (std::int32_t r = 0; r < width * height; ++r) {
+    p = skip_vec(bytes, p, 1);                      // "noc.router" tag
+    p = skip_vec(bytes, p, 23) + 20 * 4 * 3 + 8 + 5 * 4;
+  }
+  p += 8 + 4;  // now, next packet id
+  const std::uint64_t feeds = test_support::read_u64(bytes, p);
+  p += 8;
+  for (std::uint64_t i = 0; i < feeds; ++i) p = skip_vec(bytes, p, 23) + 8;
+  at.noc_feeds = p;
+  at.noc_active = skip_vec(bytes, p + 8, 8);
+  return at;
+}
+
+/// A chip checkpointed mid-flight: processor `proc` is part way through
+/// a pipeline run and a packet is crossing the NoC, so both have work
+/// left after a restore.
+struct MidFlight {
+  snapshot::Snapshot snap;
+  scaling::ProcId proc = scaling::kNoProc;
+};
+
+constexpr std::size_t kPipelineTokens = 8;
+
+MidFlight mid_flight_chip() {
+  core::VlsiProcessor chip{core::ChipConfig{}};
+  MidFlight out;
+  out.proc = chip.fuse(1);
+  EXPECT_NE(out.proc, scaling::kNoProc);
+  std::vector<arch::Word> in;
+  for (std::size_t i = 0; i < kPipelineTokens; ++i) {
+    in.push_back(arch::make_word_i(static_cast<std::int64_t>(i)));
+  }
+  const auto run = chip.run_program(out.proc,
+                                    arch::linear_pipeline_program(6),
+                                    {{"in", in}}, kPipelineTokens, 6);
+  EXPECT_FALSE(run.exec.completed);
+  noc::Packet packet;
+  packet.dst_x = 7;
+  packet.dst_y = 7;
+  packet.payload = {1, 2, 3, 4};
+  chip.noc().inject(packet);
+  chip.noc().step();
+  EXPECT_FALSE(chip.noc().idle());
+  EXPECT_TRUE(chip.save(out.snap).ok());
+  return out;
+}
+
+/// Runs what a restore left: the executor to its expected tokens and
+/// the NoC until it drains.
+void run_restored(core::VlsiProcessor& chip, scaling::ProcId proc,
+                  bool expect_done) {
+  const auto exec = chip.manager().processor(proc).run(kPipelineTokens,
+                                                       1u << 16);
+  const bool drained = chip.noc().run_until_drained(1u << 16);
+  if (expect_done) {
+    EXPECT_TRUE(exec.completed);
+    EXPECT_TRUE(drained);
+  }
+}
+
+/// Activity sets and wakes no executor or NoC produces, each planted in
+/// the mid-flight checkpoint.
+std::vector<snapshot::Snapshot> malformed_activity(
+    const snapshot::Snapshot& pristine) {
+  const std::vector<std::uint8_t>& bytes = pristine.bytes();
+  const ActivityAt at = locate_activity(bytes);
+  const std::uint64_t exec_size = test_support::read_u64(bytes, at.exec_active);
+  EXPECT_EQ(test_support::read_u64(bytes, at.noc_feeds), 64u);
+  EXPECT_NE(exec_size % 64, 0u);
+
+  const auto put_u64 = [](std::vector<std::uint8_t>& b, std::size_t offset,
+                          std::uint64_t v) {
+    std::memcpy(b.data() + offset, &v, 8);
+  };
+  // Appends one all-ones word to the set at `set` (its count + 1).
+  const auto extra_word = [&](std::size_t set) {
+    snapshot::Snapshot bad = pristine;
+    auto& b = bad.bytes();
+    const std::uint64_t words = test_support::read_u64(b, set + 8);
+    put_u64(b, set + 8, words + 1);
+    b.insert(b.begin() + static_cast<std::ptrdiff_t>(set + 16 + 8 * words),
+             8, 0xFF);
+    return bad;
+  };
+  std::vector<snapshot::Snapshot> out;
+  out.push_back(extra_word(at.exec_active));
+  {  // a bit past the executor set's last id
+    snapshot::Snapshot bad = pristine;
+    const std::size_t last = skip_vec(bytes, at.exec_active + 8, 8) - 8;
+    bad.bytes()[last + 7] |= 0x80;
+    out.push_back(std::move(bad));
+  }
+  {  // a wake for a node the program does not have
+    snapshot::Snapshot bad = pristine;
+    auto& b = bad.bytes();
+    put_u64(b, at.wakes, test_support::read_u64(b, at.wakes) + 1);
+    std::vector<std::uint8_t> wake(12, 0);
+    const std::uint32_t id = 1u << 20;
+    std::memcpy(wake.data() + 8, &id, 4);
+    b.insert(b.begin() + static_cast<std::ptrdiff_t>(at.wakes + 8),
+             wake.begin(), wake.end());
+    out.push_back(std::move(bad));
+  }
+  {  // a feed set larger than the router table
+    snapshot::Snapshot bad = pristine;
+    put_u64(bad.bytes(), at.noc_feeds, 65);
+    out.push_back(std::move(bad));
+  }
+  out.push_back(extra_word(at.noc_feeds));
+  out.push_back(extra_word(at.noc_active));
+  return out;
+}
+
+TEST(FuzzSnapshot, MalformedActivityFailsTypedBeforeItRuns) {
+  const MidFlight pristine = mid_flight_chip();
+  {
+    core::VlsiProcessor chip{core::ChipConfig{}};
+    ASSERT_TRUE(chip.restore(pristine.snap).ok());
+    run_restored(chip, pristine.proc, true);
+  }
+  const auto inputs = malformed_activity(pristine.snap);
+  ASSERT_EQ(inputs.size(), 6u);
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    core::VlsiProcessor chip{core::ChipConfig{}};
+    Status restored = Status::Ok();
+    ASSERT_NO_THROW(restored = chip.restore(inputs[i])) << "input " << i;
+    // Run whatever a lax restore accepted, so the out-of-range drain
+    // shows under the sanitizers.
+    if (restored.ok()) run_restored(chip, pristine.proc, false);
     EXPECT_EQ(restored.code(), StatusCode::kCorruptSnapshot)
         << "input " << i << ": " << restored.message();
   }

@@ -81,7 +81,7 @@ TEST(SnapshotFormat, ActivitySetWordsRoundTripRebuildsSummary) {
   snapshot::Reader r(snap);
   ActivitySet restored(9000);
   const auto size = static_cast<std::size_t>(r.u64());
-  restored.restore_words(size, r.vec_u64());
+  ASSERT_TRUE(restored.restore_words(size, r.vec_u64()));
 
   EXPECT_EQ(restored.size(), original.size());
   EXPECT_EQ(restored.count(), original.count());
@@ -98,6 +98,16 @@ TEST(SnapshotFormat, ActivitySetWordsRoundTripRebuildsSummary) {
   restored.drain_to(b);
   ASSERT_EQ(b.size(), a.size() + 1);
   EXPECT_TRUE(std::is_sorted(b.begin(), b.end()));
+
+  // Words no 9000-id set has, one word too many or a bit past id 8999,
+  // are refused and leave the set as it was.
+  std::vector<std::uint64_t> longer = original.words();
+  longer.push_back(1);
+  EXPECT_FALSE(restored.restore_words(9000, longer));
+  std::vector<std::uint64_t> stray = original.words();
+  stray.back() |= 1ull << 63;
+  EXPECT_FALSE(restored.restore_words(9000, stray));
+  EXPECT_EQ(restored.words(), original.words());
 }
 
 TEST(SnapshotFormat, RejectsWrongMagic) {

@@ -24,8 +24,12 @@ namespace {
 // values are computed independently of the generated source text.
 /// The farm a pack report is served on: the workload verb's defaults
 /// (deterministic, one worker).
-runtime::FarmConfig pack_farm() {
-  return runtime::FarmConfigBuilder().deterministic().workers(1).build();
+/// The pack report of one deterministic one-worker serve of `stream`.
+StatusOr<std::string> run_pack(const JobStream& stream) {
+  return pack_report(stream, serve(stream, runtime::FarmConfigBuilder()
+                                               .deterministic()
+                                               .workers(1)
+                                               .build()));
 }
 
 std::int64_t dot_weight(int i) { return 1 + (i * 3) % 7; }
@@ -253,6 +257,11 @@ TEST(Runner, LoadJobsResolvesEveryRefKind) {
   const auto missing_pack = load_jobs("/no/such/pack.spec", true);
   ASSERT_FALSE(missing_pack.ok());
   EXPECT_EQ(missing_pack.status().code(), StatusCode::kIoError);
+  // is_pack_ref names exactly the refs the overrides apply to.
+  EXPECT_TRUE(is_pack_ref("@preset:steady:3:4", false));
+  EXPECT_TRUE(is_pack_ref("pack.spec", true));
+  EXPECT_FALSE(is_pack_ref("jobs.txt", false));
+  EXPECT_FALSE(is_pack_ref("@synthetic:5:3", true));
 }
 
 TEST(Scenario, SameSeedSameStreamDifferentSeedDiverges) {
@@ -336,7 +345,7 @@ TEST(Runner, ReportCarriesSchemaAndPerKernelSections) {
                                     .energy()
                                     .build())
                           .build();
-  const auto report = run_pack(stream, pack_farm());
+  const auto report = run_pack(stream);
   ASSERT_TRUE(report.ok()) << report.status().to_string();
   EXPECT_NE(report->find("\"schema_version\""), std::string::npos);
   EXPECT_NE(report->find("\"report\":\"workload-pack\""), std::string::npos);
@@ -363,9 +372,11 @@ TEST(Runner, TwentySeedDeterminismSweepServeVsReplay) {
                                       .energy()
                                       .build())
                             .build();
-    const auto serve1 = run_pack(stream, pack_farm());
-    const auto serve2 = run_pack(stream, pack_farm());
-    const auto replay = run_pack_replay(stream, pack_farm());
+    const auto serve1 = run_pack(stream);
+    const auto serve2 = run_pack(stream);
+    const auto restored = replay_stream(stream);
+    ASSERT_TRUE(restored.ok()) << restored.status().to_string();
+    const auto replay = run_pack(*restored);
     ASSERT_TRUE(serve1.ok()) << serve1.status().to_string();
     ASSERT_TRUE(serve2.ok()) << serve2.status().to_string();
     ASSERT_TRUE(replay.ok()) << replay.status().to_string();
@@ -382,7 +393,7 @@ TEST(Runner, DifferentSeedsProduceDifferentReports) {
             .pack(
                 ScenarioPackBuilder().seed(seed).jobs(4).steady(150).build())
             .build();
-    const auto report = run_pack(stream, pack_farm());
+    const auto report = run_pack(stream);
     ASSERT_TRUE(report.ok());
     reports.insert(*report);
   }
@@ -391,7 +402,7 @@ TEST(Runner, DifferentSeedsProduceDifferentReports) {
 
 TEST(Runner, EmptyStreamIsRejected) {
   JobStream stream;
-  EXPECT_FALSE(run_pack(stream, pack_farm()).ok());
+  EXPECT_FALSE(run_pack(stream).ok());
 }
 
 }  // namespace

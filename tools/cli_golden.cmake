@@ -2,8 +2,10 @@
 #
 #   cmake -DGOLDEN=<file> [-DEXPECT_RC=N] -P cli_golden.cmake -- <cmd...>
 #       stdout must equal <file> byte for byte (default exit code 0).
-#   cmake -DMATCH=<regex> [-DEXPECT_RC=N] -P cli_golden.cmake -- <cmd...>
-#       stdout followed by stderr must match <regex>.
+#   cmake -DMATCH=<regex> [-DEXPECT_RC=N] [-DALSO=<file>]
+#         -P cli_golden.cmake -- <cmd...>
+#       stdout followed by stderr (and then <file>, which the command
+#       writes; it is removed first) must match <regex>.
 #
 # A process killed by a signal never passes: its result is a message,
 # not the expected exit code.
@@ -23,8 +25,15 @@ foreach(i RANGE ${last})
   endif()
 endforeach()
 
+if(DEFINED ALSO)
+  file(REMOVE "${ALSO}")
+endif()
 execute_process(COMMAND ${cmd} OUTPUT_VARIABLE out ERROR_VARIABLE err
                 RESULT_VARIABLE rc)
+if(DEFINED ALSO)
+  file(READ "${ALSO}" also)
+  string(APPEND err "${also}")
+endif()
 if(NOT rc STREQUAL "${EXPECT_RC}")
   message(FATAL_ERROR "exit ${rc}, expected ${EXPECT_RC}: ${cmd}\n${out}${err}")
 endif()

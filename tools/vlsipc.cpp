@@ -19,64 +19,60 @@
 //       Restore a session checkpoint and run it to completion; the
 //       report covers the whole run (both halves), byte-identical to
 //       one that was never interrupted.
-//   vlsipc serve <jobs.txt|pack-ref> [--pack] [--workers N] [--queue D]
-//              [--batch B] [--reject] [--deterministic] [--json]
-//              [--checkpoint-every-batches N]
-//              [--dvs] [--energy-budget FJ] [--p99-guardrail TICKS]
-//       Run jobs through the multi-chip farm; prints a per-job table
-//       plus throughput and latency percentiles.
-//       --checkpoint-every-batches saves each chip as one flat .vsnap
-//       every N batches; a quarantined chip's replacement restores from
-//       it (docs/SNAPSHOT.md). --dvs
-//       turns on per-chip energy metering and the DVS governor;
-//       --energy-budget throttles chips toward that many femtojoules
-//       per served job (docs/ENERGY.md). --pack reads a file positional
-//       as a scenario-pack spec instead of a manifest; pack jobs keep
-//       their arrival ticks and deadlines (docs/WORKLOADS.md).
-//   vlsipc chaos <jobs.txt|@synthetic:N[:seed]> [--seed S] [--events E]
-//              [--threaded] [--workers N] [--stalls] [--crashes]
-//              [--max-retries R] [--backoff T] [--quarantine-after Q]
-//       Run a manifest through the farm under a seeded fault plan and
-//       print a JSON survival report. Exit 0 iff no job was lost
-//       (every admitted job's future resolved). Deterministic by
-//       default: the same seed gives a bit-identical report.
 //   vlsipc hub [--listen H:P|unix:/path] [--heartbeat-timeout MS]
 //              [--health-interval MS] [--window N]
 //       Run the distributed farm's hub daemon: admission + routing.
 //       Prints "hub listening on ADDR" (resolved port for :0), then
 //       blocks until a client sends shutdown.
-//   vlsipc worker --hub ADDR [--name S] [--workers N] [--batch B]
-//              [--queue D] [--checkpoint-every-batches N]
-//              [--heartbeat MS] [--crash-after N]
-//       Run a worker daemon: one ChipFarm served over the wire. Exit
-//       0 on shutdown/drain, 3 when --crash-after fault injection
-//       fired, 1 when the hub connection was lost.
-//   vlsipc submit <jobs.txt> --hub ADDR [--json] [--drain-worker ID]
-//              [--drain-after K] [--metrics] [--shutdown]
-//       Submit a manifest to a running hub and wait for every result.
-//       --drain-worker asks the hub to checkpoint-migrate worker ID
-//       (after K results have arrived, default 0). Exit 0 iff every
-//       job came back completed. See docs/DISTRIBUTED.md.
-//   vlsipc workload <pack.spec|@preset:NAME[:seed[:jobs]]>
-//              [--mode serve|replay] [--hub ADDR] [--seed S] [--jobs N]
-//              [--batch B] [--workers N] [--threaded] [--window N]
-//              [--report out.json] [--list-kernels] [--json]
-//       Expand a scenario pack into its deterministic job stream, serve
-//       it (locally, or through a hub with --hub), and print the
-//       schema-versioned pack report — per-kernel latency/energy
-//       percentiles and outcome counts, byte-identical per seed in the
-//       default deterministic mode. --mode replay round-trips the
-//       stream through the snapshot codec first and must produce the
-//       same bytes. See docs/WORKLOADS.md.
 //
-// serve, chaos and workload are one serving path (workload/runner.hpp):
-// the positional (a manifest, @synthetic:N[:seed], @preset:... or, for
-// workload and serve --pack, a pack spec) loads into one job stream, the
-// verb's flags and defaults configure a validated FarmConfig, the
-// stream is served and drained, and the verb renders the result: the
-// serve table/JSON, the chaos survival JSON, or the pack report.
+// The farm verbs share one flag table; a flag means the same thing on
+// every verb that takes it. Each verb is a row of defaults plus a report:
 //
-// run, resume, serve and chaos additionally accept:
+//   vlsipc serve <input> [farm flags]     threaded, 4 workers, queue 64
+//       The per-job table or --json document with throughput and latency
+//       percentiles; exit 0 iff every job completed and none was
+//       rejected. Through --hub it prints the submit report.
+//   vlsipc chaos <input> [farm flags]     deterministic, fault plan on
+//       The JSON survival report; exit 0 iff no admitted job was lost.
+//       A full queue rejects. Local only.
+//   vlsipc workload <input> [farm flags]  deterministic, 1 worker, --pack
+//       The schema-versioned pack report (docs/WORKLOADS.md); the queue
+//       holds the whole stream.
+//   vlsipc submit <input> --hub ADDR [farm flags]
+//       serve through a hub: the submit table or --json document; exit 0
+//       iff every job came back completed (docs/DISTRIBUTED.md).
+//   vlsipc worker --hub ADDR [farm flags]
+//       The worker daemon, one threaded ChipFarm served over the wire.
+//       Exit 0 on shutdown/drain, 3 when --crash-after fired, 1 when the
+//       hub connection was lost.
+//
+// <input> is a job manifest, @synthetic:N[:seed], @preset:NAME[:seed
+// [:jobs]] or, with --pack, a pack spec file. The farm flags:
+//   farm        --workers N --queue D (0 = the whole stream) --reject
+//               --batch B --threaded --deterministic
+//               --checkpoint-every-batches N --dvs --energy-budget FJ
+//               --p99-guardrail TICKS
+//   fault plan  --events E (16) --horizon H (the job count) --stalls
+//               --crashes --max-retries R --backoff T --quarantine-after Q
+//   input       --seed S --pack --jobs N --mode serve|replay
+//   report      --json --report FILE --list-kernels --obs out.json
+//               --chrome-trace out.trace
+//   hub client  --hub ADDR --window N --drain-worker ID --drain-after K
+//               --metrics --shutdown
+//   worker      --name S --heartbeat MS --crash-after N
+// --deterministic serves on one worker's virtual cycle clock, so reports
+// are bit-identical run to run; --threaded serves on --workers threads
+// in wall time (the last one given wins). --seed S is the run's seed: it
+// seeds the fault plan (default 1) and replaces a scenario pack's own.
+// Any fault flag turns the fault plan on. --mode replay serves the stream
+// after a snapshot-codec round trip; --report also writes the report to
+// FILE. A flag the run cannot honour (a farm or fault flag with --hub, a
+// hub client flag without it, --seed with neither a pack nor a fault
+// plan) is an invalid_argument error. Every verb serves through
+// workload/runner.hpp: one job stream, one validated FarmConfig, one
+// serve here or through --hub, then the verb's report.
+//
+// run and resume also accept --obs and --chrome-trace:
 //   --obs <out.json>           write an ObsSnapshot (run info + every
 //                              layer's metrics + trace summary)
 //   --chrome-trace <out.trace> write the session's structured events as
@@ -84,8 +80,7 @@
 // See docs/OBSERVABILITY.md for the schema.
 //
 // Sources (.vdf) are compiled on the fly; object files (.vobj) load
-// directly. Everything except farm wall-clock latency is deterministic
-// (pass --deterministic to serve for bit-identical outcomes too).
+// directly. Everything except farm wall-clock latency is deterministic.
 #include <algorithm>
 #include <cerrno>
 #include <cstdio>
@@ -148,42 +143,54 @@ arch::Program load_program(const std::string& path) {
 // and anything unrecognised produces the same typed JSON error object
 // main() emits for runtime failures ({"schema_version", "error":
 // {"code": "invalid_argument", "message"}} when --json is on the
-// command line) plus the usage line on stderr, exit code 2. The verbs
-// used to hand-roll ten copies of this loop, and most of them silently
-// swallowed an unknown "--flag" as the positional argument.
+// command line) plus the usage line on stderr, exit code 2. The usage
+// line is generated from the table, so a flag is named once.
 
 class OptionParser {
  public:
-  OptionParser(std::string verb, std::string usage)
-      : verb_(std::move(verb)), usage_(std::move(usage)) {}
+  explicit OptionParser(std::string verb) : verb_(std::move(verb)) {}
 
-  OptionParser& flag(const char* name, bool* out) {
-    opts_.push_back({name, Kind::kBool, out});
-    return *this;
+  /// A boolean flag that sets *out to `value`; the last one given wins.
+  OptionParser& flag(const char* name, bool* out, bool value = true) {
+    return add(name, "", value ? Kind::kOn : Kind::kOff, out);
   }
-  OptionParser& value(const char* name, std::string* out) {
-    opts_.push_back({name, Kind::kString, out});
-    return *this;
+  OptionParser& value(const char* name, std::string* out,
+                      const char* metavar) {
+    return add(name, metavar, Kind::kString, out);
   }
-  OptionParser& value(const char* name, int* out) {
-    opts_.push_back({name, Kind::kInt, out});
-    return *this;
+  OptionParser& value(const char* name, int* out, const char* metavar = "N") {
+    return add(name, metavar, Kind::kInt, out);
   }
   /// std::size_t and std::uint64_t are the same type on LP64, so one
   /// overload covers both counters and tick values.
-  OptionParser& value(const char* name, std::uint64_t* out) {
-    opts_.push_back({name, Kind::kU64, out});
-    return *this;
+  OptionParser& value(const char* name, std::uint64_t* out,
+                      const char* metavar = "N") {
+    return add(name, metavar, Kind::kU64, out);
   }
   /// A value flag that may appear many times (run's --in feeds).
-  OptionParser& repeated(const char* name, std::vector<std::string>* out) {
-    opts_.push_back({name, Kind::kRepeated, out});
-    return *this;
+  OptionParser& repeated(const char* name, std::vector<std::string>* out,
+                         const char* metavar) {
+    return add(name, metavar, Kind::kRepeated, out);
   }
   /// Accept one bare (non-flag) token.
-  OptionParser& positional(std::string* out) {
+  OptionParser& positional(std::string* out, std::string name) {
     positional_ = out;
+    positional_name_ = std::move(name);
     return *this;
+  }
+  /// Tags the flags registered after this call; given() looks them up.
+  OptionParser& scope(unsigned bits) {
+    scope_ = bits;
+    return *this;
+  }
+
+  /// The first flag on the command line whose scope shares a bit with
+  /// `mask`, or nullptr.
+  const char* given(unsigned mask) const {
+    for (const auto& opt : opts_) {
+      if (opt.seen && (opt.scope & mask) != 0) return opt.name.c_str();
+    }
+    return nullptr;
   }
 
   /// True on success. On any problem prints the typed error and usage
@@ -195,7 +202,7 @@ class OptionParser {
     }
     for (int i = 0; i < argc; ++i) {
       const std::string tok = argv[i];
-      const Opt* opt = find(tok);
+      Opt* opt = find(tok);
       if (opt == nullptr) {
         if (tok.size() > 1 && tok[0] == '-') {
           *exit_code = error("unknown flag '" + tok + "'");
@@ -208,8 +215,9 @@ class OptionParser {
         *exit_code = error("unexpected argument '" + tok + "'");
         return false;
       }
-      if (opt->kind == Kind::kBool) {
-        *static_cast<bool*>(opt->out) = true;
+      opt->seen = true;
+      if (opt->kind == Kind::kOn || opt->kind == Kind::kOff) {
+        *static_cast<bool*>(opt->out) = opt->kind == Kind::kOn;
         continue;
       }
       if (i + 1 >= argc) {
@@ -231,15 +239,10 @@ class OptionParser {
                            value + "'");
         return false;
       }
-      switch (opt->kind) {
-        case Kind::kInt:
-          *static_cast<int*>(opt->out) = static_cast<int>(n);
-          break;
-        case Kind::kU64:
-          *static_cast<std::uint64_t*>(opt->out) = n;
-          break;
-        default:
-          break;
+      if (opt->kind == Kind::kInt) {
+        *static_cast<int*>(opt->out) = static_cast<int>(n);
+      } else {
+        *static_cast<std::uint64_t*>(opt->out) = n;
       }
     }
     return true;
@@ -262,17 +265,37 @@ class OptionParser {
       std::printf("%s\n", out.str().c_str());
     }
     std::fprintf(stderr, "error: %s: %s\n", verb_.c_str(), message.c_str());
-    std::fprintf(stderr, "%s\n", usage_.c_str());
+    std::fprintf(stderr, "%s\n", usage().c_str());
     return 2;
   }
 
  private:
-  enum class Kind { kBool, kString, kInt, kU64, kRepeated };
+  enum class Kind { kOn, kOff, kString, kInt, kU64, kRepeated };
   struct Opt {
     std::string name;
+    std::string metavar;
     Kind kind;
     void* out;
+    unsigned scope;
+    bool seen;
   };
+
+  OptionParser& add(const char* name, const char* metavar, Kind kind,
+                    void* out) {
+    opts_.push_back({name, metavar, kind, out, scope_, false});
+    return *this;
+  }
+
+  /// "usage: vlsipc VERB <positional> [--flag] [--value METAVAR]...".
+  std::string usage() const {
+    std::string text = "usage: vlsipc " + verb_;
+    if (positional_ != nullptr) text += " " + positional_name_;
+    for (const auto& opt : opts_) {
+      text += " [" + opt.name + (opt.metavar.empty() ? "" : " ") +
+              opt.metavar + "]";
+    }
+    return text;
+  }
 
   static bool parse_integer(const std::string& s, std::uint64_t* out) {
     if (s.empty()) return false;
@@ -284,17 +307,18 @@ class OptionParser {
     return true;
   }
 
-  const Opt* find(const std::string& name) const {
-    for (const auto& opt : opts_) {
+  Opt* find(const std::string& name) {
+    for (auto& opt : opts_) {
       if (opt.name == name) return &opt;
     }
     return nullptr;
   }
 
   std::string verb_;
-  std::string usage_;
   std::vector<Opt> opts_;
   std::string* positional_ = nullptr;
+  std::string positional_name_;
+  unsigned scope_ = 0;
   bool json_ = false;
 };
 
@@ -329,12 +353,10 @@ int cmd_compile(int argc, char** argv) {
   std::string out_path;
   bool optimize = false;
   std::string src_path;
-  OptionParser opts("compile",
-                    "usage: vlsipc compile <source.vdf> [-o out] "
-                    "[--optimize]");
-  opts.value("-o", &out_path)
+  OptionParser opts("compile");
+  opts.value("-o", &out_path, "out")
       .flag("--optimize", &optimize)
-      .positional(&src_path);
+      .positional(&src_path, "<source.vdf>");
   int rc = 0;
   if (!opts.parse(argc, argv, &rc)) return rc;
   if (src_path.empty()) return opts.error("missing <source.vdf>");
@@ -365,8 +387,8 @@ int cmd_compile(int argc, char** argv) {
 
 int cmd_info(int argc, char** argv) {
   std::string path;
-  OptionParser opts("info", "usage: vlsipc info <file>");
-  opts.positional(&path);
+  OptionParser opts("info");
+  opts.positional(&path, "<file>");
   int rc = 0;
   if (!opts.parse(argc, argv, &rc)) return rc;
   if (path.empty()) return opts.error("missing <file>");
@@ -516,11 +538,12 @@ void run_session(ap::AdaptiveProcessor& ap, RunSession& session,
 }
 
 /// --obs / --chrome-trace: the ObsSnapshot export shared by the session
-/// verbs (run, resume, serve, chaos; docs/OBSERVABILITY.md).
+/// verbs (run, resume and the farm verbs; docs/OBSERVABILITY.md).
 class ObsExport {
  public:
   explicit ObsExport(OptionParser& opts) {
-    opts.value("--obs", &obs_path_).value("--chrome-trace", &trace_path_);
+    opts.value("--obs", &obs_path_, "out.json")
+        .value("--chrome-trace", &trace_path_, "out.trace");
   }
 
   bool wanted() const { return !obs_path_.empty() || !trace_path_.empty(); }
@@ -663,18 +686,14 @@ int cmd_run(int argc, char** argv) {
   std::uint64_t checkpoint_every = 0;
   std::string checkpoint_path;
   std::vector<std::string> in_specs;
-  OptionParser opts("run",
-                    "usage: vlsipc run <file> [--in name=v,...] "
-                    "[--capacity C] [--expect N] [--json] "
-                    "[--checkpoint-every CYC --checkpoint out.vsnap] "
-                    "[--obs out.json] [--chrome-trace out.trace]");
-  opts.repeated("--in", &in_specs)
-      .value("--capacity", &capacity)
+  OptionParser opts("run");
+  opts.repeated("--in", &in_specs, "name=v,...")
+      .value("--capacity", &capacity, "C")
       .value("--expect", &expect)
       .flag("--json", &json)
-      .value("--checkpoint-every", &checkpoint_every)
-      .value("--checkpoint", &checkpoint_path)
-      .positional(&path);
+      .value("--checkpoint-every", &checkpoint_every, "CYC")
+      .value("--checkpoint", &checkpoint_path, "out.vsnap")
+      .positional(&path, "<file>");
   ObsExport obs(opts);
   int rc = 0;
   if (!opts.parse(argc, argv, &rc)) return rc;
@@ -713,15 +732,13 @@ int cmd_snapshot(int argc, char** argv) {
   std::size_t expect = 1;
   std::uint64_t at = 0;
   std::vector<std::string> in_specs;
-  OptionParser opts("snapshot",
-                    "usage: vlsipc snapshot <file> --at CYC -o out.vsnap "
-                    "[--in name=v,...] [--capacity C] [--expect N]");
-  opts.repeated("--in", &in_specs)
-      .value("--capacity", &capacity)
+  OptionParser opts("snapshot");
+  opts.repeated("--in", &in_specs, "name=v,...")
+      .value("--capacity", &capacity, "C")
       .value("--expect", &expect)
-      .value("--at", &at)
-      .value("-o", &out_path)
-      .positional(&path);
+      .value("--at", &at, "CYC")
+      .value("-o", &out_path, "out.vsnap")
+      .positional(&path, "<file>");
   int rc = 0;
   if (!opts.parse(argc, argv, &rc)) return rc;
   if (path.empty()) return opts.error("missing <file>");
@@ -765,14 +782,11 @@ int cmd_resume(int argc, char** argv) {
   bool json = false;
   std::uint64_t checkpoint_every = 0;
   std::string checkpoint_path;
-  OptionParser opts("resume",
-                    "usage: vlsipc resume <file.vsnap> [--json] "
-                    "[--checkpoint-every CYC --checkpoint out.vsnap] "
-                    "[--obs out.json] [--chrome-trace out.trace]");
+  OptionParser opts("resume");
   opts.flag("--json", &json)
-      .value("--checkpoint-every", &checkpoint_every)
-      .value("--checkpoint", &checkpoint_path)
-      .positional(&path);
+      .value("--checkpoint-every", &checkpoint_every, "CYC")
+      .value("--checkpoint", &checkpoint_path, "out.vsnap")
+      .positional(&path, "<file.vsnap>");
   ObsExport obs(opts);
   int rc = 0;
   if (!opts.parse(argc, argv, &rc)) return rc;
@@ -800,8 +814,10 @@ int cmd_resume(int argc, char** argv) {
 
 // --- farm verbs -------------------------------------------------------------
 //
-// Each verb is its flag table, its defaults row and its renderer over
-// the one serving path (see the header comment).
+// serve, chaos, workload, submit and worker parse one flag table
+// (cmd_farm): each farm flag is declared once, means the same thing on
+// every verb and feeds one FarmConfigBuilder. A verb is a row of
+// defaults plus its reports (kFarmVerbs; see the header comment).
 
 /// A non-OK Status at the CLI boundary. what() is "<code>: <message>"
 /// for the stderr line; main() puts the code and the bare message in
@@ -851,10 +867,10 @@ void print_outcome_json(obs::JsonWriter& w, const scaling::JobOutcome& o) {
   w.end_object();
 }
 
-/// serve's renderer: the per-job table or JSON document plus the
+/// The serve report: the per-job table or JSON document plus the
 /// throughput/latency footer.
-void print_serve_report(const std::string& path, bool deterministic,
-                        bool json, const workload::Served& served) {
+std::string serve_report(const std::string& path, bool deterministic,
+                         bool json, const workload::Served& served) {
   const obs::FarmMetrics& metrics = served.metrics;
   const char* unit = deterministic ? "cycles" : "us";
   const double jobs_per_sec =
@@ -906,8 +922,7 @@ void print_serve_report(const std::string& path, bool deterministic,
     }
     w.end_object();
     w.end_object();
-    std::printf("%s\n", out.str().c_str());
-    return;
+    return out.str() + "\n";
   }
   AsciiTable table({"job", "status", "clusters", "config", "exec", "faults",
                     "latency(" + std::string(unit) + ")"});
@@ -918,77 +933,25 @@ void print_serve_report(const std::string& path, bool deterministic,
                    std::to_string(o.exec_cycles), std::to_string(o.faults),
                    std::to_string(o.turnaround())});
   }
-  std::printf("%s\n", table.render().c_str());
-  std::printf("%s", metrics.render(unit).c_str());
+  char footer[128];
   if (deterministic) {
-    std::printf("farm: %zu worker(s), %llu virtual cycles\n", served.workers,
-                static_cast<unsigned long long>(served.final_tick));
+    std::snprintf(footer, sizeof footer,
+                  "farm: %zu worker(s), %llu virtual cycles\n",
+                  served.workers,
+                  static_cast<unsigned long long>(served.final_tick));
   } else {
-    std::printf("farm: %zu workers, %.3f s wall, %.1f jobs/sec\n",
-                served.workers, served.wall_s, jobs_per_sec);
+    std::snprintf(footer, sizeof footer,
+                  "farm: %zu workers, %.3f s wall, %.1f jobs/sec\n",
+                  served.workers, served.wall_s, jobs_per_sec);
   }
+  return table.render() + "\n" + metrics.render(unit) + footer;
 }
 
-int cmd_serve(int argc, char** argv) {
-  std::string path;
-  runtime::FarmConfigBuilder farm;
-  farm.queue(64, /*block_when_full=*/true);  // batch manifests throttle
-  runtime::FarmConfig& cfg = farm.raw();
-  bool json = false;
-  bool reject = false;
-  bool pack_mode = false;
-  std::uint64_t energy_budget = 0;
-  OptionParser opts(
-      "serve",
-      "usage: vlsipc serve <jobs.txt|pack-ref> [--pack] [--workers N] "
-      "[--queue D] [--batch B] [--reject] [--deterministic] "
-      "[--checkpoint-every-batches N] "
-      "[--dvs] [--energy-budget FJ] [--p99-guardrail TICKS] "
-      "[--json] [--obs out.json] [--chrome-trace out.trace]");
-  opts.value("--workers", &cfg.workers)
-      .value("--queue", &cfg.queue_capacity)
-      .value("--batch", &cfg.batch.max_jobs)
-      .flag("--reject", &reject)
-      .flag("--deterministic", &cfg.deterministic)
-      .value("--checkpoint-every-batches", &cfg.checkpoint_every_batches)
-      .flag("--dvs", &cfg.dvs.enabled)
-      .value("--energy-budget", &energy_budget)
-      .value("--p99-guardrail", &cfg.dvs.p99_guardrail_ticks)
-      .flag("--pack", &pack_mode)
-      .flag("--json", &json)
-      .positional(&path);
-  ObsExport obs(opts);
-  int rc = 0;
-  if (!opts.parse(argc, argv, &rc)) return rc;
-  if (path.empty()) {
-    return opts.error(pack_mode ? "missing <pack-ref>" : "missing <jobs.txt>");
-  }
-  if (reject) cfg.block_when_full = false;
-  if (energy_budget > 0) farm.dvs(energy_budget);
-  obs.attach(farm);
-
-  // --pack reads a file positional as a scenario-pack spec; its jobs
-  // keep their arrival ticks and deadlines (docs/WORKLOADS.md).
-  const auto stream = take(workload::load_jobs(path, pack_mode));
-  const auto served = workload::serve(stream, take(farm.try_build()));
-  const int obs_rc =
-      obs.write({{"verb", "serve"},
-                 {"manifest", path},
-                 {"deterministic", cfg.deterministic ? "true" : "false"},
-                 {"tick_unit", cfg.deterministic ? "cycles" : "us"}},
-                served.obs);
-  print_serve_report(path, cfg.deterministic, json, served);
-  const obs::FarmMetrics& metrics = served.metrics;
-  return metrics.completed == metrics.served() && served.rejected == 0
-             ? obs_rc
-             : 1;
-}
-
-/// chaos's renderer: the JSON survival report.
-void print_survival_report(const std::string& path, bool deterministic,
-                           const fault::FaultPlan& plan,
-                           const workload::Served& served,
-                           std::uint64_t lost) {
+/// The chaos report: the JSON survival report.
+std::string survival_report(const std::string& path, bool deterministic,
+                            const fault::FaultPlan& plan,
+                            const workload::Served& served,
+                            std::uint64_t lost) {
   const obs::FarmMetrics& metrics = served.metrics;
   std::ostringstream out;
   obs::JsonWriter w(out);
@@ -1065,222 +1028,31 @@ void print_survival_report(const std::string& path, bool deterministic,
   w.end_array();
   w.field("survived", lost == 0);
   w.end_object();
-  std::printf("%s\n", out.str().c_str());
+  return out.str() + "\n";
 }
 
-int cmd_chaos(int argc, char** argv) {
-  std::string path;
-  runtime::FarmConfigBuilder farm;
-  farm.deterministic();
-  runtime::FarmConfig& cfg = farm.raw();
-  fault::FaultPlanSpec plan_spec;
-  plan_spec.seed = 1;
-  plan_spec.events = 16;
-  std::uint64_t horizon = 0;
-  bool threaded = false;
-  bool stalls = false;
-  bool crashes = false;
-  OptionParser opts(
-      "chaos",
-      "usage: vlsipc chaos <jobs.txt|@synthetic:N[:seed]> "
-      "[--seed S] [--events E] [--horizon H] [--threaded] "
-      "[--workers N] [--stalls] [--crashes] [--max-retries R] "
-      "[--backoff T] [--quarantine-after Q] "
-      "[--obs out.json] [--chrome-trace out.trace]");
-  opts.value("--seed", &plan_spec.seed)
-      .value("--events", &plan_spec.events)
-      .value("--horizon", &horizon)
-      .flag("--threaded", &threaded)
-      .value("--workers", &cfg.workers)
-      .flag("--stalls", &stalls)
-      .flag("--crashes", &crashes)
-      .value("--max-retries", &cfg.fault_tolerance.max_retries)
-      .value("--backoff", &cfg.fault_tolerance.retry_backoff_ticks)
-      .value("--quarantine-after", &cfg.fault_tolerance.quarantine_after)
-      .positional(&path);
-  ObsExport obs(opts);
-  int rc = 0;
-  if (!opts.parse(argc, argv, &rc)) return rc;
-  if (path.empty()) return opts.error("missing <jobs.txt|@synthetic:...>");
-  if (threaded) farm.deterministic(false);
-  if (stalls) plan_spec.w_worker_stall = 1.0;
-  if (crashes) plan_spec.w_worker_crash = 0.5;
-  obs.attach(farm);
-
-  const auto stream = take(workload::load_jobs(path));
-  // Match the plan's target ranges to the fleet; triggers are global
-  // serve-sequence numbers, so the default horizon is the job count
-  // (every event lands inside the run).
-  plan_spec.clusters = cfg.chip.width * cfg.chip.height * cfg.chip.layers;
-  plan_spec.workers = cfg.deterministic ? 1 : cfg.workers;
-  plan_spec.horizon =
-      horizon > 0 ? horizon
-                  : std::max<std::uint64_t>(1, stream.jobs.size());
-  farm.fault_tolerance(fault::random_fault_plan(plan_spec));
-  const auto served = workload::serve(stream, take(farm.try_build()));
-
-  // Survival: every admitted job must have resolved one way or another.
-  const obs::FarmMetrics& metrics = served.metrics;
-  const std::uint64_t resolved = metrics.served() + metrics.cancelled;
-  const std::uint64_t lost =
-      metrics.admitted > resolved ? metrics.admitted - resolved : 0;
-  const fault::FaultPlan& plan = cfg.fault_tolerance.plan;
-  const int obs_rc =
-      obs.write({{"verb", "chaos"},
-                 {"manifest", path},
-                 {"seed", std::to_string(plan.seed)},
-                 {"deterministic", cfg.deterministic ? "true" : "false"},
-                 {"survived", lost == 0 ? "true" : "false"}},
-                served.obs);
-  print_survival_report(path, cfg.deterministic, plan, served, lost);
-  return lost == 0 ? obs_rc : 1;
-}
-
-int cmd_hub(int argc, char** argv) {
-  daemon::HubOptions hub_opts;
-  OptionParser opts("hub",
-                    "usage: vlsipc hub [--listen H:P|unix:/path] "
-                    "[--heartbeat-timeout MS] [--health-interval MS] "
-                    "[--window N]");
-  opts.value("--listen", &hub_opts.listen)
-      .value("--heartbeat-timeout", &hub_opts.heartbeat_timeout_ms)
-      .value("--health-interval", &hub_opts.health_interval_ms)
-      .value("--window", &hub_opts.assign_window);
-  int rc = 0;
-  if (!opts.parse(argc, argv, &rc)) return rc;
-  daemon::Hub hub(hub_opts);
-  const Status started = hub.start();
-  if (!started.ok()) {
-    std::fprintf(stderr, "error: %s: %s\n",
-                 status_code_name(started.code()),
-                 started.message().c_str());
-    return 1;
-  }
-  // Scripts scrape this line for the resolved ephemeral port.
-  std::printf("hub listening on %s\n", hub.address().c_str());
-  std::fflush(stdout);
-  hub.wait();
-  hub.stop();
-  std::printf("hub stopped\n");
-  return 0;
-}
-
-int cmd_worker(int argc, char** argv) {
-  daemon::WorkerOptions worker_opts;
-  runtime::FarmConfigBuilder farm;
-  // Sentinel: only forward a builder setting the flag actually set, so
-  // the builder's own defaults (and validation) stay in charge.
-  const std::size_t kUnset = static_cast<std::size_t>(-1);
-  std::size_t workers = kUnset;
-  std::size_t batch_jobs = 8;
-  std::size_t queue_capacity = 64;
-  std::size_t ckpt_batches = kUnset;
-  std::uint64_t energy_budget = 0;
-  std::uint64_t p99_guardrail = 0;
-  bool dvs = false;
-  OptionParser opts(
-      "worker",
-      "usage: vlsipc worker --hub ADDR [--name S] [--workers N] "
-      "[--batch B] [--queue D] [--checkpoint-every-batches N] "
-      "[--dvs] [--energy-budget FJ] "
-      "[--p99-guardrail TICKS] [--heartbeat MS] [--crash-after N]");
-  opts.value("--hub", &worker_opts.hub)
-      .value("--name", &worker_opts.name)
-      .value("--workers", &workers)
-      .value("--batch", &batch_jobs)
-      .value("--queue", &queue_capacity)
-      .value("--checkpoint-every-batches", &ckpt_batches)
-      .flag("--dvs", &dvs)
-      .value("--energy-budget", &energy_budget)
-      .value("--p99-guardrail", &p99_guardrail)
-      .value("--heartbeat", &worker_opts.heartbeat_ms)
-      .value("--crash-after", &worker_opts.crash_after_jobs);
-  int rc = 0;
-  if (!opts.parse(argc, argv, &rc)) return rc;
-  if (worker_opts.hub.empty()) return opts.error("worker needs --hub ADDR");
-  if (workers != kUnset) farm.workers(workers);
-  if (ckpt_batches != kUnset) farm.checkpoint_every(ckpt_batches);
-  if (dvs) farm.raw().dvs.enabled = true;
-  if (energy_budget > 0) farm.dvs(energy_budget);
-  if (p99_guardrail > 0) farm.p99_guardrail(p99_guardrail);
-  farm.batch(batch_jobs);
-  farm.queue(queue_capacity, /*block_when_full=*/true);
-  worker_opts.farm = farm.build();
-
-  daemon::WorkerDaemon worker(std::move(worker_opts));
-  const Status connected = worker.connect();
-  if (!connected.ok()) {
-    std::fprintf(stderr, "error: %s: %s\n",
-                 status_code_name(connected.code()),
-                 connected.message().c_str());
-    return 1;
-  }
-  std::printf("worker %llu serving\n",
-              static_cast<unsigned long long>(worker.id()));
-  std::fflush(stdout);
-  const daemon::WorkerDaemon::Exit exit = worker.run();
-  switch (exit) {
-    case daemon::WorkerDaemon::Exit::kShutdown:
-      std::printf("worker: shutdown (%llu served)\n",
-                  static_cast<unsigned long long>(worker.served()));
-      return 0;
-    case daemon::WorkerDaemon::Exit::kDrained:
-      std::printf("worker: drained, checkpoint shipped (%llu served)\n",
-                  static_cast<unsigned long long>(worker.served()));
-      return 0;
-    case daemon::WorkerDaemon::Exit::kCrashed:
-      std::fprintf(stderr, "worker: crash injection fired after %llu jobs\n",
-                   static_cast<unsigned long long>(worker.served()));
-      return 3;
-    case daemon::WorkerDaemon::Exit::kLost:
-      std::fprintf(stderr, "worker: hub connection lost\n");
-      return 1;
-  }
-  return 1;
-}
-
-int cmd_submit(int argc, char** argv) {
-  std::string path;
-  workload::HubTarget hub;
-  workload::HubControl control;
-  control.client_name = "vlsipc";
-  bool json = false;
-  OptionParser opts("submit",
-                    "usage: vlsipc submit <jobs.txt> --hub ADDR [--json] "
-                    "[--window N] [--drain-worker ID] [--drain-after K] "
-                    "[--metrics] [--shutdown]");
-  opts.value("--hub", &hub.address)
-      .value("--window", &hub.window)
-      .flag("--json", &json)
-      .value("--drain-worker", &control.drain_worker)
-      .value("--drain-after", &control.drain_after)
-      .flag("--metrics", &control.fetch_metrics)
-      .flag("--shutdown", &control.shutdown_hub)
-      .positional(&path);
-  int rc = 0;
-  if (!opts.parse(argc, argv, &rc)) return rc;
-  if (path.empty()) return opts.error("missing <jobs.txt>");
-  if (hub.address.empty()) return opts.error("submit needs --hub ADDR");
-
-  const auto stream = take(workload::load_jobs(path));
-  const auto remote = take(workload::serve_remote(stream, hub, control));
-
-  // Outcomes are in submit order, so the same manifest prints the same
-  // report whatever the worker interleaving.
-  const std::size_t submitted = stream.jobs.size();
+/// The submit report: the per-job table or JSON document of a serve
+/// through a hub. Outcomes are in submit order, so the same manifest
+/// prints the same report whatever the worker interleaving. *ok is set
+/// iff every job came back completed.
+std::string submit_report(const std::string& path, const std::string& hub,
+                          bool json, const workload::RemoteServed& remote,
+                          bool* ok) {
+  const std::size_t submitted = remote.outcomes.size();
   std::size_t received = 0;
   std::size_t completed = 0;
   for (const auto& o : remote.outcomes) {
     received += o.has_value();
     completed += o && o->status == scaling::JobStatus::kCompleted;
   }
+  *ok = received == submitted && completed == submitted;
   if (json) {
     std::ostringstream out;
     obs::JsonWriter w(out);
     w.begin_object();
     w.field("schema_version", obs::kJsonSchemaVersion);
     w.field("verb", "submit");
-    w.field("hub", hub.address);
+    w.field("hub", hub);
     w.field("manifest", path);
     w.field("submitted", static_cast<std::uint64_t>(submitted));
     w.field("received", static_cast<std::uint64_t>(received));
@@ -1297,62 +1069,190 @@ int cmd_submit(int argc, char** argv) {
       w.raw(remote.hub_metrics);
     }
     w.end_object();
-    std::printf("%s\n", out.str().c_str());
-  } else {
-    AsciiTable table({"job", "status", "clusters", "config", "exec",
-                      "attempts"});
-    for (const auto& o : remote.outcomes) {
-      if (!o) continue;
-      table.add_row({o->name, scaling::to_string(o->status),
-                     std::to_string(o->clusters_used),
-                     std::to_string(o->config_cycles),
-                     std::to_string(o->exec_cycles),
-                     std::to_string(o->attempts)});
-    }
-    std::printf("%s\n", table.render().c_str());
-    std::printf("submit: %zu jobs, %zu results, %zu completed\n", submitted,
-                received, completed);
-    if (!remote.hub_metrics.empty()) {
-      std::printf("%s\n", remote.hub_metrics.c_str());
-    }
+    return out.str() + "\n";
   }
-  return received == submitted && completed == submitted ? 0 : 1;
+  AsciiTable table({"job", "status", "clusters", "config", "exec",
+                    "attempts"});
+  for (const auto& o : remote.outcomes) {
+    if (!o) continue;
+    table.add_row({o->name, scaling::to_string(o->status),
+                   std::to_string(o->clusters_used),
+                   std::to_string(o->config_cycles),
+                   std::to_string(o->exec_cycles),
+                   std::to_string(o->attempts)});
+  }
+  std::string text = table.render() + "\nsubmit: " +
+                     std::to_string(submitted) + " jobs, " +
+                     std::to_string(received) + " results, " +
+                     std::to_string(completed) + " completed\n";
+  if (!remote.hub_metrics.empty()) text += remote.hub_metrics + "\n";
+  return text;
 }
 
-int cmd_workload(int argc, char** argv) {
-  std::string ref;
+/// The worker daemon's serving loop and exit code.
+int run_worker(daemon::WorkerOptions options) {
+  daemon::WorkerDaemon worker(std::move(options));
+  const Status connected = worker.connect();
+  if (!connected.ok()) {
+    std::fprintf(stderr, "error: %s: %s\n",
+                 status_code_name(connected.code()),
+                 connected.message().c_str());
+    return 1;
+  }
+  std::printf("worker %llu serving\n",
+              static_cast<unsigned long long>(worker.id()));
+  std::fflush(stdout);
+  const daemon::WorkerDaemon::Exit exit = worker.run();
+  const auto served = static_cast<unsigned long long>(worker.served());
+  switch (exit) {
+    case daemon::WorkerDaemon::Exit::kShutdown:
+      std::printf("worker: shutdown (%llu served)\n", served);
+      return 0;
+    case daemon::WorkerDaemon::Exit::kDrained:
+      std::printf("worker: drained, checkpoint shipped (%llu served)\n",
+                  served);
+      return 0;
+    case daemon::WorkerDaemon::Exit::kCrashed:
+      std::fprintf(stderr, "worker: crash injection fired after %llu jobs\n",
+                   served);
+      return 3;
+    case daemon::WorkerDaemon::Exit::kLost:
+      std::fprintf(stderr, "worker: hub connection lost\n");
+      return 1;
+  }
+  return 1;
+}
+
+/// Where a farm flag applies. A run rejects every flag outside the
+/// scopes it honours.
+enum FarmScope : unsigned {
+  kFarm = 1u << 0,    // shapes a local farm: a serve here or a worker
+  kHere = 1u << 1,    // only a serve here: the clock, the obs export
+  kFaults = 1u << 2,  // the fault plan, served here; any one turns it on
+  kStream = 1u << 3,  // the job stream and its report: not the worker
+  kClient = 1u << 4,  // a hub client: a serve through --hub
+  kDaemon = 1u << 5,  // the worker daemon alone
+  kSeed = 1u << 6,    // marks --seed, looked up after the parse
+};
+
+/// What a farm run prints; kNone: the run needs (or refuses) --hub.
+enum class Report { kNone, kServe, kSurvival, kPack, kSubmit, kDaemon };
+
+/// One farm verb: its defaults row and its reports.
+struct FarmVerb {
+  const char* name;
+  const char* input;    // the positional (nullptr: none)
+  bool deterministic;   // the default clock
+  std::size_t workers;
+  std::size_t queue;    // admission queue depth; 0 = the whole stream
+  bool block;           // a full queue blocks the submitter, or rejects
+  bool faults;          // the fault plan is on without a fault flag
+  bool pack_files;      // a file positional is a pack spec (--pack)
+  Report here;          // without --hub
+  Report remote;        // with --hub
+  const char* client;   // the hub client's name
+};
+
+constexpr FarmVerb kFarmVerbs[] = {
+    {"serve", "<jobs.txt|pack-ref>", false, 4, 64, true, false, false,
+     Report::kServe, Report::kSubmit, "vlsipc"},
+    {"chaos", "<jobs.txt|@synthetic:N[:seed]>", true, 4, 64, false, true,
+     false, Report::kSurvival, Report::kNone, "vlsipc"},
+    {"workload", "<pack.spec|@preset:NAME[:seed[:jobs]]>", true, 1, 0, true,
+     false, true, Report::kPack, Report::kPack, "workload"},
+    {"submit", "<jobs.txt>", false, 4, 64, true, false, false, Report::kNone,
+     Report::kSubmit, "vlsipc"},
+    {"worker", nullptr, false, 4, 64, true, false, false, Report::kNone,
+     Report::kDaemon, "vlsipc"},
+};
+
+int cmd_farm(const FarmVerb& verb, int argc, char** argv) {
+  runtime::FarmConfigBuilder farm;
+  farm.deterministic(verb.deterministic)
+      .workers(verb.workers)
+      .queue(verb.queue, verb.block);
+  runtime::FarmConfig& cfg = farm.raw();
+  fault::FaultPlanSpec plan;
+  plan.events = 16;
+  plan.horizon = 0;  // 0 = the job count
+  bool stalls = false;
+  bool crashes = false;
+  bool pack = verb.pack_files;
+  std::size_t jobs = 0;
   std::string mode = "serve";
   std::string report_path;
-  bool json = false;
   bool list_kernels = false;
-  bool threaded = false;
-  std::uint64_t seed = 0;
-  std::size_t jobs = 0;
-  runtime::FarmConfigBuilder farm;
-  farm.deterministic().workers(1);
+  bool json = false;
+  std::string input;
   workload::HubTarget hub;
-  OptionParser opts(
-      "workload",
-      "usage: vlsipc workload <pack.spec|@preset:NAME[:seed[:jobs]]> "
-      "[--mode serve|replay] [--hub ADDR] [--seed S] [--jobs N] "
-      "[--batch B] [--workers N] [--threaded] [--window N] "
-      "[--report out.json] [--list-kernels] [--json]");
-  opts.value("--mode", &mode)
-      .value("--hub", &hub.address)
-      .value("--seed", &seed)
+  workload::HubControl control;
+  control.client_name = verb.client;
+  daemon::WorkerOptions daemon_opts;
+  OptionParser opts(verb.name);
+  opts.scope(kFarm)
+      .value("--workers", &cfg.workers)
+      .value("--queue", &cfg.queue_capacity, "D")
+      .flag("--reject", &cfg.block_when_full, false)
+      .value("--batch", &cfg.batch.max_jobs, "B")
+      .value("--checkpoint-every-batches", &cfg.checkpoint_every_batches)
+      .flag("--dvs", &cfg.dvs.enabled)
+      .value("--energy-budget", &cfg.dvs.energy_budget_fj_per_job, "FJ")
+      .value("--p99-guardrail", &cfg.dvs.p99_guardrail_ticks, "TICKS")
+      .flag("--threaded", &cfg.deterministic, false)
+      .scope(kHere)
+      .flag("--deterministic", &cfg.deterministic);
+  ObsExport obs(opts);
+  opts.scope(kFaults)
+      .value("--events", &plan.events, "E")
+      .value("--horizon", &plan.horizon, "H")
+      .flag("--stalls", &stalls)
+      .flag("--crashes", &crashes)
+      .value("--max-retries", &cfg.fault_tolerance.max_retries, "R")
+      .value("--backoff", &cfg.fault_tolerance.retry_backoff_ticks, "T")
+      .value("--quarantine-after", &cfg.fault_tolerance.quarantine_after,
+             "Q")
+      .scope(kStream | kSeed)
+      .value("--seed", &plan.seed, "S")
+      .scope(kStream)
+      .flag("--pack", &pack)
       .value("--jobs", &jobs)
-      .value("--batch", &farm.raw().batch.max_jobs)
-      .value("--workers", &farm.raw().workers)
-      .value("--window", &hub.window)
-      .flag("--threaded", &threaded)
-      .value("--report", &report_path)
+      .value("--mode", &mode, "serve|replay")
+      .value("--report", &report_path, "FILE")
       .flag("--list-kernels", &list_kernels)
-      .flag("--json", &json)
-      .positional(&ref);
+      .scope(kClient)
+      .value("--window", &hub.window)
+      .value("--drain-worker", &control.drain_worker, "ID")
+      .value("--drain-after", &control.drain_after, "K")
+      .flag("--metrics", &control.fetch_metrics)
+      .flag("--shutdown", &control.shutdown_hub)
+      .scope(kDaemon)
+      .value("--name", &daemon_opts.name, "S")
+      .value("--heartbeat", &daemon_opts.heartbeat_ms, "MS")
+      .value("--crash-after", &daemon_opts.crash_after_jobs)
+      .scope(0)
+      .value("--hub", &hub.address, "ADDR")
+      .flag("--json", &json);
+  if (verb.input != nullptr) opts.positional(&input, verb.input);
   int rc = 0;
   if (!opts.parse(argc, argv, &rc)) return rc;
-  (void)json;  // the report is always JSON; --json makes errors JSON too
 
+  // What the run can honour decides which flags it takes.
+  const bool remote = !hub.address.empty();
+  const Report report = remote ? verb.remote : verb.here;
+  if (report == Report::kNone) {
+    return opts.error(std::string(verb.name) +
+                      (remote ? " is local-only (drop --hub)"
+                              : " needs --hub ADDR"));
+  }
+  const unsigned honoured = report == Report::kDaemon ? kFarm | kDaemon
+                            : remote ? kStream | kClient
+                                     : kFarm | kHere | kFaults | kStream;
+  if (const char* flag = opts.given(~(honoured | kSeed))) {
+    return opts.error(std::string(flag) + " does not apply to " +
+                      (report == Report::kDaemon ? "a worker"
+                       : remote ? "a serve through --hub"
+                                : "a serve without --hub"));
+  }
   if (list_kernels) {
     // The kernel library card: every family at a few representative
     // widths, with the resources the workload layer would pick.
@@ -1372,32 +1272,88 @@ int cmd_workload(int argc, char** argv) {
     std::printf("%s", table.render().c_str());
     return 0;
   }
-
-  if (ref.empty()) return opts.error("missing <pack.spec|@preset:...>");
+  if (cfg.dvs.energy_budget_fj_per_job > 0) cfg.dvs.enabled = true;
+  if (report == Report::kDaemon) {
+    daemon_opts.hub = hub.address;
+    daemon_opts.farm = take(farm.try_build());
+    return run_worker(std::move(daemon_opts));
+  }
+  if (input.empty()) return opts.error(std::string("missing ") + verb.input);
   if (mode != "serve" && mode != "replay") {
     return opts.error("--mode must be 'serve' or 'replay', got '" + mode +
                       "'");
   }
-  if (mode == "replay" && !hub.address.empty()) {
+  if (mode == "replay" && remote) {
     return opts.error("--mode replay is local-only (drop --hub)");
   }
+  const bool faults = verb.faults || opts.given(kFaults) != nullptr;
+  const bool seeded = opts.given(kSeed) != nullptr;
+  const bool pack_input = workload::is_pack_ref(input, pack);
+  if (seeded && !faults && !pack_input) {
+    return opts.error("--seed needs a scenario pack or a fault plan");
+  }
+  if (jobs != 0 && !pack_input) {
+    return opts.error("--jobs needs a scenario pack");
+  }
 
-  const auto stream =
-      take(workload::load_jobs(ref, /*pack_files=*/true, seed, jobs));
-  std::string report;
-  if (!hub.address.empty()) {
-    report = take(workload::run_pack(stream, hub));
+  auto stream = take(
+      workload::load_jobs(input, pack, seeded ? plan.seed : 0, jobs));
+  if (mode == "replay") stream = take(workload::replay_stream(stream));
+  std::string text;
+  bool ok = true;
+  int obs_rc = 0;
+  if (remote) {
+    const auto served = take(workload::serve_remote(stream, hub, control));
+    text = report == Report::kPack
+               ? take(workload::pack_report(stream, served)) + "\n"
+               : submit_report(input, hub.address, json, served, &ok);
   } else {
-    // Threaded mode frees the worker count and reports wall-tick
-    // latencies; its queue holds the whole stream.
-    if (threaded) farm.deterministic(false).queue(stream.jobs.size() + 1, true);
-    const auto config = take(farm.try_build());
-    report = take(mode == "replay" ? workload::run_pack_replay(stream, config)
-                                   : workload::run_pack(stream, config));
+    if (cfg.queue_capacity == 0) cfg.queue_capacity = stream.jobs.size() + 1;
+    if (faults) {
+      // Match the plan's target ranges to the fleet; triggers are global
+      // serve-sequence numbers, so the default horizon is the job count
+      // (every event lands inside the run).
+      plan.clusters = cfg.chip.width * cfg.chip.height * cfg.chip.layers;
+      plan.workers = cfg.deterministic ? 1 : cfg.workers;
+      if (plan.horizon == 0) {
+        plan.horizon = std::max<std::uint64_t>(1, stream.jobs.size());
+      }
+      if (stalls) plan.w_worker_stall = 1.0;
+      if (crashes) plan.w_worker_crash = 0.5;
+      farm.fault_tolerance(fault::random_fault_plan(plan));
+    }
+    obs.attach(farm);
+    const auto served = workload::serve(stream, take(farm.try_build()));
+    const obs::FarmMetrics& metrics = served.metrics;
+    const bool det = cfg.deterministic;
+    std::vector<std::pair<std::string, std::string>> info = {
+        {"verb", verb.name}, {"manifest", input}};
+    if (report == Report::kServe) {
+      info.emplace_back("deterministic", det ? "true" : "false");
+      info.emplace_back("tick_unit", det ? "cycles" : "us");
+      text = serve_report(input, det, json, served);
+      ok = metrics.completed == metrics.served() && served.rejected == 0;
+    } else if (report == Report::kSurvival) {
+      // Survival: every admitted job must have resolved one way or
+      // another.
+      const std::uint64_t resolved = metrics.served() + metrics.cancelled;
+      const std::uint64_t lost =
+          metrics.admitted > resolved ? metrics.admitted - resolved : 0;
+      const fault::FaultPlan& fault_plan = cfg.fault_tolerance.plan;
+      info.emplace_back("seed", std::to_string(fault_plan.seed));
+      info.emplace_back("deterministic", det ? "true" : "false");
+      info.emplace_back("survived", lost == 0 ? "true" : "false");
+      text = survival_report(input, det, fault_plan, served, lost);
+      ok = lost == 0;
+    } else {
+      info.emplace_back("deterministic", det ? "true" : "false");
+      text = take(workload::pack_report(stream, served)) + "\n";
+    }
+    obs_rc = obs.write(info, served.obs);
   }
   if (!report_path.empty()) {
     std::ofstream out(report_path);
-    out << report << "\n";
+    out << text;
     if (!out) {
       std::fprintf(stderr, "error: cannot write report: %s\n",
                    report_path.c_str());
@@ -1405,7 +1361,33 @@ int cmd_workload(int argc, char** argv) {
     }
     std::fprintf(stderr, "wrote report: %s\n", report_path.c_str());
   }
-  std::printf("%s\n", report.c_str());
+  std::fputs(text.c_str(), stdout);
+  return ok ? obs_rc : 1;
+}
+
+int cmd_hub(int argc, char** argv) {
+  daemon::HubOptions hub_opts;
+  OptionParser opts("hub");
+  opts.value("--listen", &hub_opts.listen, "H:P|unix:/path")
+      .value("--heartbeat-timeout", &hub_opts.heartbeat_timeout_ms, "MS")
+      .value("--health-interval", &hub_opts.health_interval_ms, "MS")
+      .value("--window", &hub_opts.assign_window);
+  int rc = 0;
+  if (!opts.parse(argc, argv, &rc)) return rc;
+  daemon::Hub hub(hub_opts);
+  const Status started = hub.start();
+  if (!started.ok()) {
+    std::fprintf(stderr, "error: %s: %s\n",
+                 status_code_name(started.code()),
+                 started.message().c_str());
+    return 1;
+  }
+  // Scripts scrape this line for the resolved ephemeral port.
+  std::printf("hub listening on %s\n", hub.address().c_str());
+  std::fflush(stdout);
+  hub.wait();
+  hub.stop();
+  std::printf("hub stopped\n");
   return 0;
 }
 
@@ -1453,14 +1435,16 @@ int main(int argc, char** argv) {
     } verbs[] = {
         {"compile", cmd_compile}, {"info", cmd_info},
         {"run", cmd_run},         {"snapshot", cmd_snapshot},
-        {"resume", cmd_resume},   {"serve", cmd_serve},
-        {"chaos", cmd_chaos},     {"hub", cmd_hub},
-        {"worker", cmd_worker},   {"submit", cmd_submit},
-        {"workload", cmd_workload},
+        {"resume", cmd_resume},   {"hub", cmd_hub},
     };
     for (const auto& verb : verbs) {
       if (std::strcmp(argv[1], verb.name) == 0) {
         return verb.run(argc - 2, argv + 2);
+      }
+    }
+    for (const FarmVerb& verb : kFarmVerbs) {
+      if (std::strcmp(argv[1], verb.name) == 0) {
+        return cmd_farm(verb, argc - 2, argv + 2);
       }
     }
     std::fprintf(stderr, "unknown command: %s\n", argv[1]);
