@@ -128,6 +128,9 @@ class AdaptiveProcessor {
 
   /// Output tokens collected at a named output.
   const std::vector<arch::Word>& output(const std::string& name) const;
+  /// The configured datapath's wait-for report (Executor::diagnose).
+  /// Requires has_datapath().
+  std::vector<std::string> diagnose() const { return executor_->diagnose(); }
 
   /// Fires the release tokens and frees the datapath. Resident objects
   /// stay cached in the object space (object caching, §2.4), so a
@@ -141,6 +144,9 @@ class AdaptiveProcessor {
   std::optional<arch::ObjectId> handle_defective_object();
 
   bool has_datapath() const { return program_.has_value(); }
+  /// The configured program (a checkpoint carries it). Requires
+  /// has_datapath().
+  const arch::Program& program() const { return *program_; }
 
   const ObjectSpace& object_space() const { return space_; }
   const Wsrf& wsrf() const { return wsrf_; }

@@ -61,9 +61,10 @@ void Hub::stop() {
   }
   stop_cv_.notify_all();
   dispatch_cv_.notify_all();
-  listener_.close();  // unblocks accept()
+  listener_.shutdown();  // fails accept(); the loop then sees stopping_
   for (const auto& conn : conns) conn->sock.shutdown_both();
   if (accept_thread_.joinable()) accept_thread_.join();
+  listener_.close();
   if (dispatch_thread_.joinable()) dispatch_thread_.join();
   if (health_thread_.joinable()) health_thread_.join();
   for (const auto& conn : conns) {
@@ -138,24 +139,40 @@ std::vector<std::uint8_t> Hub::last_migration() const {
 void Hub::accept_loop() {
   for (;;) {
     auto sock = listener_.accept();
-    if (!sock.ok()) return;  // listener closed = stopping
-    auto conn = handshake(std::move(*sock));
-    if (!conn.ok()) continue;  // handshake already answered with Error
-    ConnPtr c = *conn;
-    c->rx = std::thread([this, c] { serve_conn(c); });
+    auto conn = std::make_shared<Conn>();
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (stopping_) return;  // stop() failed the accept
+      // Registered before its Hello is read, so stop() can shut down a
+      // peer that never sends one.
+      if (sock.ok()) {
+        conn->sock = std::move(*sock);
+        all_conns_.push_back(conn);
+      }
+    }
+    if (!sock.ok()) {
+      // A peer that reset first, a full descriptor table: the listener
+      // is still usable.
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      continue;
+    }
+    // The handshake runs on the connection's own thread, so a silent
+    // peer delays no other join. stop() joins this thread before any
+    // rx, so this assignment precedes that join.
+    conn->rx = std::thread([this, conn] { serve_conn(conn); });
   }
 }
 
-StatusOr<Hub::ConnPtr> Hub::handshake(net::Socket sock) {
+Status Hub::handshake(const ConnPtr& conn) {
   // Every refusal is answered with a typed Error before the close.
-  const auto reject = [&sock](const Status& status) {
+  const auto reject = [&conn](const Status& status) {
     net::ErrorMsg err;
     err.code = static_cast<std::int32_t>(status.code());
     err.message = status.message();
-    (void)net::send_msg(sock, err);
+    (void)net::send_msg(conn->sock, err);
     return status;
   };
-  auto frame = net::read_frame(sock, options_.max_payload);
+  auto frame = net::read_frame(conn->sock, options_.max_payload);
   if (!frame.ok()) return reject(frame.status());
   auto hello = net::decode_payload<net::HelloMsg>(*frame);
   if (!hello.ok()) return reject(hello.status());
@@ -169,16 +186,16 @@ StatusOr<Hub::ConnPtr> Hub::handshake(net::Socket sock) {
                              std::to_string(net::kProtoVersion)));
   }
 
-  auto conn = std::make_shared<Conn>();
   conn->role = hello->role;
   conn->name = hello->name;
-  conn->sock = std::move(sock);
   conn->last_beat = std::chrono::steady_clock::now();
+  // The dispatcher may assign a job as soon as the peer is registered:
+  // holding its tx lock until the ack is out keeps the ack first.
+  std::unique_lock<std::mutex> tx(conn->tx);
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (stopping_) return Status(StatusCode::kUnavailable, "hub stopping");
     conn->id = next_peer_id_++;
-    all_conns_.push_back(conn);
     if (conn->role == net::Role::kWorker) {
       workers_[conn->id] = conn;
       metrics_.counter("hub.workers_joined")++;
@@ -191,7 +208,8 @@ StatusOr<Hub::ConnPtr> Hub::handshake(net::Socket sock) {
   net::HelloAckMsg ack;
   ack.proto_version = net::kProtoVersion;
   ack.peer_id = conn->id;
-  const Status sent = send_to(conn, ack);
+  const Status sent = net::send_msg(conn->sock, ack);
+  tx.unlock();
   if (!sent.ok()) {
     if (conn->role == net::Role::kWorker) {
       on_worker_down(conn, "hello ack send failed");
@@ -205,10 +223,11 @@ StatusOr<Hub::ConnPtr> Hub::handshake(net::Socket sock) {
         std::string(conn->role == net::Role::kWorker ? "worker" : "client") +
             " \"" + conn->name + "\" joined");
   dispatch_cv_.notify_all();  // a new worker may unblock the dispatcher
-  return conn;
+  return Status::Ok();
 }
 
 void Hub::serve_conn(ConnPtr conn) {
+  if (!handshake(conn).ok()) return;  // already answered with an Error
   if (conn->role == net::Role::kWorker) {
     serve_worker(conn);
   } else {
@@ -293,7 +312,7 @@ void Hub::serve_client(ConnPtr conn) {
         }
         {
           std::lock_guard<std::mutex> lock(mu_);
-          const std::uint64_t id = next_job_id_++;
+          const std::uint64_t id = next_global_id_++;
           JobEntry& entry = jobs_[id];
           entry.job = std::move(submit->job);
           entry.client_id = conn->id;
@@ -519,7 +538,7 @@ void Hub::handle_checkpoint(const ConnPtr& from, net::CheckpointMsg msg) {
     net::ResumeMsg resume;
     resume.checkpoint = std::move(msg);
     {
-      // Record the exact blob the peer replays, for the byte-identity
+      // Record the exact blob the peer resumes, for the byte-identity
       // proof: replay_from(checkpoint) locally must equal the peer's
       // results.
       snapshot::Snapshot payload;
@@ -527,17 +546,16 @@ void Hub::handle_checkpoint(const ConnPtr& from, net::CheckpointMsg msg) {
       resume.checkpoint.save(w);
       std::lock_guard<std::mutex> lock(mu_);
       last_migration_ = payload.bytes();
-      for (const std::uint64_t id : resume.checkpoint.job_ids) {
-        auto it = jobs_.find(id);
+      for (const auto& assign : resume.checkpoint.jobs) {
+        auto it = jobs_.find(assign.job_id);
         if (it != jobs_.end()) it->second.worker_id = peer->id;
       }
-      peer->in_flight += resume.checkpoint.job_ids.size();
+      peer->in_flight += resume.checkpoint.jobs.size();
       metrics_.counter("hub.migrations")++;
-      metrics_.counter("hub.jobs_migrated") +=
-          resume.checkpoint.job_ids.size();
+      metrics_.counter("hub.jobs_migrated") += resume.checkpoint.jobs.size();
     }
     trace("migrate", static_cast<std::int64_t>(from->id),
-          std::to_string(resume.checkpoint.job_ids.size()) +
+          std::to_string(resume.checkpoint.jobs.size()) +
               " jobs migrated to worker " + std::to_string(peer->id));
     const Status sent = send_to(peer, resume);
     if (!sent.ok()) {
@@ -550,11 +568,11 @@ void Hub::handle_checkpoint(const ConnPtr& from, net::CheckpointMsg msg) {
     // lose the checkpointed chip state but not their place in line.
     std::lock_guard<std::mutex> lock(mu_);
     std::size_t requeued = 0;
-    for (auto it = msg.job_ids.rbegin(); it != msg.job_ids.rend(); ++it) {
-      auto entry = jobs_.find(*it);
+    for (auto it = msg.jobs.rbegin(); it != msg.jobs.rend(); ++it) {
+      auto entry = jobs_.find(it->job_id);
       if (entry == jobs_.end()) continue;
       entry->second.worker_id = 0;
-      dispatch_queue_.push_front(*it);
+      dispatch_queue_.push_front(it->job_id);
       ++requeued;
     }
     metrics_.counter("hub.jobs_requeued") += requeued;

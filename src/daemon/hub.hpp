@@ -18,11 +18,16 @@
 // Drain/migration: DrainWorker marks the worker draining (no new
 // assignments), sends it Drain; the worker finishes what its farm
 // already admitted, then ships a CheckpointMsg — its chip's .vsnap
-// plus a ReplayLog of the jobs it never started. The hub forwards the
-// blob verbatim to a live peer as Resume (recording the bytes for the
-// byte-identity proof in the tests); the peer replays from the exact
-// chip state and answers ordinary JobResults. With no peer available
-// the hub falls back to requeueing the transferred jobs itself.
+// plus the jobs it never started, each with its global id. The hub
+// forwards the blob verbatim to a live peer as Resume (recording the
+// bytes for the byte-identity proof in the tests); the peer restores
+// the exact chip state into a farm slot, serves the jobs there and
+// answers ordinary JobResults. With no peer available the hub falls
+// back to requeueing the transferred jobs itself.
+//
+// The accept thread only accepts: each connection's handshake runs on
+// its own thread, so a peer that never says Hello blocks neither later
+// joins nor stop().
 #pragma once
 
 #include <atomic>
@@ -102,8 +107,8 @@ class Hub {
 
   /// The last CheckpointMsg payload forwarded to a peer, as raw
   /// snapshot bytes (empty if no migration happened yet). Test
-  /// introspection: replaying these locally must match the peer's
-  /// replayed outcomes byte for byte.
+  /// introspection: runtime::replay_from on these locally must match
+  /// the peer's outcomes byte for byte.
   std::vector<std::uint8_t> last_migration() const;
 
  private:
@@ -142,8 +147,9 @@ class Hub {
   void serve_worker(ConnPtr conn);
   void serve_client(ConnPtr conn);
 
-  /// Handshake: read Hello, answer HelloAck (or Error), register.
-  StatusOr<ConnPtr> handshake(net::Socket sock);
+  /// Handshake, on the connection's own thread: read Hello, answer
+  /// HelloAck (or Error), register the peer as a worker or a client.
+  Status handshake(const ConnPtr& conn);
 
   /// Marks the worker dead, requeues its in-flight jobs, notifies the
   /// dispatcher. Safe to call twice (second call is a no-op).
@@ -182,7 +188,7 @@ class Hub {
   bool started_ = false;
 
   std::uint64_t next_peer_id_ = 1;
-  std::uint64_t next_job_id_ = 1;
+  std::uint64_t next_global_id_ = 1;
   std::map<std::uint64_t, ConnPtr> workers_;
   std::map<std::uint64_t, ConnPtr> clients_;
   /// Every connection ever accepted; joined in stop() (maps above only

@@ -1,9 +1,9 @@
 #include "daemon/worker.hpp"
 
+#include <iterator>
 #include <utility>
 #include <vector>
 
-#include "core/vlsi_processor.hpp"
 #include "runtime/replay.hpp"
 
 namespace vlsip::daemon {
@@ -82,7 +82,7 @@ WorkerDaemon::Exit WorkerDaemon::run() {
                   ++assigned_ > options_.crash_after_jobs;
           if (crash) {
             stopping_ = true;
-            exit_ = Exit::kCrashed;
+            decide(Exit::kCrashed);
           }
         }
         if (crash) {
@@ -113,7 +113,7 @@ WorkerDaemon::Exit WorkerDaemon::run() {
       case net::MsgType::kShutdown: {
         std::lock_guard<std::mutex> lock(mu_);
         stopping_ = true;
-        exit_ = Exit::kShutdown;
+        decide(Exit::kShutdown);
         goto out;
       }
       default:
@@ -200,34 +200,27 @@ bool WorkerDaemon::serve_window(std::vector<net::AssignJobMsg> window) {
 }
 
 bool WorkerDaemon::handle_resume(net::CheckpointMsg checkpoint) {
-  std::vector<scaling::JobOutcome> outcomes;
-  try {
-    core::VlsiProcessor chip(options_.farm.chip);
-    outcomes = runtime::replay_from(chip, checkpoint.chip, checkpoint.log,
-                                    options_.farm.default_max_cycles);
-  } catch (const snapshot::SnapshotError&) {
-    // Corrupt blob or geometry mismatch: the checkpointed chip state is
-    // unusable, but the jobs themselves are intact — serve them as
-    // ordinary assignments so nothing is lost.
+  std::vector<scaling::Job> jobs;
+  jobs.reserve(checkpoint.jobs.size());
+  for (const auto& assign : checkpoint.jobs) jobs.push_back(assign.job);
+  auto outcomes = runtime::replay_from(options_.farm, checkpoint.chip,
+                                       checkpoint.checkpoint_tick,
+                                       std::move(jobs));
+  if (!outcomes.ok()) {
+    // Corrupt blob, geometry mismatch or a job no farm admits: serve
+    // the jobs as ordinary assignments (an invalid one answers an
+    // error outcome there) so nothing is lost.
     {
       std::lock_guard<std::mutex> lock(mu_);
-      for (std::size_t i = checkpoint.log.next_job;
-           i < checkpoint.log.jobs.size(); ++i) {
-        net::AssignJobMsg assign;
-        assign.job_id = checkpoint.job_ids[i];
-        assign.job = std::move(checkpoint.log.jobs[i]);
-        pending_.push_back(std::move(assign));
-      }
+      pending_.insert(pending_.end(),
+                      std::make_move_iterator(checkpoint.jobs.begin()),
+                      std::make_move_iterator(checkpoint.jobs.end()));
     }
     cv_.notify_all();
     return true;
   }
-  // replay_from serves jobs [next_job ..); outcomes[k] belongs to
-  // log.jobs[next_job + k] and so to job_ids[next_job + k].
-  for (std::size_t k = 0; k < outcomes.size(); ++k) {
-    const std::size_t idx = checkpoint.log.next_job + k;
-    if (idx >= checkpoint.job_ids.size()) break;
-    if (!send_result(checkpoint.job_ids[idx], std::move(outcomes[k]))) {
+  for (std::size_t k = 0; k < outcomes->size(); ++k) {
+    if (!send_result(checkpoint.jobs[k].job_id, std::move((*outcomes)[k]))) {
       return false;
     }
   }
@@ -240,17 +233,13 @@ void WorkerDaemon::do_drain() {
   net::CheckpointMsg checkpoint;
   checkpoint.worker_id = id_;
   checkpoint.checkpoint_tick = farm_.now();
-  checkpoint.log.checkpoint_tick = checkpoint.checkpoint_tick;
-  checkpoint.log.next_job = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    for (auto& assign : pending_) {
-      checkpoint.job_ids.push_back(assign.job_id);
-      checkpoint.log.jobs.push_back(std::move(assign.job));
-    }
+    checkpoint.jobs.assign(std::make_move_iterator(pending_.begin()),
+                           std::make_move_iterator(pending_.end()));
     pending_.clear();
     stopping_ = true;
-    exit_ = Exit::kDrained;
+    decide(Exit::kDrained);
   }
   const Status saved = farm_.save_chip(0, checkpoint.chip);
   if (saved.ok()) {

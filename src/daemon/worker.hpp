@@ -9,14 +9,14 @@
 // Drain: on a Drain frame the daemon stops taking new pending work,
 // lets the farm finish what it already admitted (those results go out
 // normally), then ships a CheckpointMsg — the chip's .vsnap
-// (ChipFarm::save_chip) plus a ReplayLog of the never-started jobs
-// with their hub-global ids — and says Goodbye. Resume is the mirror:
-// a peer's checkpoint arrives, runtime::replay_from re-serves the
-// migrated jobs from the exact checkpointed chip state (deterministic,
-// so the results are byte-identical to a local replay of the same
-// blob), and the results go back under the migrated ids. If the blob
-// is corrupt or its geometry doesn't match, the jobs fall back to
-// ordinary farm service — degraded determinism, but nothing is lost.
+// (ChipFarm::save_chip) plus the never-started assignments, each job
+// with its hub-global id — and says Goodbye. Resume is the mirror:
+// runtime::replay_from restores a peer's checkpoint into a farm slot
+// built from this daemon's FarmConfig, serves the migrated jobs there
+// (byte-identical to any other such replay of the blob) and the results
+// go back under their ids. If the blob is corrupt or its geometry
+// doesn't match, the jobs fall back to ordinary farm service —
+// degraded determinism, but nothing is lost.
 //
 // Fault injection: crash_after_jobs > 0 makes the daemon die abruptly
 // (socket torn down mid-protocol, no goodbye) on the first assignment
@@ -92,10 +92,16 @@ class WorkerDaemon {
   /// Serves up to a window of pending assignments on the farm.
   /// Returns false when the loop should stop (crash injection fired).
   bool serve_window(std::vector<net::AssignJobMsg> window);
-  /// Replays a migrated checkpoint and answers its results.
+  /// Serves a migrated checkpoint's jobs and answers their results.
   bool handle_resume(net::CheckpointMsg checkpoint);
   /// Finishes admitted work, ships the checkpoint, says goodbye.
   void do_drain();
+  /// Records how the serving loop ended unless that is decided: the
+  /// first of shutdown, drain and crash wins, so a Shutdown read after
+  /// a finished drain keeps kDrained. Caller holds mu_.
+  void decide(Exit exit) {
+    if (exit_ == Exit::kLost) exit_ = exit;
+  }
   /// Sends one result; runs the crash injection counter. Returns
   /// false when the daemon just "crashed".
   bool send_result(std::uint64_t job_id, scaling::JobOutcome outcome);
@@ -114,7 +120,7 @@ class WorkerDaemon {
   bool stopping_ = false;
   std::uint64_t served_ = 0;
   std::uint64_t assigned_ = 0;  // assignments received, for crash_after_jobs
-  Exit exit_ = Exit::kLost;
+  Exit exit_ = Exit::kLost;  // kLost until decide() records an exit
 
   std::thread service_thread_;
   std::thread heartbeat_thread_;

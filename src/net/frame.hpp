@@ -43,7 +43,10 @@ inline constexpr std::uint32_t kFrameMagic = 0x5646524Du;
 /// v3: CheckpointMsg carries exactly one flat chip snapshot.
 /// v4: payloads are snapshot::kVersion 3 streams.
 /// v5: payloads are snapshot::kVersion 4 streams.
-inline constexpr std::uint16_t kProtoVersion = 5;
+/// v6: CheckpointMsg pairs each migrated job with its id (no separate
+///     id list and replay log); payloads are snapshot::kVersion 5
+///     streams.
+inline constexpr std::uint16_t kProtoVersion = 6;
 /// Header bytes before the payload.
 inline constexpr std::size_t kFrameHeaderSize = 12;
 /// Default payload ceiling (checkpoint transfers dominate sizing; a

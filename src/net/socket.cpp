@@ -243,6 +243,10 @@ StatusOr<Socket> Listener::accept() {
   }
 }
 
+void Listener::shutdown() {
+  if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
+}
+
 void Listener::close() {
   if (fd_ >= 0) {
     // shutdown() first so a blocked accept() returns instead of

@@ -89,6 +89,10 @@ class Listener {
   /// Blocks for the next connection; kIoError once close()d.
   StatusOr<Socket> accept();
 
+  /// Fails a pending and every later accept() but keeps the descriptor,
+  /// so the accepting thread can be joined before close().
+  void shutdown();
+
   /// Stops listening and unblocks accept(). Unix listeners unlink
   /// their path. Safe to call twice.
   void close();

@@ -88,24 +88,18 @@ void CheckpointMsg::save(snapshot::Writer& w) const {
   w.section("net.checkpoint");
   w.u64(worker_id);
   w.u64(checkpoint_tick);
-  w.vec_u64(job_ids);
   w.vec_u8(chip.bytes());
-  log.save(w);
+  w.u64(jobs.size());
+  for (const auto& job : jobs) job.save(w);
 }
 
 void CheckpointMsg::restore(snapshot::Reader& r) {
   r.section("net.checkpoint");
   worker_id = r.u64();
   checkpoint_tick = r.u64();
-  job_ids = r.vec_u64();
   chip.bytes() = r.vec_u8();
-  log.restore(r);
-  if (job_ids.size() != log.jobs.size()) {
-    throw snapshot::SnapshotError(
-        "checkpoint transfer id/job count mismatch: " +
-        std::to_string(job_ids.size()) + " ids for " +
-        std::to_string(log.jobs.size()) + " jobs");
-  }
+  jobs.resize(static_cast<std::size_t>(r.count(32)));
+  for (auto& job : jobs) job.restore(r);
 }
 
 void DrainWorkerMsg::save(snapshot::Writer& w) const {

@@ -19,13 +19,14 @@
 //     send Heartbeat on a timer; silence past the hub's timeout is
 //     death, and the dead worker's in-flight jobs are requeued.
 //   * Drain/migration: Drain -> the worker ships a CheckpointMsg (its
-//     chip .vsnap + a ReplayLog of unstarted jobs, ids attached) ->
-//     the hub forwards it to a peer as Resume -> the peer replays and
-//     answers ordinary JobResults for the migrated ids.
+//     chip .vsnap + its unstarted jobs, each paired with its id) ->
+//     the hub forwards it to a peer as Resume -> the peer restores the
+//     chip into a farm slot, serves the jobs there (runtime::
+//     replay_from) and answers ordinary JobResults for their ids.
 //
-// Job and outcome payloads reuse the replay codecs
-// (runtime/replay.hpp), so "a job on the wire" and "a job in a .vsnap
-// session" are the same bytes.
+// Job and outcome payloads reuse the runtime codecs
+// (runtime/replay.hpp), so "a job on the wire" and "a job in a
+// recorded stream" are the same bytes.
 #pragma once
 
 #include <cstdint>
@@ -121,13 +122,12 @@ struct CheckpointMsg {
   std::uint64_t worker_id = 0;
   /// Farm tick of the source farm when the checkpoint was taken.
   std::uint64_t checkpoint_tick = 0;
-  /// Hub-global ids of log.jobs, in order (the hub re-keys the peer's
-  /// results back to waiting clients with these).
-  std::vector<std::uint64_t> job_ids;
   /// Complete .vsnap of the drained chip (ChipFarm::save_chip output).
   snapshot::Snapshot chip;
-  /// The unstarted jobs, replayable via runtime::replay_from.
-  runtime::ReplayLog log;
+  /// The unstarted jobs in admission order, each with its hub-global
+  /// id (the hub re-keys the peer's results back to waiting clients
+  /// with these) — the assignments the drained worker never served.
+  std::vector<AssignJobMsg> jobs;
 
   void save(snapshot::Writer& w) const;
   void restore(snapshot::Reader& r);

@@ -521,6 +521,50 @@ Status ChipFarm::save_chip(std::size_t index, snapshot::Snapshot& out) const {
   return workers_[index]->chip->save(out);
 }
 
+Status ChipFarm::restore_chip(std::size_t index,
+                              const snapshot::Snapshot& snapshot,
+                              std::uint64_t resumed_from_tick) {
+  if (index >= workers_.size()) {
+    return Status(StatusCode::kInvalidArgument,
+                  "no worker slot " + std::to_string(index));
+  }
+  // Precondition (header): farm idle, so the slot's worker is parked on
+  // the admission queue, whose mutex publishes these writes to it.
+  Worker& worker = *workers_[index];
+  const Status restored = restore_into(worker, snapshot, resumed_from_tick);
+  if (restored.ok()) {
+    publish_health(worker);
+    publish_obs(worker);
+  }
+  return restored;
+}
+
+Status ChipFarm::restore_into(Worker& worker,
+                              const snapshot::Snapshot& snapshot,
+                              std::uint64_t resumed_from_tick) {
+  // Restore off to the side: a half-restored chip must never serve.
+  auto chip = std::make_unique<core::VlsiProcessor>(config_.chip);
+  const Status restored = chip->restore(snapshot);
+  if (!restored.ok()) return restored;
+  worker.chip = std::move(chip);
+  // The governor's model pointer and meter anchors died with the old
+  // chip; re-seat both on the restored one.
+  worker.governor = DvsGovernor(config_.dvs, worker.chip->energy_model());
+  worker.jobs_served = 0;
+  worker.resumed_from = resumed_from_tick;
+  {
+    std::lock_guard<std::mutex> lock(metrics_mutex_);
+    ++worker.metrics.chip_restores;
+  }
+  trace_event(obs::Layer::kRuntime, static_cast<std::int64_t>(worker.index),
+              "restore",
+              "worker " + std::to_string(worker.index) +
+                  " restored its chip from the checkpoint at tick " +
+                  std::to_string(resumed_from_tick),
+              now());
+  return Status::Ok();
+}
+
 void ChipFarm::quarantine_chip(Worker& worker, const char* why) {
   // The defective chip leaves the fleet; a spare of the same shape
   // takes over its slot. Any state on the old chip is gone — jobs it
@@ -541,20 +585,9 @@ void ChipFarm::quarantine_chip(Worker& worker, const char* why) {
     // Resume the replacement from the slot's last known-good state
     // instead of blank silicon: quarantined defects, region layout and
     // accumulated AP state all carry over from the checkpoint.
-    const Status restored = worker.chip->restore(worker.last_checkpoint);
-    if (restored.ok()) {
-      worker.resumed_from = worker.last_checkpoint_tick;
-      {
-        std::lock_guard<std::mutex> lock(metrics_mutex_);
-        ++worker.metrics.chip_restores;
-      }
-      trace_event(obs::Layer::kRuntime,
-                  static_cast<std::int64_t>(worker.index), "restore",
-                  "worker " + std::to_string(worker.index) +
-                      " restored replacement chip from checkpoint at tick " +
-                      std::to_string(worker.last_checkpoint_tick),
-                  now());
-    } else {
+    const Status restored = restore_into(worker, worker.last_checkpoint,
+                                         worker.last_checkpoint_tick);
+    if (!restored.ok()) {
       trace_event(obs::Layer::kRuntime,
                   static_cast<std::int64_t>(worker.index), "restore",
                   "worker " + std::to_string(worker.index) +

@@ -243,21 +243,29 @@ class ChipFarm {
   /// Health snapshots for every worker slot.
   std::vector<ChipHealth> health() const;
 
-  // --- remote scheduling hooks (daemon/) ---------------------------------
+  // --- checkpoint hooks --------------------------------------------------
   //
-  // The vlsipd worker daemon drives a farm over the wire and migrates
-  // work between processes by shipping chip checkpoints (.vsnap) to a
-  // peer. Both hooks require the farm to be idle — call only after
-  // drain() has returned and before any further submit(); chips mutate
-  // exclusively on their own worker threads, which between batches
-  // block on the admission queue and never touch the chip again until
-  // a new job arrives.
+  // A chip snapshot goes back into service one way: restored into a farm
+  // slot, whose serving loop takes it from there. Quarantine restores
+  // its spare through the routine restore_chip uses; a daemon peer
+  // resumes a migrated checkpoint with restore_chip (runtime/replay.hpp).
+  // Both hooks require the farm to be idle — before the first submit(),
+  // or after drain() has returned and before any further submit(): a
+  // worker then blocks on the admission queue and never touches its
+  // chip until a new job arrives.
 
   /// Serialises worker `index`'s chip into `out` (a complete .vsnap
-  /// buffer, restorable by VlsiProcessor::restore or replay_from).
+  /// buffer, restorable by VlsiProcessor::restore or restore_chip).
   /// kInvalidArgument on a bad index.
   Status save_chip(std::size_t index, snapshot::Snapshot& out) const;
 
+  /// Replaces worker `index`'s chip with fresh silicon restored from
+  /// `snapshot`; outcomes the slot serves from then on carry
+  /// resumed_from_cycle = `resumed_from_tick`. kInvalidArgument on a bad
+  /// index; kCorruptSnapshot when the bytes do not restore into
+  /// FarmConfig::chip's geometry, leaving the slot's chip unchanged.
+  Status restore_chip(std::size_t index, const snapshot::Snapshot& snapshot,
+                      std::uint64_t resumed_from_tick);
 
  private:
   struct Worker {
@@ -317,8 +325,14 @@ class ChipFarm {
                     const scaling::JobOutcome& outcome) const;
   /// Re-admits a failed job with exponential backoff.
   void requeue_for_retry(Worker& worker, PendingJob& pending);
-  /// Retires the worker's chip and fuses in a fresh one.
+  /// Retires the worker's chip; the spare resumes from the slot's last
+  /// checkpoint (restore_into) or, without one, starts blank.
   void quarantine_chip(Worker& worker, const char* why);
+  /// The one restore: fresh silicon restored from `snapshot` replaces
+  /// the worker's chip, with a re-seated governor; counts
+  /// farm.chip_restores. On failure the worker keeps its chip.
+  Status restore_into(Worker& worker, const snapshot::Snapshot& snapshot,
+                      std::uint64_t resumed_from_tick);
   /// Post-batch health check: publishes a ChipHealth snapshot and
   /// compacts a fragmented chip.
   void health_check(Worker& worker);

@@ -1,6 +1,9 @@
 #include "runtime/replay.hpp"
 
+#include <future>
+
 #include "arch/serialize.hpp"
+#include "common/require.hpp"
 
 namespace vlsip::runtime {
 
@@ -95,42 +98,34 @@ scaling::JobOutcome restore_outcome(snapshot::Reader& r) {
   return outcome;
 }
 
-void ReplayLog::save(snapshot::Writer& w) const {
-  w.section("replay.log");
-  w.u64(jobs.size());
-  for (const auto& job : jobs) save_job(w, job);
-  w.u64(next_job);
-  w.u64(checkpoint_tick);
-}
+StatusOr<std::vector<scaling::JobOutcome>> replay_from(
+    const FarmConfig& config, const snapshot::Snapshot& checkpoint,
+    std::uint64_t checkpoint_tick, std::vector<scaling::Job> jobs) {
+  FarmConfig one_chip;
+  one_chip.workers = 1;
+  one_chip.deterministic = true;
+  one_chip.batch = config.batch;
+  one_chip.default_max_cycles = config.default_max_cycles;
+  one_chip.dvs = config.dvs;
+  one_chip.keep_outcome_log = false;
+  one_chip.chip = config.chip;
+  ChipFarm farm(std::move(one_chip));
+  const Status restored = farm.restore_chip(0, checkpoint, checkpoint_tick);
+  if (!restored.ok()) return restored;
 
-void ReplayLog::restore(snapshot::Reader& r) {
-  r.section("replay.log");
-  jobs.clear();
-  const std::uint64_t n = r.count(32);
-  jobs.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n; ++i) jobs.push_back(restore_job(r));
-  next_job = static_cast<std::size_t>(r.u64());
-  checkpoint_tick = r.u64();
-  if (next_job > jobs.size()) {
-    throw snapshot::SnapshotError("replay log cursor is past its jobs");
+  std::vector<std::future<scaling::JobOutcome>> pending;
+  pending.reserve(jobs.size());
+  try {
+    for (auto& job : jobs) {
+      pending.push_back(farm.submit(std::move(job)).outcome);
+    }
+  } catch (const PreconditionError& e) {
+    return Status(StatusCode::kInvalidArgument, e.what());
   }
-}
-
-std::vector<scaling::JobOutcome> replay_from(
-    core::VlsiProcessor& chip, const snapshot::Snapshot& checkpoint,
-    const ReplayLog& log, std::uint64_t default_max_cycles) {
-  {
-    snapshot::Reader r(checkpoint);
-    chip.restore(r);
-  }
+  farm.drain();
   std::vector<scaling::JobOutcome> outcomes;
-  outcomes.reserve(log.jobs.size() - log.next_job);
-  for (std::size_t i = log.next_job; i < log.jobs.size(); ++i) {
-    scaling::JobOutcome outcome =
-        scaling::run_job(chip.manager(), log.jobs[i], default_max_cycles);
-    outcome.resumed_from_cycle = log.checkpoint_tick;
-    outcomes.push_back(std::move(outcome));
-  }
+  outcomes.reserve(pending.size());
+  for (auto& outcome : pending) outcomes.push_back(outcome.get());
   return outcomes;
 }
 

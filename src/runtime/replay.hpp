@@ -1,48 +1,28 @@
-// Deterministic replay: re-run a recorded job trace from a checkpoint.
+// Resuming a checkpoint, and the job/outcome codecs the wire shares.
 //
-// A checkpointed chip is only half a resumable session — the other half
-// is the work that was still in flight. ReplayLog records the admitted
-// job stream (program, inputs, placement, budgets) plus the index of
-// the first job not yet served when the checkpoint was taken; the pair
-// (chip snapshot, replay log) is a complete resumable session. Both
-// halves serialise through the same snapshot::Writer/Reader codecs; a
-// draining worker ships them side by side in one net::CheckpointMsg and
-// the peer replays them (docs/DISTRIBUTED.md). `vlsipc snapshot` and
-// `resume` carry no ReplayLog: their .vsnap is a "vlsipc.session" (one
-// program, its budgets and stats, and the AP checkpoint).
-//
-// replay_from() is the driver: restore the checkpoint into a chip, then
-// serve jobs [log.next_job ..) sequentially — single-threaded, virtual
-// time only, so re-running the same (checkpoint, log) pair yields
-// bit-identical outcomes every time. Outcomes carry
-// resumed_from_cycle = log.checkpoint_tick so downstream reports can
-// tell a resumed run from an uninterrupted one.
+// A chip snapshot goes back into service one way: restored into a farm
+// slot (ChipFarm::restore_chip), whose serving loop serves what
+// follows — as the quarantine path resumes a spare. replay_from() is
+// that path for a drain migration (docs/DISTRIBUTED.md): a one-chip
+// deterministic farm built from the caller's FarmConfig restores the
+// checkpoint and serves the jobs in virtual time, so the same
+// (checkpoint, jobs) pair yields byte-identical outcomes every time.
+// `vlsipc snapshot`/`resume` checkpoint one AP instead, in a
+// "vlsipc.session" file (tools/vlsipc.cpp).
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "core/vlsi_processor.hpp"
+#include "core/status.hpp"
+#include "runtime/chip_farm.hpp"
 #include "scaling/job.hpp"
 #include "snapshot/snapshot.hpp"
 
 namespace vlsip::runtime {
 
-/// The admitted-job trace of a deterministic run, snapshot-codable.
-struct ReplayLog {
-  std::vector<scaling::Job> jobs;
-  /// Index of the first job in `jobs` not yet served at checkpoint
-  /// time; replay starts here.
-  std::size_t next_job = 0;
-  /// Farm/virtual tick the checkpoint was taken at (stamped onto
-  /// replayed outcomes as resumed_from_cycle).
-  std::uint64_t checkpoint_tick = 0;
-
-  void save(snapshot::Writer& w) const;
-  void restore(snapshot::Reader& r);
-};
-
-/// Snapshot codecs for a single job (shared by ReplayLog and tools).
+/// Snapshot codecs for a single job (the wire's job payload and the
+/// workload runner's stream replay).
 void save_job(snapshot::Writer& w, const scaling::Job& job);
 scaling::Job restore_job(snapshot::Reader& r);
 
@@ -55,14 +35,16 @@ scaling::Job restore_job(snapshot::Reader& r);
 void save_outcome(snapshot::Writer& w, const scaling::JobOutcome& outcome);
 scaling::JobOutcome restore_outcome(snapshot::Reader& r);
 
-/// Restores `checkpoint` into `chip` (which must be constructed with
-/// the geometry the checkpoint was saved from) and serves
-/// log.jobs[log.next_job ..] in admission order through
-/// scaling::run_job, with `default_max_cycles` for jobs that carry no
-/// budget of their own. Throws snapshot::SnapshotError on a corrupt or
-/// mismatched checkpoint.
-std::vector<scaling::JobOutcome> replay_from(
-    core::VlsiProcessor& chip, const snapshot::Snapshot& checkpoint,
-    const ReplayLog& log, std::uint64_t default_max_cycles = 1u << 22);
+/// Serves `jobs` on a one-chip deterministic farm built from `config`
+/// (chip, batch, default_max_cycles and dvs; nothing else) whose slot
+/// is restored from `checkpoint` with resumed_from_tick =
+/// `checkpoint_tick`. Returns one outcome per job, in `jobs` order.
+/// Fails, with no outcome, with restore_chip's status when the
+/// checkpoint does not restore into config.chip's geometry, and with
+/// kInvalidArgument when a job is one no farm admits (empty program,
+/// zero clusters).
+StatusOr<std::vector<scaling::JobOutcome>> replay_from(
+    const FarmConfig& config, const snapshot::Snapshot& checkpoint,
+    std::uint64_t checkpoint_tick, std::vector<scaling::Job> jobs);
 
 }  // namespace vlsip::runtime

@@ -69,26 +69,4 @@ JobOutcome run_job_on(ScalingManager& manager, ProcId proc, const Job& job,
   return outcome;
 }
 
-JobOutcome run_job(ScalingManager& manager, const Job& job,
-                   std::uint64_t default_max_cycles) {
-  const std::size_t clusters = job.requested_clusters;
-  ProcId proc = manager.allocate(clusters);
-  if (proc == kNoProc && manager.compact() > 0) {
-    proc = manager.allocate(clusters);
-  }
-  if (proc == kNoProc) {
-    JobOutcome outcome;
-    outcome.name = job.name;
-    outcome.status = JobStatus::kNoAllocation;
-    outcome.detail = "cannot fuse " + std::to_string(clusters) +
-                     " clusters (free: " +
-                     std::to_string(manager.free_clusters()) + ")";
-    return outcome;
-  }
-
-  JobOutcome outcome = run_job_on(manager, proc, job, default_max_cycles);
-  manager.release(proc);
-  return outcome;
-}
-
 }  // namespace vlsip::scaling

@@ -10,8 +10,8 @@
 // run_job_on() is the per-chip execution core: configure + feed + run
 // on an already-fused processor, without allocating or releasing it —
 // callers own placement, so a batcher can amortise one configuration
-// wormhole over many jobs. run_job() is the convenience wrapper that
-// also allocates (compacting on fragmentation) and releases.
+// wormhole over many jobs. The farm (runtime/chip_farm.*) is its one
+// serving loop, a resumed checkpoint included (runtime/replay.hpp).
 #pragma once
 
 #include <cstdint>
@@ -95,11 +95,5 @@ struct JobOutcome {
 /// owns the clock).
 JobOutcome run_job_on(ScalingManager& manager, ProcId proc, const Job& job,
                       std::uint64_t default_max_cycles);
-
-/// Allocate job.requested_clusters (compacting the chip when the first
-/// attempt fails) + run_job_on + release. On allocation failure returns
-/// status kNoAllocation.
-JobOutcome run_job(ScalingManager& manager, const Job& job,
-                   std::uint64_t default_max_cycles = 1u << 22);
 
 }  // namespace vlsip::scaling

@@ -44,7 +44,10 @@ inline constexpr std::uint32_t kMagic = 0x56534E50u;
 ///   3: CSD routes carry their claimed [lo, hi] span.
 ///   4: chip tables hold live state only: no delivered packets, no
 ///      packet-to-flow index, no released processor slots.
-inline constexpr std::uint32_t kVersion = 4;
+///   5: the vlsipc session header keeps only its path, capacity,
+///      expected tokens and remaining budget; the program and its stats
+///      come from the AP checkpoint after it.
+inline constexpr std::uint32_t kVersion = 5;
 
 /// Owning byte container. The header (magic + version) is written by
 /// the first Writer attached and validated by every Reader.

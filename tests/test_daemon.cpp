@@ -10,9 +10,10 @@
 //   * distributed results are semantically identical (name -> status +
 //     output tokens) to a single-process deterministic farm run of the
 //     same manifest;
-//   * drain migration is byte-identical: replaying the hub's recorded
-//     checkpoint blob locally yields outcome encodings equal to what
-//     the peer sent back over the wire.
+//   * drain migration is byte-identical: serving the hub's recorded
+//     checkpoint blob locally, on a farm slot of the peer's config,
+//     yields outcome encodings equal to what the peer sent back over
+//     the wire.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -260,7 +261,7 @@ TEST(Daemon, DrainMigratesCheckpointByteIdentically) {
   ASSERT_TRUE(rest.ok()) << rest.status().message();
   EXPECT_EQ(first->size() + rest->size(), jobs.size());
 
-  // The hub recorded the exact blob it forwarded to the peer. Replay
+  // The hub recorded the exact blob it forwarded to the peer. Serve
   // it locally: the peer's answers for the migrated ids must be
   // byte-identical to ours, encoding for encoding.
   const auto blob = hub.last_migration();
@@ -273,13 +274,18 @@ TEST(Daemon, DrainMigratesCheckpointByteIdentically) {
     checkpoint.restore(r);
     EXPECT_EQ(r.bytes_remaining(), 0u);
   }
-  ASSERT_FALSE(checkpoint.job_ids.empty());
+  ASSERT_FALSE(checkpoint.jobs.empty());
 
-  core::VlsiProcessor chip{core::ChipConfig{}};
-  const auto local = runtime::replay_from(chip, checkpoint.chip,
-                                          checkpoint.log);
-  ASSERT_EQ(local.size(),
-            checkpoint.log.jobs.size() - checkpoint.log.next_job);
+  // Serve the blob as the peer does: on a farm slot of the peer's own
+  // FarmConfig.
+  std::vector<scaling::Job> migrated;
+  for (const auto& assign : checkpoint.jobs) migrated.push_back(assign.job);
+  const auto replayed = runtime::replay_from(
+      worker_options(hub.address(), "peer").farm, checkpoint.chip,
+      checkpoint.checkpoint_tick, std::move(migrated));
+  ASSERT_TRUE(replayed.ok()) << replayed.status().to_string();
+  const auto& local = *replayed;
+  ASSERT_EQ(local.size(), checkpoint.jobs.size());
 
   // Index the wire results by job name (names are unique here).
   std::map<std::string, scaling::JobOutcome> wire;
@@ -288,6 +294,8 @@ TEST(Daemon, DrainMigratesCheckpointByteIdentically) {
 
   for (std::size_t k = 0; k < local.size(); ++k) {
     ASSERT_TRUE(wire.count(local[k].name)) << local[k].name;
+    EXPECT_EQ(local[k].attempts, 1u);
+    EXPECT_EQ(local[k].resumed_from_cycle, checkpoint.checkpoint_tick);
     scaling::JobOutcome mine = local[k];
     scaling::JobOutcome theirs = wire.at(local[k].name);
     // The transport stamps its own ids (global on the worker leg, the
@@ -526,6 +534,31 @@ TEST(Daemon, HubRejectsHelloAtAnotherProtoVersion) {
   ASSERT_TRUE(client->shutdown_hub().ok());
   hub.wait();
   hub.stop();
+}
+
+TEST(Daemon, SilentPeerBlocksNeitherJoinsNorStop) {
+  daemon::Hub hub;
+  ASSERT_TRUE(hub.start().ok());
+
+  // A peer that connects and never says Hello. Its handshake waits on
+  // its own connection: later joins go ahead, and stop() shuts it down.
+  auto silent = net::Socket::connect(hub.address());
+  ASSERT_TRUE(silent.ok()) << silent.status().message();
+
+  WorkerThread w(worker_options(hub.address(), "w"));
+  const StopOnExit stop_on_exit(hub, {&w});
+  ASSERT_TRUE(w.start().ok());
+  auto client = net::HubClient::connect({hub.address(), "test"});
+  ASSERT_TRUE(client.ok()) << client.status().message();
+  ASSERT_TRUE(client->submit(mixed_jobs(1, 7).front()).ok());
+  auto results = client->collect(1);
+  ASSERT_TRUE(results.ok()) << results.status().message();
+  ASSERT_EQ(results->size(), 1u);
+  EXPECT_EQ(results->front().outcome.status, scaling::JobStatus::kCompleted);
+
+  hub.stop();  // returns although the silent peer is still connected
+  w.join();
+  EXPECT_EQ(hub.live_workers(), 0u);
 }
 
 TEST(Daemon, MetricsReportIsWellFormedJson) {

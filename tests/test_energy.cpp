@@ -179,10 +179,14 @@ scaling::Job tiny_job(const std::string& name, int stages = 3,
   return j;
 }
 
+/// Fuses one cluster, serves the job on it and releases it again.
 std::uint64_t run_one_job(core::VlsiProcessor& chip) {
   const auto before = chip.energy_total_fj();
+  const scaling::ProcId proc = chip.fuse(1);
+  EXPECT_NE(proc, scaling::kNoProc);
   const auto outcome =
-      scaling::run_job(chip.manager(), tiny_job("meter"));
+      scaling::run_job_on(chip.manager(), proc, tiny_job("meter"), 1u << 22);
+  chip.release(proc);
   EXPECT_TRUE(outcome.completed);
   return chip.energy_total_fj() - before;
 }
@@ -215,7 +219,7 @@ TEST(ChipEnergyMeter, MeterAdvancesWithWorkAndIsDeterministic) {
 
 TEST(ChipEnergyMeter, RetiredProcessorsKeepTheirBill) {
   core::VlsiProcessor chip(energy_chip());
-  const auto fj = run_one_job(chip);  // run_job releases the processor
+  const auto fj = run_one_job(chip);  // releases the processor
   EXPECT_GT(fj, 0u);
   // The released AP is gone from the manager, but its activity was
   // folded into the retired meter — the total must not shrink.

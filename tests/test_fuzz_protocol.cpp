@@ -94,8 +94,11 @@ std::vector<std::vector<std::uint8_t>> seed_frames() {
   net::CheckpointMsg checkpoint;
   checkpoint.worker_id = 2;
   checkpoint.checkpoint_tick = 1234;
-  checkpoint.job_ids = {40, 41};
-  checkpoint.log.jobs = {job, job};
+  checkpoint.jobs.resize(2);
+  checkpoint.jobs[0].job_id = 40;
+  checkpoint.jobs[0].job = job;
+  checkpoint.jobs[1].job_id = 41;
+  checkpoint.jobs[1].job = job;
   {
     snapshot::Writer w(checkpoint.chip);
     w.section("fuzz.chipstate");

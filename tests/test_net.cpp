@@ -201,16 +201,41 @@ TEST(Wire, OutcomeEncodingIsByteStable) {
 }
 
 TEST(Wire, CheckpointRejectsIdJobCountMismatch) {
+  // Each migrated job travels with its id, so ids and jobs cannot
+  // disagree in a decoded message; the count that remains is the
+  // number of (id, job) pairs, and a payload that promises more pairs
+  // than it carries is refused typed.
   net::CheckpointMsg msg;
   msg.worker_id = 1;
-  msg.job_ids = {10, 11};        // two ids...
-  msg.log.jobs = {sample_job()};  // ...one job
-  const auto bytes = net::encode(msg);
+  msg.jobs.resize(1);
+  msg.jobs[0].job_id = 10;
+  msg.jobs[0].job = sample_job();
+  snapshot::Snapshot payload;
+  {
+    snapshot::Writer w(payload);
+    w.section("net.checkpoint");
+    w.u64(msg.worker_id);
+    w.u64(msg.checkpoint_tick);
+    w.vec_u8(msg.chip.bytes());
+    w.u64(2);  // two pairs promised...
+    msg.jobs[0].save(w);  // ...one carried
+  }
+  const auto bytes = net::encode_frame(net::MsgType::kCheckpoint, payload);
   const auto frame = net::decode_frame(bytes.data(), bytes.size());
   ASSERT_TRUE(frame.ok());
   const auto decoded = net::decode_payload<net::CheckpointMsg>(*frame);
   ASSERT_FALSE(decoded.ok());
   EXPECT_EQ(decoded.status().code(), StatusCode::kProtocolError);
+
+  // The same message, encoded by its own codec, round-trips.
+  const auto good = net::encode(msg);
+  const auto good_frame = net::decode_frame(good.data(), good.size());
+  ASSERT_TRUE(good_frame.ok());
+  const auto back = net::decode_payload<net::CheckpointMsg>(*good_frame);
+  ASSERT_TRUE(back.ok()) << back.status().to_string();
+  ASSERT_EQ(back->jobs.size(), 1u);
+  EXPECT_EQ(back->jobs[0].job_id, 10u);
+  EXPECT_EQ(back->jobs[0].job.name, msg.jobs[0].job.name);
 }
 
 TEST(Socket, LoopbackFramedMessaging) {

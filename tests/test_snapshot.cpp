@@ -22,6 +22,7 @@
 #include "core/status.hpp"
 #include "core/vlsi_processor.hpp"
 #include "fault/fault_plan.hpp"
+#include "net/wire.hpp"
 #include "runtime/chip_farm.hpp"
 #include "runtime/farm_config_builder.hpp"
 #include "runtime/manifest.hpp"
@@ -444,46 +445,90 @@ scaling::Job pipeline_job(const std::string& name, std::int64_t token) {
 }
 
 TEST(Replay, LogRoundTripsThroughSnapshot) {
-  runtime::ReplayLog log;
-  log.jobs = {pipeline_job("alpha", 3), pipeline_job("beta", -8)};
-  log.next_job = 1;
-  log.checkpoint_tick = 777;
+  // The migration payload: a chip checkpoint plus the unstarted jobs,
+  // each paired with its id, round-trip through the snapshot codec.
+  net::CheckpointMsg msg;
+  msg.worker_id = 5;
+  msg.checkpoint_tick = 777;
+  core::VlsiProcessor chip(small_chip());
+  ASSERT_TRUE(chip.save(msg.chip).ok());
+  msg.jobs.resize(2);
+  msg.jobs[0].job_id = 40;
+  msg.jobs[0].job = pipeline_job("alpha", 3);
+  msg.jobs[1].job_id = 41;
+  msg.jobs[1].job = pipeline_job("beta", -8);
 
   snapshot::Snapshot snap;
   snapshot::Writer w(snap);
-  log.save(w);
+  msg.save(w);
   snapshot::Reader r(snap);
-  runtime::ReplayLog back;
+  net::CheckpointMsg back;
   back.restore(r);
+  EXPECT_EQ(r.bytes_remaining(), 0u);
 
-  ASSERT_EQ(back.jobs.size(), 2u);
-  EXPECT_EQ(back.jobs[0].name, "alpha");
-  EXPECT_EQ(back.jobs[1].name, "beta");
-  EXPECT_EQ(back.jobs[1].inputs.at("in")[0].i, -8);
-  EXPECT_EQ(back.next_job, 1u);
+  EXPECT_EQ(back.worker_id, 5u);
   EXPECT_EQ(back.checkpoint_tick, 777u);
+  EXPECT_EQ(back.chip.bytes(), msg.chip.bytes());
+  ASSERT_EQ(back.jobs.size(), 2u);
+  EXPECT_EQ(back.jobs[0].job_id, 40u);
+  EXPECT_EQ(back.jobs[0].job.name, "alpha");
+  EXPECT_EQ(back.jobs[1].job_id, 41u);
+  EXPECT_EQ(back.jobs[1].job.name, "beta");
+  EXPECT_EQ(back.jobs[1].job.inputs.at("in")[0].i, -8);
 }
 
 TEST(Replay, ReplayFromCheckpointServesRemainingJobs) {
-  core::VlsiProcessor chip(small_chip());
+  // A checkpoint resumes on a farm slot: the jobs get the farm's
+  // service — one attempt each, the energy bill of a metering chip,
+  // the checkpoint tick as their resume point — in submission order.
+  const runtime::FarmConfig cfg = runtime::FarmConfigBuilder()
+                                      .chip(core::ChipConfigBuilder()
+                                                .grid(2, 2)
+                                                .energy(true)
+                                                .build())
+                                      .batch(4)
+                                      .build();
   snapshot::Snapshot checkpoint;
-  ASSERT_TRUE(chip.save(checkpoint).ok());
-
-  runtime::ReplayLog log;
-  log.jobs = {pipeline_job("done-already", 1), pipeline_job("pending-a", 2),
-              pipeline_job("pending-b", 3)};
-  log.next_job = 1;  // the first job finished before the checkpoint
-  log.checkpoint_tick = 42;
-
-  core::VlsiProcessor replayer(small_chip());
-  const auto outcomes = runtime::replay_from(replayer, checkpoint, log);
-  ASSERT_EQ(outcomes.size(), 2u);
-  for (const auto& o : outcomes) {
-    EXPECT_EQ(o.status, scaling::JobStatus::kCompleted);
-    EXPECT_EQ(o.resumed_from_cycle, 42u);
+  {
+    // The chip a farm slot served one job on, checkpointed idle.
+    runtime::FarmConfig source_cfg = cfg;
+    source_cfg.deterministic = true;
+    runtime::ChipFarm source(source_cfg);
+    source.submit(pipeline_job("done-already", 1));
+    source.drain();
+    ASSERT_TRUE(source.save_chip(0, checkpoint).ok());
   }
-  EXPECT_EQ(outcomes[0].name, "pending-a");
-  EXPECT_EQ(outcomes[1].name, "pending-b");
+
+  const auto outcomes = runtime::replay_from(
+      cfg, checkpoint, 42,
+      {pipeline_job("pending-a", 2), pipeline_job("pending-b", 3)});
+  ASSERT_TRUE(outcomes.ok()) << outcomes.status().to_string();
+  ASSERT_EQ(outcomes->size(), 2u);
+  for (const auto& o : *outcomes) {
+    EXPECT_EQ(o.status, scaling::JobStatus::kCompleted);
+    EXPECT_EQ(o.attempts, 1u);
+    EXPECT_EQ(o.resumed_from_cycle, 42u);
+    EXPECT_GT(o.energy_fj, 0u);
+  }
+  EXPECT_EQ((*outcomes)[0].name, "pending-a");
+  EXPECT_EQ((*outcomes)[1].name, "pending-b");
+
+  // A checkpoint of another geometry does not restore: typed, and no
+  // job is served.
+  core::VlsiProcessor other(core::ChipConfigBuilder().grid(3, 3).build());
+  snapshot::Snapshot foreign;
+  ASSERT_TRUE(other.save(foreign).ok());
+  const auto refused =
+      runtime::replay_from(cfg, foreign, 42, {pipeline_job("never", 4)});
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kCorruptSnapshot);
+
+  // Neither is a job no farm admits.
+  scaling::Job empty = pipeline_job("empty", 5);
+  empty.program = {};
+  const auto invalid = runtime::replay_from(cfg, checkpoint, 42, {empty});
+  ASSERT_FALSE(invalid.ok());
+  EXPECT_EQ(invalid.status().code(), StatusCode::kInvalidArgument);
 }
 
 // --- farm integration -----------------------------------------------------

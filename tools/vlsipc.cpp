@@ -34,7 +34,7 @@
 //       rejected. Through --hub it prints the submit report.
 //   vlsipc chaos <input> [farm flags]     deterministic, fault plan on
 //       The JSON survival report; exit 0 iff no admitted job was lost.
-//       A full queue rejects. Local only.
+//       Local only.
 //   vlsipc workload <input> [farm flags]  deterministic, 1 worker, --pack
 //       The schema-versioned pack report (docs/WORKLOADS.md); the queue
 //       holds the whole stream.
@@ -47,7 +47,8 @@
 //       hub connection was lost.
 //
 // <input> is a job manifest, @synthetic:N[:seed], @preset:NAME[:seed
-// [:jobs]] or, with --pack, a pack spec file. The farm flags:
+// [:jobs]] or, with --pack, a pack spec file. On every verb a full
+// queue blocks the submitter unless --reject is given. The farm flags:
 //   farm        --workers N --queue D (0 = the whole stream) --reject
 //               --batch B --threaded --deterministic
 //               --checkpoint-every-batches N --dvs --energy-budget FJ
@@ -322,11 +323,12 @@ class OptionParser {
   bool json_ = false;
 };
 
-/// Parses repeated "name=v1,v2,..." --in specs (run/snapshot feeds).
-bool parse_feeds(
-    const std::vector<std::string>& specs,
-    std::vector<std::pair<std::string, std::vector<std::int64_t>>>* feeds,
-    std::string* bad) {
+/// Tokens to feed, by input port (run/snapshot --in).
+using Feeds = std::vector<std::pair<std::string, std::vector<std::int64_t>>>;
+
+/// Parses repeated "name=v1,v2,..." --in specs.
+bool parse_feeds(const std::vector<std::string>& specs, Feeds* feeds,
+                 std::string* bad) {
   for (const std::string& spec : specs) {
     const auto eq = spec.find('=');
     if (eq == std::string::npos || eq == 0) {
@@ -427,47 +429,24 @@ int cmd_info(int argc, char** argv) {
 // --- checkpoint sessions --------------------------------------------------
 //
 // A .vsnap session file is a snapshot::Snapshot holding "vlsipc.session"
-// metadata (program, budgets, stats accumulated over finished segments)
-// followed by the AP's own checkpoint sections. `run --checkpoint-every`
-// rewrites it each segment; `snapshot` stops after one segment; `resume`
+// metadata (program path, capacity, expected tokens, remaining cycle
+// budget) followed by the AP's own checkpoint, which carries the rest:
+// the configured program, its configuration stats and the execution
+// totals of every finished segment. `run --checkpoint-every` rewrites
+// it each segment; `snapshot` stops after one segment; `resume`
 // restores it and keeps going.
 
 struct RunSession {
   /// Original program path — display name in reports, so a resumed
   /// run's report matches the uninterrupted one byte for byte.
   std::string program_path;
-  arch::Program program;
   int capacity = 64;
   std::size_t expect = 1;
   std::uint64_t remaining_cycles = 1u << 24;
-  /// From the original configure() call.
-  ap::ConfigStats config_stats;
-  /// Execution stats accumulated over finished segments.
-  ap::ExecStats exec;
+  /// The last segment's stats, never saved: its terminal state
+  /// (completed/deadlocked/blocked_report) is the whole run's.
+  ap::ExecStats last;
 };
-
-/// Folds one segment's stats into the session totals: counters add,
-/// terminal state (completed/deadlocked/blocked_report) is the last
-/// segment's — exactly what one uninterrupted run() would have
-/// reported.
-void accumulate_exec_stats(ap::ExecStats& total, const ap::ExecStats& seg) {
-  total.cycles += seg.cycles;
-  total.firings += seg.firings;
-  total.tokens_moved += seg.tokens_moved;
-  total.int_ops += seg.int_ops;
-  total.float_ops += seg.float_ops;
-  total.mem_ops += seg.mem_ops;
-  total.transport_ops += seg.transport_ops;
-  total.faults += seg.faults;
-  total.fault_cycles += seg.fault_cycles;
-  total.release_tokens += seg.release_tokens;
-  total.idle_cycles += seg.idle_cycles;
-  total.wakes += seg.wakes;
-  total.quiescence_skips += seg.quiescence_skips;
-  total.completed = seg.completed;
-  total.deadlocked = seg.deadlocked;
-  total.blocked_report = seg.blocked_report;
-}
 
 void write_session(const std::string& path, const RunSession& session,
                    const ap::AdaptiveProcessor& ap) {
@@ -476,11 +455,8 @@ void write_session(const std::string& path, const RunSession& session,
   w.section("vlsipc.session");
   w.str(session.program_path);
   w.i32(session.capacity);
-  arch::save_program(w, session.program);
   w.u64(session.expect);
   w.u64(session.remaining_cycles);
-  ap::save_config_stats(w, session.config_stats);
-  ap::save_exec_stats(w, session.exec);
   ap.save(w);
   snapshot::write_file(snap, path);
 }
@@ -492,11 +468,8 @@ RunSession read_session_header(snapshot::Reader& r) {
   RunSession session;
   session.program_path = r.str();
   session.capacity = r.i32();
-  session.program = arch::restore_program(r);
   session.expect = static_cast<std::size_t>(r.u64());
   session.remaining_cycles = r.u64();
-  session.config_stats = ap::restore_config_stats(r);
-  session.exec = ap::restore_exec_stats(r);
   return session;
 }
 
@@ -510,24 +483,59 @@ ap::ApConfig make_session_config(int capacity, bool enable_trace) {
   return cfg;
 }
 
+/// A new session: `path`'s program configured on `ap` (built with
+/// make_session_config(capacity, ...)) and `feeds` queued at its inputs.
+RunSession start_session(ap::AdaptiveProcessor& ap, const std::string& path,
+                         int capacity, std::size_t expect,
+                         const Feeds& feeds) {
+  RunSession session;
+  session.program_path = path;
+  session.capacity = capacity;
+  session.expect = expect;
+  ap.configure(load_program(path));
+  for (const auto& [name, values] : feeds) {
+    for (const auto v : values) ap.feed(name, arch::make_word_i(v));
+  }
+  return session;
+}
+
+/// Runs one segment of at most `budget` cycles and charges it to the
+/// session's budget.
+void run_segment(ap::AdaptiveProcessor& ap, RunSession& session,
+                 std::uint64_t budget) {
+  session.last = ap.run(session.expect, budget);
+  session.remaining_cycles -=
+      std::min(session.remaining_cycles, session.last.cycles);
+}
+
 /// Runs the session to completion (or budget exhaustion), one segment
 /// per checkpoint when checkpointing is on. Returns when a terminal
-/// state is reached; session.exec then holds the whole-run stats.
+/// state is reached.
 void run_session(ap::AdaptiveProcessor& ap, RunSession& session,
                  std::uint64_t checkpoint_every,
                  const std::string& checkpoint_path) {
-  for (;;) {
-    const std::uint64_t budget =
-        checkpoint_every == 0
-            ? session.remaining_cycles
-            : std::min(session.remaining_cycles, checkpoint_every);
-    const auto seg = ap.run(session.expect, budget);
-    accumulate_exec_stats(session.exec, seg);
-    session.remaining_cycles -=
-        std::min(session.remaining_cycles, seg.cycles);
+  // A session checkpointed after its run ended resumes at that end: the
+  // AP's run counters say how it ended, and one more segment would step
+  // the executor a cycle past it.
+  const ap::ApStats& ended = ap.stats();
+  if (ended.runs_completed > 0 || ended.runs_deadlocked > 0) {
+    session.last.completed = ended.runs_completed > 0;
+    session.last.deadlocked = ended.runs_deadlocked > 0;
+    if (session.last.deadlocked) session.last.blocked_report = ap.diagnose();
     if (!checkpoint_path.empty()) {
       write_session(checkpoint_path, session, ap);
     }
+    return;
+  }
+  for (;;) {
+    run_segment(ap, session,
+                checkpoint_every == 0
+                    ? session.remaining_cycles
+                    : std::min(session.remaining_cycles, checkpoint_every));
+    if (!checkpoint_path.empty()) {
+      write_session(checkpoint_path, session, ap);
+    }
+    const ap::ExecStats& seg = session.last;
     if (seg.completed || seg.deadlocked || session.remaining_cycles == 0) {
       return;
     }
@@ -606,13 +614,19 @@ int finish_run(const RunSession& session, ap::AdaptiveProcessor& ap,
                std::vector<std::pair<std::string, std::string>> info) {
   int obs_rc = 0;
   if (obs.wanted()) {
-    info.emplace_back("status", run_status(session.exec));
+    info.emplace_back("status", run_status(session.last));
     obs::MetricRegistry metrics;
     ap.export_obs(metrics);
     obs_rc = obs.write(info, std::move(metrics), &ap.trace());
   }
-  const ap::ExecStats& exec = session.exec;
-  const ap::ConfigStats& config_stats = session.config_stats;
+  // The AP's lifetime totals cover every segment, both halves of a
+  // resumed run included; the terminal state is the last segment's.
+  ap::ExecStats exec = ap.stats().exec;
+  exec.completed = session.last.completed;
+  exec.deadlocked = session.last.deadlocked;
+  exec.blocked_report = session.last.blocked_report;
+  const ap::ConfigStats& config_stats = ap.stats().config;
+  const arch::Program& program = ap.program();
   if (json) {
     std::ostringstream out;
     obs::JsonWriter w(out);
@@ -637,7 +651,7 @@ int finish_run(const RunSession& session, ap::AdaptiveProcessor& ap,
     w.end_object();
     w.key("outputs");
     w.begin_object();
-    for (const auto& [name, id] : session.program.outputs) {
+    for (const auto& [name, id] : program.outputs) {
       (void)id;
       w.key(name);
       w.begin_array();
@@ -667,7 +681,7 @@ int finish_run(const RunSession& session, ap::AdaptiveProcessor& ap,
   for (const auto& line : exec.blocked_report) {
     std::printf("  blocked: %s\n", line.c_str());
   }
-  for (const auto& [name, id] : session.program.outputs) {
+  for (const auto& [name, id] : program.outputs) {
     (void)id;
     std::printf("%s =", name.c_str());
     for (const auto& w : ap.output(name)) {
@@ -701,25 +715,16 @@ int cmd_run(int argc, char** argv) {
   if (checkpoint_every > 0 && checkpoint_path.empty()) {
     return opts.error("--checkpoint-every needs --checkpoint <out.vsnap>");
   }
-  std::vector<std::pair<std::string, std::vector<std::int64_t>>> feeds;
+  Feeds feeds;
   std::string bad_spec;
   if (!parse_feeds(in_specs, &feeds, &bad_spec)) {
     return opts.error("bad --in spec: " + bad_spec);
   }
 
-  RunSession session;
-  session.program_path = path;
-  session.program = load_program(path);
-  session.capacity = capacity;
-  session.expect = expect;
-
   // The exporters read the AP's own trace sink; only pay for recording
   // when a snapshot was actually requested.
   ap::AdaptiveProcessor ap(make_session_config(capacity, obs.wanted()));
-  session.config_stats = ap.configure(session.program);
-  for (const auto& [name, values] : feeds) {
-    for (const auto v : values) ap.feed(name, arch::make_word_i(v));
-  }
+  RunSession session = start_session(ap, path, capacity, expect, feeds);
   run_session(ap, session, checkpoint_every, checkpoint_path);
   return finish_run(session, ap, json, obs,
                     {{"verb", "run"}, {"program", path}});
@@ -744,28 +749,17 @@ int cmd_snapshot(int argc, char** argv) {
   if (path.empty()) return opts.error("missing <file>");
   if (out_path.empty()) return opts.error("-o <out.vsnap> is required");
   if (at == 0) return opts.error("--at CYC is required");
-  std::vector<std::pair<std::string, std::vector<std::int64_t>>> feeds;
+  Feeds feeds;
   std::string bad_spec;
   if (!parse_feeds(in_specs, &feeds, &bad_spec)) {
     return opts.error("bad --in spec: " + bad_spec);
   }
 
-  RunSession session;
-  session.program_path = path;
-  session.program = load_program(path);
-  session.capacity = capacity;
-  session.expect = expect;
-
   ap::AdaptiveProcessor ap(make_session_config(capacity, false));
-  session.config_stats = ap.configure(session.program);
-  for (const auto& [name, values] : feeds) {
-    for (const auto v : values) ap.feed(name, arch::make_word_i(v));
-  }
-  const auto seg = ap.run(expect, std::min<std::uint64_t>(
-                                      at, session.remaining_cycles));
-  accumulate_exec_stats(session.exec, seg);
-  session.remaining_cycles -= std::min(session.remaining_cycles, seg.cycles);
+  RunSession session = start_session(ap, path, capacity, expect, feeds);
+  run_segment(ap, session, std::min(at, session.remaining_cycles));
   write_session(out_path, session, ap);
+  const ap::ExecStats& seg = session.last;
   std::fprintf(stderr,
                "checkpointed %s at cycle %llu -> %s (%s, %llu cycles of "
                "budget left)\n",
@@ -802,6 +796,9 @@ int cmd_resume(int argc, char** argv) {
   ap::AdaptiveProcessor ap(
       make_session_config(session.capacity, obs.wanted()));
   ap.restore(r);
+  if (!ap.has_datapath()) {
+    throw snapshot::SnapshotError("the session's AP holds no program");
+  }
   run_session(ap, session, checkpoint_every, checkpoint_path);
   // The obs snapshot covers only the resumed half: trace events and
   // layer metrics are host-side observability, deliberately outside
@@ -1145,7 +1142,6 @@ struct FarmVerb {
   bool deterministic;   // the default clock
   std::size_t workers;
   std::size_t queue;    // admission queue depth; 0 = the whole stream
-  bool block;           // a full queue blocks the submitter, or rejects
   bool faults;          // the fault plan is on without a fault flag
   bool pack_files;      // a file positional is a pack spec (--pack)
   Report here;          // without --hub
@@ -1153,16 +1149,18 @@ struct FarmVerb {
   const char* client;   // the hub client's name
 };
 
+// A full queue blocks the submitter on every row (--reject rejects), so
+// a threaded run admits the whole stream whatever the host's timing.
 constexpr FarmVerb kFarmVerbs[] = {
-    {"serve", "<jobs.txt|pack-ref>", false, 4, 64, true, false, false,
+    {"serve", "<jobs.txt|pack-ref>", false, 4, 64, false, false,
      Report::kServe, Report::kSubmit, "vlsipc"},
-    {"chaos", "<jobs.txt|@synthetic:N[:seed]>", true, 4, 64, false, true,
-     false, Report::kSurvival, Report::kNone, "vlsipc"},
-    {"workload", "<pack.spec|@preset:NAME[:seed[:jobs]]>", true, 1, 0, true,
-     false, true, Report::kPack, Report::kPack, "workload"},
-    {"submit", "<jobs.txt>", false, 4, 64, true, false, false, Report::kNone,
+    {"chaos", "<jobs.txt|@synthetic:N[:seed]>", true, 4, 64, true, false,
+     Report::kSurvival, Report::kNone, "vlsipc"},
+    {"workload", "<pack.spec|@preset:NAME[:seed[:jobs]]>", true, 1, 0, false,
+     true, Report::kPack, Report::kPack, "workload"},
+    {"submit", "<jobs.txt>", false, 4, 64, false, false, Report::kNone,
      Report::kSubmit, "vlsipc"},
-    {"worker", nullptr, false, 4, 64, true, false, false, Report::kNone,
+    {"worker", nullptr, false, 4, 64, false, false, Report::kNone,
      Report::kDaemon, "vlsipc"},
 };
 
@@ -1170,7 +1168,7 @@ int cmd_farm(const FarmVerb& verb, int argc, char** argv) {
   runtime::FarmConfigBuilder farm;
   farm.deterministic(verb.deterministic)
       .workers(verb.workers)
-      .queue(verb.queue, verb.block);
+      .queue(verb.queue, /*block_when_full=*/true);
   runtime::FarmConfig& cfg = farm.raw();
   fault::FaultPlanSpec plan;
   plan.events = 16;
